@@ -8,7 +8,9 @@ The package splits into small, composable layers:
 * diagnostics       - Jacobian, gradient-expression, and homogeneity
   probes of those maps, plus the composite objective;
 * losses            - the quadratic fidelity term and its exact prox;
-* solvers           - seven fixed-point iterations with trajectory logs;
+* solvers           - three iteration kernels (residual descent, proximal
+  gradient, variable splitting) behind seven solver names, with
+  trajectory logs;
 * smd               - kernel-density priors, Tweedie regularization, and
   score matching;
 * equilibrium       - consensus characterizations of the solver limits;

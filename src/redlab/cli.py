@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import io
 import os
 import re
 import sys
@@ -69,7 +67,7 @@ from .losses import QuadraticLoss, make_uniform_blur
 from .operators import IdentityOperator, operator_matrix
 from .scenes import diagnostic_patches, solver_scene
 from .smd import KdePrior, TweedieRegularizer
-from .solvers import SOLVERS, SolverConfig, Trajectory, red_pg
+from .solvers import SOLVERS, SolverConfig, Trajectory, format_csv, red_pg
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -358,70 +356,33 @@ def _build_problem(ps: _ProblemSpec, spec: _DenoiserSpec,
     return problem, truth
 
 
-@dataclass(frozen=True)
-class _SolverSpec:
-    method: str | None
-    iterations: int
-    beta: float
-    l_scale: float
-    l_apg: float
-    l_initial: float
-    l_final: float
-    inner_iterations: int
-    sd_step: float | None
-    stop_fp_residual: float | None
-    timing: bool
+def _read_method(reader: _ConfigReader) -> str:
+    method = reader.get_str("solver", "method", default="pg")
+    if method not in SOLVERS:
+        raise ConfigError(
+            f"[solver] method: unknown solver {method!r}; "
+            f"valid methods: {', '.join(SOLVERS)}"
+        )
+    return method
 
 
-def _read_solver(reader: _ConfigReader, *, with_method: bool,
-                 default_iterations: int, default_inner: int = 1,
-                 read_l_apg: bool = False) -> _SolverSpec:
-    method = None
-    if with_method:
-        method = reader.get_str("solver", "method", default="pg")
-        if method not in SOLVERS:
-            raise ConfigError(
-                f"[solver] method: unknown solver {method!r}; "
-                f"valid methods: {', '.join(SOLVERS)}"
-            )
+def _read_solver(reader: _ConfigReader, *, default_iterations: int,
+                 method: str | None = None, default_inner: int = 1) -> SolverConfig:
     default_l = 1.0 if method == "apg" else 1.01
-    spec = _SolverSpec(
-        method=method,
+    return SolverConfig(
         iterations=reader.get_int(
             "solver", "iterations", default=default_iterations, minimum=1
         ),
         beta=reader.get_float("solver", "beta", default=0.001, positive=True),
-        l_scale=reader.get_float("solver", "l", default=default_l, positive=True),
-        l_apg=(
-            reader.get_float("solver", "l_apg", default=1.0, positive=True)
-            if read_l_apg
-            else 1.0
-        ),
+        step_scale=reader.get_float("solver", "l", default=default_l, positive=True),
         l_initial=reader.get_float("solver", "l_initial", default=0.2, positive=True),
         l_final=reader.get_float("solver", "l_final", default=2.0, positive=True),
         inner_iterations=reader.get_int(
             "solver", "inner_iterations", default=default_inner, minimum=1
         ),
         sd_step=reader.get_float("solver", "sd_step", positive=True),
-        stop_fp_residual=reader.get_float(
-            "solver", "stop_fp_residual", positive=True
-        ),
-        timing=reader.get_bool("solver", "timing", default=False),
-    )
-    return spec
-
-
-def _solver_config(ss: _SolverSpec) -> SolverConfig:
-    return SolverConfig(
-        iterations=ss.iterations,
-        beta=ss.beta,
-        step_scale=ss.l_scale,
-        l_initial=ss.l_initial,
-        l_final=ss.l_final,
-        inner_iterations=ss.inner_iterations,
-        sd_step=ss.sd_step,
-        stop_fp_residual=ss.stop_fp_residual,
-        record_timing=ss.timing,
+        stop_fp_residual=reader.get_float("solver", "stop_fp_residual", positive=True),
+        record_timing=reader.get_bool("solver", "timing", default=False),
     )
 
 
@@ -429,14 +390,6 @@ def _solver_config(ss: _SolverSpec) -> SolverConfig:
 # Output helpers
 
 Outputs = tuple[list[tuple[str, str]], str]
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _text_table(header: list[str], rows: list[list[str]]) -> str:
@@ -542,7 +495,7 @@ def _plan_report(which: str) -> Callable:
                     for metric in metrics:
                         sums[metric] += values[metric]
                 files.append(
-                    (f"{which}_{spec.label}.csv", _csv_text(_REPORT_HEADER, rows))
+                    (f"{which}_{spec.label}.csv", format_csv(_REPORT_HEADER, rows))
                 )
                 for metric in metrics:
                     summary_rows.append(
@@ -582,18 +535,18 @@ def _report_metrics(which: str, f: Denoiser, x: Image, epsilon: float) -> dict:
 def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
     problem_spec = _read_problem(reader, config_dir, default_blur=1)
     denoiser_spec = _read_denoiser_spec(reader, "denoiser", label="", default_kind="tdt")
-    solver_spec = _read_solver(reader, with_method=True, default_iterations=500)
+    method = _read_method(reader)
+    cfg = _read_solver(reader, default_iterations=500, method=method)
     _check_tdt_size(denoiser_spec, problem_spec)
     label = denoiser_spec.kind
 
     def execute() -> Outputs:
         problem, truth = _build_problem(problem_spec, denoiser_spec, seed)
-        solver = SOLVERS[solver_spec.method]
-        _, trajectory = solver(problem, _solver_config(solver_spec), truth=truth)
+        _, trajectory = SOLVERS[method](problem, cfg, truth=truth)
         last = trajectory.records[-1]
         summary = "\n".join(
             [
-                f"trajectory: {solver_spec.method} with {label}, "
+                f"trajectory: {method} with {label}, "
                 f"{len(trajectory)} iterations (seed {seed})",
                 "",
                 _text_table(
@@ -617,7 +570,8 @@ def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
 def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
     problem_spec = _read_problem(reader, config_dir, default_blur=1)
     denoiser_spec = _read_denoiser_spec(reader, "denoiser", label="", default_kind="tdt")
-    solver_spec = _read_solver(reader, with_method=True, default_iterations=200)
+    method = _read_method(reader)
+    cfg = _read_solver(reader, default_iterations=200, method=method)
     radius = reader.get_float("slice", "radius", default=2.0, positive=True)
     points = reader.get_int("slice", "points", default=21, minimum=2)
     _check_tdt_size(denoiser_spec, problem_spec)
@@ -625,8 +579,7 @@ def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
 
     def execute() -> Outputs:
         problem, _ = _build_problem(problem_spec, denoiser_spec, seed)
-        solver = SOLVERS[solver_spec.method]
-        center, _ = solver(problem, _solver_config(solver_spec))
+        center, _ = SOLVERS[method](problem, cfg)
         rng = np.random.default_rng(seed + 1)
         e1 = rng.standard_normal(center.size)
         e1 /= np.linalg.norm(e1)
@@ -650,7 +603,7 @@ def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
         summary = "\n".join(
             [
                 f"cost-slice: {points}x{points} grid, radius {radius}, around a "
-                f"{solver_spec.method}/{label} fixed point (seed {seed})",
+                f"{method}/{label} fixed point (seed {seed})",
                 "",
                 f"cost at center: {center_cost:.6e}",
                 f"grid minimum:   {best.cost:.6e} at "
@@ -658,7 +611,7 @@ def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
             ]
         )
         header = ["alpha", "beta", "cost_red", "grad_e1", "grad_e2"]
-        return [(f"cost-slice_{label}.csv", _csv_text(header, rows))], summary
+        return [(f"cost-slice_{label}.csv", format_csv(header, rows))], summary
 
     return execute
 
@@ -673,10 +626,8 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
             "deblur computes an exact oracle gap and therefore requires the "
             "linear denoiser; use the trajectory experiment for other kinds"
         )
-    solver_spec = _read_solver(
-        reader, with_method=False, default_iterations=500, default_inner=20,
-        read_l_apg=True,
-    )
+    base = _read_solver(reader, default_iterations=500, default_inner=20)
+    l_apg = reader.get_float("solver", "l_apg", default=1.0, positive=True)
 
     def execute() -> Outputs:
         problem, truth = _build_problem(problem_spec, denoiser_spec, seed)
@@ -689,9 +640,8 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
         x_star = np.linalg.solve(normal, a.T @ problem.y.flat / sigma2)
         star_norm = float(np.linalg.norm(x_star))
 
-        base = _solver_config(solver_spec)
         configs = dict.fromkeys(_DEBLUR_ORDER, base)
-        configs["apg"] = replace(base, step_scale=solver_spec.l_apg)
+        configs["apg"] = replace(base, step_scale=l_apg)
 
         files = []
         summary_rows = []
@@ -709,7 +659,7 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
                 cells + [repr(gap)]
                 for cells, gap in zip(trajectory.csv_rows(), gaps)
             ]
-            files.append((f"deblur_linear_{name}.csv", _csv_text(header, rows)))
+            files.append((f"deblur_linear_{name}.csv", format_csv(header, rows)))
             last = trajectory.records[-1]
             summary_rows.append(
                 [
@@ -770,7 +720,7 @@ def _plan_tweedie(reader: _ConfigReader, config_dir: Path, seed: int):
             ]
         )
         header = ["instance", "relative_error"]
-        return [("tweedie-check_gmm.csv", _csv_text(header, rows))], summary
+        return [("tweedie-check_gmm.csv", format_csv(header, rows))], summary
 
     return execute
 
@@ -781,14 +731,14 @@ def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
     )
     problem_spec = _read_problem(reader, config_dir, default_blur=9)
     denoiser_spec = _read_denoiser_spec(reader, "denoiser", label="", default_kind="tdt")
-    solver_spec = _read_solver(reader, with_method=False, default_iterations=2000)
+    cfg = _read_solver(reader, default_iterations=2000)
     _check_tdt_size(denoiser_spec, problem_spec)
     label = denoiser_spec.kind
 
     def execute() -> Outputs:
         problem, truth = _build_problem(problem_spec, denoiser_spec, seed)
-        l_scale = solver_spec.l_scale
-        x_hat, _ = red_pg(problem, _solver_config(solver_spec))
+        l_scale = cfg.step_scale
+        x_hat, _ = red_pg(problem, cfg)
         f = problem.denoiser
         fx_hat = f.apply(x_hat)
         u_hat = Image((fx_hat.pixels - x_hat.pixels) / l_scale)
@@ -814,14 +764,14 @@ def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
         summary = "\n".join(
             [
                 f"equilibrium-check: {label} fixed point after "
-                f"{solver_spec.iterations} iterations (L = {l_scale}, seed {seed}), "
+                f"{cfg.iterations} iterations (L = {l_scale}, seed {seed}), "
                 f"then pure denoising at variance {denoising_variance}",
                 "",
                 _text_table(["quantity", "value"], rows),
             ]
         )
         csv_name = f"equilibrium-check_{label}.csv"
-        return [(csv_name, _csv_text(["quantity", "value"], rows))], summary
+        return [(csv_name, format_csv(["quantity", "value"], rows))], summary
 
     return execute
 

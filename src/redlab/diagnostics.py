@@ -240,26 +240,34 @@ class RedProblem:
             raise ConfigError(f"regularization weight must be > 0, got {self.weight}")
 
 
-def fp_residual(p: RedProblem, x: Image, fx: Image | None = None) -> np.ndarray:
+def fp_residual(p: RedProblem, x: Image, fx: Image | None = None, *,
+                data_residual: np.ndarray | None = None) -> np.ndarray:
     """First-order residual A^T (A x - y) / sigma^2 + lambda (x - f(x)).
 
     Zero exactly at fixed points of the iterative solvers.  `fx` may carry
-    a precomputed f(x) to avoid a second denoiser application.
+    a precomputed f(x) to avoid a second denoiser application, and
+    `data_residual` the pixel array A x - y to avoid applying A again.
     """
     if fx is None:
         fx = p.denoiser.apply(x)
-    data = p.operator.adjoint(
-        Image(p.operator.apply(x).pixels - p.y.pixels)
-    ).flat / p.noise_variance
+    if data_residual is None:
+        data_residual = p.operator.apply(x).pixels - p.y.pixels
+    data = p.operator.adjoint(Image(data_residual)).flat / p.noise_variance
     return data + p.weight * (x.flat - fx.flat)
 
 
-def cost_red(p: RedProblem, x: Image, fx: Image | None = None) -> float:
-    """Objective value ||A x - y||^2/(2 sigma^2) + lambda (1/2) x^T (x - f(x))."""
+def cost_red(p: RedProblem, x: Image, fx: Image | None = None, *,
+             data_residual: np.ndarray | None = None) -> float:
+    """Objective value ||A x - y||^2/(2 sigma^2) + lambda (1/2) x^T (x - f(x)).
+
+    `fx` and `data_residual` (the pixel array A x - y) may be precomputed,
+    as in fp_residual.
+    """
     if fx is None:
         fx = p.denoiser.apply(x)
-    residual = p.operator.apply(x).pixels - p.y.pixels
-    fidelity = float(np.sum(residual**2)) / (2.0 * p.noise_variance)
+    if data_residual is None:
+        data_residual = p.operator.apply(x).pixels - p.y.pixels
+    fidelity = float(np.sum(data_residual**2)) / (2.0 * p.noise_variance)
     return fidelity + p.weight * 0.5 * float(x.flat @ (x.flat - fx.flat))
 
 

@@ -38,14 +38,16 @@ class DegenerateInputError(RedlabError):
 
 
 class DivergenceError(RedlabError):
-    """An iteration exceeded the divergence guard."""
+    """An iterate norm exceeded the divergence guard's bound."""
 
-    def __init__(self, iteration: int, norm: float):
+    def __init__(self, iteration: int, norm: float, bound: float):
         super().__init__(
-            f"iterate norm {norm:.3e} exceeded divergence guard at iteration {iteration}"
+            f"iterate norm {norm:.3e} exceeded the divergence bound {bound:.3e} "
+            f"(1e4 x max(||x0||, ||y||)) at iteration {iteration}"
         )
         self.iteration = iteration
         self.norm = norm
+        self.bound = bound
 
 
 class NonConvergenceError(RedlabError):

@@ -43,6 +43,10 @@ class QuadraticLoss:
     noise_variance: float
     _dense_gram: np.ndarray | None = field(default=None, repr=False)
     _dense_rhs: np.ndarray | None = field(default=None, repr=False)
+    # conj(H) fft2(y) / sigma^2 per image shape, for the circular prox.
+    _circular_rhs: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.noise_variance <= 0:
@@ -86,9 +90,13 @@ class QuadraticLoss:
                 raise ShapeError(
                     f"anchor shape {v.pixels.shape} != data shape {self.y.pixels.shape}"
                 )
-            tf = op.transfer_function(v.pixels.shape)
-            numer = np.conj(tf) * np.fft.fft2(self.y.pixels) / sigma2
-            numer += weight * np.fft.fft2(v.pixels)
+            shape = v.pixels.shape
+            tf = op.transfer_function(shape)
+            data = self._circular_rhs.get(shape)
+            if data is None:
+                data = np.conj(tf) * np.fft.fft2(self.y.pixels) / sigma2
+                self._circular_rhs[shape] = data
+            numer = data + weight * np.fft.fft2(v.pixels)
             denom = np.abs(tf) ** 2 / sigma2 + weight
             return Image(np.fft.ifft2(numer / denom).real)
         if isinstance(op, DenseOperator):

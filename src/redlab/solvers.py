@@ -2,20 +2,19 @@
 
 All schemes target the same stationarity condition
     A^T (A x - y) / sigma^2 + lambda (x - f(x)) = 0
-and differ only in how they get there:
+and differ only in how they get there.  Three kernels carry the seven
+solver names:
 
-* red_sd       - explicit residual descent x <- x - mu g(x);
-* red_admm     - variable splitting with I inner denoising steps;
-* red_admm_i1  - the I = 1 special case written as a three-line loop;
-* red_fp       - prox of the fidelity anchored at f(x_{k-1});
-* red_pg       - proximal-gradient with constant inverse step L;
-* red_dpg      - proximal-gradient with a decaying 1/L_k schedule;
-* red_apg      - Nesterov-accelerated proximal gradient.
+* red_sd - explicit residual descent x <- x - mu g(x);
+* proximal gradient with inverse step L_k and optional Nesterov momentum:
+  red_fp (L = 1), red_pg (constant L), red_dpg (decaying 1/L_k), red_apg;
+* variable splitting with I inner denoising steps: red_admm, red_admm_i1.
 
 Solvers run exactly `iterations` steps unless an explicit residual
-tolerance is configured; a divergence guard aborts when the iterate norm
-passes 1e6.  Each iterate is logged to a Trajectory whose CSV form is
-byte-stable for fixed inputs (wall-clock timing is off by default for
+tolerance is configured; a divergence guard aborts when ||x_k|| passes
+1e4 max(||x_0||, ||y||), a bound that follows the problem's size and
+intensity scale.  Each iterate is logged to a Trajectory whose CSV form
+is byte-stable for fixed inputs (wall-clock timing is off by default for
 that reason).
 """
 
@@ -43,6 +42,7 @@ __all__ = [
     "TrajectoryRecord",
     "default_initialization",
     "dpg_schedule",
+    "format_csv",
     "nonexpansiveness_probe",
     "red_admm",
     "red_admm_i1",
@@ -54,8 +54,10 @@ __all__ = [
 ]
 
 Observer = Callable[[int, "Image"], None]
+Result = tuple[Image, "Trajectory"]
 
-DIVERGENCE_GUARD = 1e6
+# The divergence guard fires when ||x_k|| > DIVERGENCE_FACTOR * max(||x_0||, ||y||).
+DIVERGENCE_FACTOR = 1e4
 
 
 @dataclass
@@ -80,19 +82,20 @@ class SolverConfig:
     record_timing: bool = False
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
-        for name in ("step_scale", "l_initial", "l_final"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.inner_iterations < 1:
-            raise ConfigError(
-                f"inner_iterations must be >= 1, got {self.inner_iterations}"
-            )
-        if self.sd_step is not None and self.sd_step <= 0:
-            raise ConfigError(f"sd_step must be > 0, got {self.sd_step}")
+        for name in ("iterations", "inner_iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("beta", "step_scale", "l_initial", "l_final", "sd_step"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+
+
+def format_csv(header: list[str], rows: list[list[str]]) -> str:
+    """CSV text with a header row and "\\n" line endings."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -130,26 +133,14 @@ class Trajectory:
         return [getattr(r, name) for r in self.records]
 
     def csv_rows(self) -> list[list[str]]:
-        rows = []
-        for r in self.records:
-            rows.append(
-                [
-                    str(r.iteration),
-                    "" if r.psnr_db is None else repr(r.psnr_db),
-                    repr(r.cost_red),
-                    repr(r.fp_residual),
-                    repr(r.update_dist),
-                    repr(r.time_s),
-                ]
-            )
-        return rows
+        return [
+            [str(r.iteration), "" if r.psnr_db is None else repr(r.psnr_db),
+             repr(r.cost_red), repr(r.fp_residual), repr(r.update_dist), repr(r.time_s)]
+            for r in self.records
+        ]
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_HEADER)
-        writer.writerows(self.csv_rows())
-        return buf.getvalue()
+        return format_csv(self.CSV_HEADER, self.csv_rows())
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -159,38 +150,32 @@ class Trajectory:
 class _Run:
     """Shared solver plumbing: loss, instrumentation, guards, stopping."""
 
-    def __init__(self, p: RedProblem, cfg: SolverConfig, truth: Image | None,
-                 observer: Observer | None = None):
-        self.p = p
-        self.cfg = cfg
-        self.truth = truth
-        self.observer = observer
+    def __init__(self, p: RedProblem, cfg: SolverConfig, x0: Image | None,
+                 truth: Image | None, observer: Observer | None):
+        self.p, self.cfg, self.truth, self.observer = p, cfg, truth, observer
         self.loss = QuadraticLoss(p.operator, p.y, p.noise_variance)
         self.trajectory = Trajectory()
         self.start = time.perf_counter()
+        self.x0 = default_initialization(p) if x0 is None else x0
+        # An all-zero start and data carry no scale; fall back to unit scale.
+        scale = max(float(np.linalg.norm(self.x0.flat)), float(np.linalg.norm(p.y.flat)))
+        self.guard = DIVERGENCE_FACTOR * (scale if scale > 0.0 else 1.0)
 
     def record(self, k: int, x: Image, fx: Image, x_prev: Image) -> bool:
         """Log iterate k; returns True when the run should stop early."""
         norm = float(np.linalg.norm(x.flat))
-        if norm > DIVERGENCE_GUARD:
-            raise DivergenceError(k, norm)
+        if norm > self.guard:
+            raise DivergenceError(k, norm, self.guard)
         n = x.size
-        g = fp_residual(self.p, x, fx)
+        data_residual = self.p.operator.apply(x).pixels - self.p.y.pixels
+        g = fp_residual(self.p, x, fx, data_residual=data_residual)
         residual = float(g @ g) / n
         delta = x.flat - x_prev.flat
         update = float(delta @ delta) / n
-        cost = cost_red(self.p, x, fx)
+        cost = cost_red(self.p, x, fx, data_residual=data_residual)
         elapsed = time.perf_counter() - self.start if self.cfg.record_timing else 0.0
-        self.trajectory.append(
-            TrajectoryRecord(
-                iteration=k,
-                psnr_db=None if self.truth is None else psnr(x, self.truth),
-                cost_red=cost,
-                fp_residual=residual,
-                update_dist=update,
-                time_s=elapsed,
-            )
-        )
+        quality = None if self.truth is None else psnr(x, self.truth)
+        self.trajectory.append(TrajectoryRecord(k, quality, cost, residual, update, elapsed))
         if self.observer is not None:
             self.observer(k, x)
         tol = self.cfg.stop_fp_residual
@@ -213,10 +198,6 @@ def default_initialization(p: RedProblem) -> Image:
     return x0
 
 
-def _start(p: RedProblem, x0: Image | None) -> Image:
-    return default_initialization(p) if x0 is None else x0
-
-
 def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
            truth: Image | None = None,
            observer: Observer | None = None) -> tuple[Image, Trajectory]:
@@ -226,37 +207,16 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
     residual's identity-operator part.
     """
     sigma2 = p.noise_variance
-    mu = cfg.sd_step
-    if mu is None:
-        mu = sigma2 / (1.0 + p.weight * sigma2)
-    run = _Run(p, cfg, truth, observer)
-    x = _start(p, x0)
+    mu = sigma2 / (1.0 + p.weight * sigma2) if cfg.sd_step is None else cfg.sd_step
+    run = _Run(p, cfg, x0, truth, observer)
+    x = run.x0
     fx = p.denoiser.apply(x)
     h, w = x.pixels.shape
     for k in range(1, cfg.iterations + 1):
         g = run.loss.gradient(x).flat + p.weight * (x.flat - fx.flat)
-        x_new = Image.from_flat(x.flat - mu * g, h, w)
-        fx_new = p.denoiser.apply(x_new)
-        stop = run.record(k, x_new, fx_new, x)
-        x, fx = x_new, fx_new
-        if stop:
-            break
-    return x, run.trajectory
-
-
-def red_fp(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
-           truth: Image | None = None,
-           observer: Observer | None = None) -> tuple[Image, Trajectory]:
-    """Fixed-point iteration x_k = prox_fidelity(f(x_{k-1}); lambda)."""
-    run = _Run(p, cfg, truth, observer)
-    x = _start(p, x0)
-    fx = p.denoiser.apply(x)
-    for k in range(1, cfg.iterations + 1):
-        x_new = run.loss.prox(fx, p.weight)
-        fx_new = p.denoiser.apply(x_new)
-        stop = run.record(k, x_new, fx_new, x)
-        x, fx = x_new, fx_new
-        if stop:
+        x_prev, x = x, Image.from_flat(x.flat - mu * g, h, w)
+        fx = p.denoiser.apply(x)
+        if run.record(k, x, fx, x_prev):
             break
     return x, run.trajectory
 
@@ -266,28 +226,58 @@ def _pg_direction(fx: Image, x: Image, l_scale: float) -> Image:
     return Image((1.0 / l_scale) * fx.pixels - ((1.0 - l_scale) / l_scale) * x.pixels)
 
 
+def _proximal_gradient(p: RedProblem, cfg: SolverConfig, x0: Image | None,
+                       truth: Image | None, observer: Observer | None,
+                       schedule: Callable[[int], float],
+                       momentum: bool = False) -> Result:
+    """x_k = prox(v_{k-1}; lambda L_{k-1}), v_k the anchor at L_k = schedule(k).
+
+    The anchor point is x_k, or with momentum the extrapolation
+    z_k = x_k + ((t_{k-1} - 1) / t_k) (x_k - x_{k-1}), which costs a second
+    denoiser call per step.
+    """
+    run = _Run(p, cfg, x0, truth, observer)
+    x = run.x0
+    l_scale = schedule(0)
+    v = _pg_direction(p.denoiser.apply(x), x, l_scale)
+    t_prev = 1.0
+    h, w = x.pixels.shape
+    for k in range(1, cfg.iterations + 1):
+        x_prev, x = x, run.loss.prox(v, p.weight * l_scale)
+        l_scale = schedule(k)
+        if momentum:
+            t_k = (1.0 + math.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
+            push = (t_prev - 1.0) / t_k
+            z = Image.from_flat(x.flat + push * (x.flat - x_prev.flat), h, w)
+            v = _pg_direction(p.denoiser.apply(z), z, l_scale)
+            fx = p.denoiser.apply(x)
+            t_prev = t_k
+        else:
+            fx = p.denoiser.apply(x)
+            v = _pg_direction(fx, x, l_scale)
+        if run.record(k, x, fx, x_prev):
+            break
+    return x, run.trajectory
+
+
+def red_fp(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
+           truth: Image | None = None, observer: Observer | None = None) -> Result:
+    """Fixed-point iteration x_k = prox_fidelity(f(x_{k-1}); lambda).
+
+    This is proximal gradient at L = 1; cfg.step_scale is ignored.
+    """
+    return _proximal_gradient(p, cfg, x0, truth, observer, lambda k: 1.0)
+
+
 def red_pg(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
-           truth: Image | None = None,
-           observer: Observer | None = None) -> tuple[Image, Trajectory]:
+           truth: Image | None = None, observer: Observer | None = None) -> Result:
     """Proximal gradient with constant inverse step L = cfg.step_scale.
 
     L > 1 trades per-step progress for an averaged, provably convergent
     map when f is non-expansive; L exactly 1 reproduces red_fp iterate
     for iterate.
     """
-    l_scale = cfg.step_scale
-    run = _Run(p, cfg, truth, observer)
-    x = _start(p, x0)
-    v = _pg_direction(p.denoiser.apply(x), x, l_scale)
-    for k in range(1, cfg.iterations + 1):
-        x_new = run.loss.prox(v, p.weight * l_scale)
-        fx_new = p.denoiser.apply(x_new)
-        v = _pg_direction(fx_new, x_new, l_scale)
-        stop = run.record(k, x_new, fx_new, x)
-        x = x_new
-        if stop:
-            break
-    return x, run.trajectory
+    return _proximal_gradient(p, cfg, x0, truth, observer, lambda k: cfg.step_scale)
 
 
 def dpg_schedule(k: int, l_initial: float, l_final: float) -> float:
@@ -296,116 +286,65 @@ def dpg_schedule(k: int, l_initial: float, l_final: float) -> float:
 
 
 def red_dpg(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
-            truth: Image | None = None,
-            observer: Observer | None = None) -> tuple[Image, Trajectory]:
+            truth: Image | None = None, observer: Observer | None = None) -> Result:
     """Proximal gradient with the decaying step schedule L_k.
 
     L_0 = cfg.l_initial, L_k -> cfg.l_final; with l_initial == l_final the
     schedule is constant and the iteration matches red_pg.
     """
-    run = _Run(p, cfg, truth, observer)
-    x = _start(p, x0)
-    l_prev = cfg.l_initial
-    v = _pg_direction(p.denoiser.apply(x), x, l_prev)
-    for k in range(1, cfg.iterations + 1):
-        x_new = run.loss.prox(v, p.weight * l_prev)
-        l_k = dpg_schedule(k, cfg.l_initial, cfg.l_final)
-        fx_new = p.denoiser.apply(x_new)
-        v = _pg_direction(fx_new, x_new, l_k)
-        stop = run.record(k, x_new, fx_new, x)
-        x, l_prev = x_new, l_k
-        if stop:
-            break
-    return x, run.trajectory
+    l0, l_inf = cfg.l_initial, cfg.l_final
+    # dpg_schedule(0, ...) only approximates l_initial, so L_0 is taken as is.
+    return _proximal_gradient(p, cfg, x0, truth, observer,
+                              lambda k: dpg_schedule(k, l0, l_inf) if k else l0)
 
 
 def red_apg(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
-            truth: Image | None = None,
-            observer: Observer | None = None) -> tuple[Image, Trajectory]:
+            truth: Image | None = None, observer: Observer | None = None) -> Result:
     """Nesterov-accelerated proximal gradient.
 
     Momentum weights follow t_k = (1 + sqrt(1 + 4 t_{k-1}^2)) / 2 with
     t_0 = 1, so the first iteration has zero momentum and coincides with
     red_pg at the same L.
     """
-    l_scale = cfg.step_scale
-    run = _Run(p, cfg, truth, observer)
-    x = _start(p, x0)
-    t_prev = 1.0
-    v = _pg_direction(p.denoiser.apply(x), x, l_scale)
+    return _proximal_gradient(p, cfg, x0, truth, observer, lambda k: cfg.step_scale,
+                              momentum=True)
+
+
+def _admm(p: RedProblem, cfg: SolverConfig, x0: Image | None, truth: Image | None,
+          observer: Observer | None, inner: int) -> Result:
+    lam, beta = p.weight, cfg.beta
+    c_f, c_x = lam / (lam + beta), beta / (lam + beta)
+    run = _Run(p, cfg, x0, truth, observer)
+    x = v = run.x0
+    u = Image(np.zeros_like(x.pixels))
     h, w = x.pixels.shape
     for k in range(1, cfg.iterations + 1):
-        x_new = run.loss.prox(v, p.weight * l_scale)
-        t_k = (1.0 + math.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
-        z = Image.from_flat(
-            x_new.flat + ((t_prev - 1.0) / t_k) * (x_new.flat - x.flat), h, w
-        )
-        v = _pg_direction(p.denoiser.apply(z), z, l_scale)
-        fx_new = p.denoiser.apply(x_new)
-        stop = run.record(k, x_new, fx_new, x)
-        x, t_prev = x_new, t_k
-        if stop:
+        x_prev, x = x, run.loss.prox(Image(v.pixels - u.pixels), beta)
+        anchor = x.flat + u.flat
+        for _ in range(inner):
+            v = Image.from_flat(c_f * p.denoiser.apply(v).flat + c_x * anchor, h, w)
+        u = Image(u.pixels + x.pixels - v.pixels)
+        if run.record(k, x, p.denoiser.apply(x), x_prev):
             break
     return x, run.trajectory
 
 
 def red_admm(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
-             truth: Image | None = None,
-             observer: Observer | None = None) -> tuple[Image, Trajectory]:
-    """Variable splitting with I warm-started inner denoising steps.
+             truth: Image | None = None, observer: Observer | None = None) -> Result:
+    """Variable splitting with I = cfg.inner_iterations inner denoising steps.
 
     Inner loop: z_0 = v_{k-1};
     z_i = (lambda f(z_{i-1}) + beta (x_k + u_{k-1})) / (lambda + beta).
     The dual update is u_k = u_{k-1} + x_k - v_k.  The stationary point
     does not depend on I; only the approach path does.
     """
-    lam, beta = p.weight, cfg.beta
-    c_f = lam / (lam + beta)
-    c_x = beta / (lam + beta)
-    run = _Run(p, cfg, truth, observer)
-    x = _start(p, x0)
-    v = x
-    u = Image(np.zeros_like(x.pixels))
-    h, w = x.pixels.shape
-    for k in range(1, cfg.iterations + 1):
-        x_new = run.loss.prox(Image(v.pixels - u.pixels), beta)
-        anchor = x_new.flat + u.flat
-        z = v
-        for _ in range(cfg.inner_iterations):
-            z = Image.from_flat(c_f * p.denoiser.apply(z).flat + c_x * anchor, h, w)
-        v = z
-        u = Image(u.pixels + x_new.pixels - v.pixels)
-        fx_new = p.denoiser.apply(x_new)
-        stop = run.record(k, x_new, fx_new, x)
-        x = x_new
-        if stop:
-            break
-    return x, run.trajectory
+    return _admm(p, cfg, x0, truth, observer, cfg.inner_iterations)
 
 
 def red_admm_i1(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
-                truth: Image | None = None,
-                observer: Observer | None = None) -> tuple[Image, Trajectory]:
-    """The single-inner-step splitting written as its own three-line loop."""
-    lam, beta = p.weight, cfg.beta
-    c_f = lam / (lam + beta)
-    c_x = beta / (lam + beta)
-    run = _Run(p, cfg, truth, observer)
-    x = _start(p, x0)
-    v = x
-    u = Image(np.zeros_like(x.pixels))
-    h, w = x.pixels.shape
-    for k in range(1, cfg.iterations + 1):
-        x_new = run.loss.prox(Image(v.pixels - u.pixels), beta)
-        anchor = x_new.flat + u.flat
-        v = Image.from_flat(c_f * p.denoiser.apply(v).flat + c_x * anchor, h, w)
-        u = Image(u.pixels + x_new.pixels - v.pixels)
-        fx_new = p.denoiser.apply(x_new)
-        stop = run.record(k, x_new, fx_new, x)
-        x = x_new
-        if stop:
-            break
-    return x, run.trajectory
+                truth: Image | None = None, observer: Observer | None = None) -> Result:
+    """The single-inner-step splitting; cfg.inner_iterations is ignored."""
+    return _admm(p, cfg, x0, truth, observer, inner=1)
 
 
 # Name -> solver map; the key set doubles as the CLI's `method` vocabulary.

@@ -106,6 +106,22 @@ class TestProx:
         np.testing.assert_allclose(fast.flat, np.linalg.solve(lhs, rhs),
                                    atol=1e-10)
 
+    def test_cached_circular_data_term_is_bitwise_and_left_intact(self, rng):
+        """Repeated prox calls reuse conj(H) fft2(y) / sigma^2 and match the
+        uncached formula bitwise, whatever the call order and weight."""
+        op = make_uniform_blur(3)
+        y = op.apply(Image(rng.uniform(0.0, 255.0, size=(8, 8))))
+        sigma2 = 2.0
+        loss = QuadraticLoss(operator=op, y=y, noise_variance=sigma2)
+        tf = op.transfer_function((8, 8))
+        for weight in (self.WEIGHT, 3.0, self.WEIGHT):
+            v = Image(rng.uniform(0.0, 255.0, size=(8, 8)))
+            numer = np.conj(tf) * np.fft.fft2(y.pixels) / sigma2
+            numer += weight * np.fft.fft2(v.pixels)
+            denom = np.abs(tf) ** 2 / sigma2 + weight
+            expected = np.fft.ifft2(numer / denom).real
+            np.testing.assert_array_equal(loss.prox(v, weight).pixels, expected)
+
     def test_weight_validation(self, rng):
         loss = QuadraticLoss(operator=IdentityOperator(),
                              y=Image(np.zeros((4, 4))), noise_variance=2.0)

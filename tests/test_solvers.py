@@ -5,15 +5,18 @@ import pytest
 
 from redlab import (
     ConfigError,
+    Denoiser,
     DivergenceError,
     IdentityOperator,
     Image,
+    QuadraticLoss,
     RedProblem,
     SOLVERS,
     SolverConfig,
     Trajectory,
     TrajectoryRecord,
     awgn,
+    cost_red,
     default_initialization,
     dpg_schedule,
     fp_residual,
@@ -260,3 +263,148 @@ class TestInstrumentation:
             red_sd(p, SolverConfig(iterations=100, sd_step=1e4),
                    x0=Image(y.pixels + 10.0))
         assert "iteration" in str(err.value)
+        assert "bound" in str(err.value)
+        assert err.value.norm > err.value.bound
+
+
+class CountingDenoiser(Denoiser):
+    """Wraps a denoiser and counts its applications."""
+
+    def __init__(self, inner: Denoiser):
+        self.inner = inner
+        self.calls = 0
+
+    def apply(self, x: Image) -> Image:
+        self.calls += 1
+        return self.inner.apply(x)
+
+
+def identity_problem(identity_denoiser, scale: float = 1.0) -> RedProblem:
+    y = awgn(solver_scene(size=16, index=0), 2.0, seed=5)
+    return RedProblem(operator=IdentityOperator(), y=Image(scale * y.pixels),
+                      noise_variance=2.0, weight=0.02, denoiser=identity_denoiser)
+
+
+class TestPresets:
+    """The seven names are presets of three kernels; each preset fixes the
+    parameters its algorithm needs and ignores the config fields it must."""
+
+    def test_fp_ignores_step_scale_and_is_pg_at_unit_step(self, blur16_tdt_problem):
+        fp = iterates_of(red_fp, blur16_tdt_problem,
+                         SolverConfig(iterations=10, step_scale=1.01))
+        pg = iterates_of(red_pg, blur16_tdt_problem,
+                         SolverConfig(iterations=10, step_scale=1.0))
+        assert len(fp) == len(pg) == 10
+        for a, b in zip(fp, pg):
+            np.testing.assert_array_equal(a, b)
+
+    def test_admm_i1_ignores_inner_iterations(self, blur16_tdt_problem):
+        fused = iterates_of(red_admm_i1, blur16_tdt_problem,
+                            SolverConfig(iterations=8, inner_iterations=20))
+        full = iterates_of(red_admm, blur16_tdt_problem,
+                           SolverConfig(iterations=8, inner_iterations=1))
+        assert len(fused) == len(full) == 8
+        for a, b in zip(fused, full):
+            np.testing.assert_array_equal(a, b)
+
+    def test_dpg_first_step_uses_l_initial_exactly(self, blur16_tdt_problem):
+        """dpg_schedule(0, 0.45, 2) rounds away from 0.45, so this instance
+        tells an exact L_0 from the schedule's approximation of it."""
+        p = blur16_tdt_problem
+        l0 = 0.45
+        assert dpg_schedule(0, l0, 2.0) != l0
+        first = iterates_of(red_dpg, p,
+                            SolverConfig(iterations=1, l_initial=l0, l_final=2.0))
+        x0 = default_initialization(p)
+        fx0 = p.denoiser.apply(x0)
+        v = Image((1.0 / l0) * fx0.pixels - ((1.0 - l0) / l0) * x0.pixels)
+        loss = QuadraticLoss(p.operator, p.y, p.noise_variance)
+        np.testing.assert_array_equal(first[0], loss.prox(v, p.weight * l0).pixels)
+
+    @pytest.mark.parametrize("name, calls", [
+        ("sd", 11), ("fp", 11), ("pg", 11), ("dpg", 11),
+        ("apg", 21), ("admm_i1", 20), ("admm", 50),
+    ])
+    def test_denoiser_calls_for_ten_iterations(self, blur16_tdt_problem, name,
+                                               calls):
+        """One initial call plus one per step for sd and the unaccelerated
+        proximal-gradient presets, two per step for apg, and I + 1 per step
+        with no initial call for the splitting (I = 4 here)."""
+        base = blur16_tdt_problem
+        counter = CountingDenoiser(base.denoiser)
+        p = RedProblem(operator=base.operator, y=base.y,
+                       noise_variance=base.noise_variance, weight=base.weight,
+                       denoiser=counter)
+        SOLVERS[name](p, SolverConfig(iterations=10, inner_iterations=4))
+        assert counter.calls == calls
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_logged_residual_and_cost_match_the_public_functions(
+            self, blur16_tdt_problem, name):
+        """The log applies A once per iterate and shares A x - y between the
+        residual and the cost; the numbers are bitwise those of the public
+        functions evaluated from scratch."""
+        p = blur16_tdt_problem
+        seen = iterates_of(SOLVERS[name], p,
+                           SolverConfig(iterations=5, inner_iterations=2))
+        _, traj = SOLVERS[name](p, SolverConfig(iterations=5, inner_iterations=2))
+        for x_pixels, record in zip(seen, traj.records):
+            x = Image(x_pixels)
+            g = fp_residual(p, x)
+            assert record.fp_residual == float(g @ g) / x.size
+            assert record.cost_red == cost_red(p, x)
+
+    def test_shared_data_residual_is_bitwise(self, blur16_tdt_problem):
+        p = blur16_tdt_problem
+        x = default_initialization(p)
+        fx = p.denoiser.apply(x)
+        r = p.operator.apply(x).pixels - p.y.pixels
+        np.testing.assert_array_equal(fp_residual(p, x, fx, data_residual=r),
+                                      fp_residual(p, x))
+        assert cost_red(p, x, fx, data_residual=r) == cost_red(p, x)
+
+
+class TestDivergenceGuard:
+    def test_bright_valid_image_does_not_trip_the_guard(self, identity_denoiser):
+        """A constant 1e5 image of 16x16 pixels has norm 1.6e6, above the
+        former absolute bound of 1e6, yet every solver runs to completion."""
+        y = Image(np.full((16, 16), 1e5))
+        p = RedProblem(operator=IdentityOperator(), y=y, noise_variance=2.0,
+                       weight=0.02, denoiser=identity_denoiser)
+        for name, solver in SOLVERS.items():
+            _, traj = solver(p, SolverConfig(iterations=3))
+            assert len(traj) == 3, name
+
+    @pytest.mark.parametrize("sd_step", [2.0, 1e3, 1e4, 1e5])
+    def test_outcome_does_not_depend_on_intensity_scale(self, identity_denoiser,
+                                                        sd_step):
+        """With A = I and f = id the iteration is linear in (x0, y), so scaling
+        both by the same factor must give the same raise or no-raise outcome,
+        at the same iteration."""
+        outcomes = set()
+        for scale in (1e-3, 1.0, 1e3):
+            p = identity_problem(identity_denoiser, scale)
+            x0 = Image(p.y.pixels + 10.0 * scale)
+            try:
+                red_sd(p, SolverConfig(iterations=20, sd_step=sd_step), x0=x0)
+                outcomes.add(None)
+            except DivergenceError as err:
+                outcomes.add(err.iteration)
+        assert len(outcomes) == 1, outcomes
+        if sd_step >= 1e4:
+            assert outcomes != {None}
+
+    def test_all_zero_start_and_data_guard_at_unit_scale(self):
+        """With x0 = y = 0 there is no scale to compare against; the bound
+        falls back to 1e4 and still stops a runaway iteration."""
+
+        class Shift(Denoiser):
+            def apply(self, x: Image) -> Image:
+                return Image(x.pixels + 1.0)
+
+        zero = Image(np.zeros((8, 8)))
+        p = RedProblem(operator=IdentityOperator(), y=zero, noise_variance=2.0,
+                       weight=0.02, denoiser=Shift())
+        with pytest.raises(DivergenceError) as err:
+            red_sd(p, SolverConfig(iterations=50, sd_step=1e4), x0=zero)
+        assert err.value.bound == 1e4

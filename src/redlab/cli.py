@@ -64,7 +64,8 @@ from .errors import (
 )
 from .image import Image, awgn, extract_center_patch, load_pgm
 from .losses import QuadraticLoss, make_uniform_blur
-from .operators import IdentityOperator, operator_matrix
+# operator_matrix is not called here; bench/traced.py wraps it on this module.
+from .operators import IdentityOperator, operator_matrix  # noqa: F401
 from .scenes import diagnostic_patches, solver_scene
 from .smd import KdePrior, TweedieRegularizer
 from .solvers import SOLVERS, SolverConfig, Trajectory, format_csv, red_pg
@@ -218,11 +219,12 @@ class _ConfigReader:
 class _DenoiserSpec:
     label: str
     kind: str
-    params: dict
+    build: Callable[[tuple[int, int]], Denoiser]
 
 
 def _read_denoiser_spec(reader: _ConfigReader, section: str, label: str,
                         default_kind: str | None = None) -> _DenoiserSpec:
+    """Read one denoiser section; the spec builds the denoiser for a shape."""
     kind = reader.get_str(section, "kind", default=default_kind)
     if kind is None:
         raise ConfigError(
@@ -232,78 +234,59 @@ def _read_denoiser_spec(reader: _ConfigReader, section: str, label: str,
         raise ConfigError(
             f"unknown denoiser kind {kind!r}; valid kinds: {', '.join(_DENOISER_KINDS)}"
         )
-    params: dict = {}
     if kind == "tdt":
-        params["threshold"] = reader.get_float(
-            section, "threshold", default=0.001, positive=True
-        )
+        threshold = reader.get_float(section, "threshold", default=0.001, positive=True)
+
+        def build(shape: tuple[int, int]) -> Denoiser:
+            if not (_is_pow2(shape[0]) and _is_pow2(shape[1])):
+                raise ConfigError(
+                    f"denoiser 'tdt' needs power-of-two image sides, got {shape}"
+                )
+            return TdtDenoiser(threshold=threshold)
     elif kind == "median":
         window = reader.get_int(section, "window", default=3, minimum=1)
         if window % 2 == 0:
             raise ConfigError(f"[{section}] window: must be odd, got {window}")
-        params["window"] = window
+
+        def build(shape: tuple[int, int]) -> Denoiser:
+            return MedianFilterDenoiser(window=window)
     elif kind == "nlm":
-        params["patch_radius"] = reader.get_int(
-            section, "patch_radius", default=1, minimum=0
-        )
-        params["search_radius"] = reader.get_int(
-            section, "search_radius", default=5, minimum=0
-        )
-        params["noise_variance"] = reader.get_float(
+        patch_radius = reader.get_int(section, "patch_radius", default=1, minimum=0)
+        search_radius = reader.get_int(section, "search_radius", default=5, minimum=0)
+        noise_variance = reader.get_float(
             section, "noise_variance", default=DEFAULT_NOISE_VARIANCE, positive=True
         )
-        params["bandwidth"] = reader.get_float(section, "bandwidth", positive=True)
+        # NlmDenoiser prefers the bandwidth over the noise variance when set.
+        bandwidth = reader.get_float(section, "bandwidth", positive=True)
+
+        def build(shape: tuple[int, int]) -> Denoiser:
+            return NlmDenoiser(patch_radius, search_radius, bandwidth, noise_variance)
+    elif kind == "linear":
+        build = LinearSymmetricDenoiser.local_average
     elif kind == "gmm":
-        params["components"] = reader.get_int(
-            section, "components", default=5, minimum=1
-        )
-        params["center_scale"] = reader.get_float(
+        components = reader.get_int(section, "components", default=5, minimum=1)
+        center_scale = reader.get_float(
             section, "center_scale", default=2.0, positive=True
         )
-        params["center_seed"] = reader.get_int(
-            section, "center_seed", default=1, minimum=0
-        )
-        params["noise_variance"] = reader.get_float(
+        center_seed = reader.get_int(section, "center_seed", default=1, minimum=0)
+        noise_variance = reader.get_float(
             section, "noise_variance", default=DEFAULT_NOISE_VARIANCE, positive=True
         )
-    elif kind == "bernoulli":
-        params["noise_variance"] = reader.get_float(
+
+        def build(shape: tuple[int, int]) -> Denoiser:
+            rng = np.random.default_rng(center_seed)
+            centers = rng.normal(
+                0.0, center_scale, size=(components, shape[0] * shape[1])
+            )
+            return GmmMmseDenoiser(centers, noise_variance)
+    else:
+        noise_variance = reader.get_float(
             section, "noise_variance", default=DEFAULT_NOISE_VARIANCE, positive=True
         )
-    return _DenoiserSpec(label=label, kind=kind, params=params)
 
-
-def _build_denoiser(spec: _DenoiserSpec, shape: tuple[int, int]) -> Denoiser:
-    if spec.kind == "tdt":
-        if not (_is_pow2(shape[0]) and _is_pow2(shape[1])):
-            raise ConfigError(
-                f"denoiser 'tdt' needs power-of-two image sides, got {shape}"
-            )
-        return TdtDenoiser(threshold=spec.params["threshold"])
-    if spec.kind == "median":
-        return MedianFilterDenoiser(window=spec.params["window"])
-    if spec.kind == "nlm":
-        if spec.params["bandwidth"] is not None:
-            return NlmDenoiser(
-                patch_radius=spec.params["patch_radius"],
-                search_radius=spec.params["search_radius"],
-                bandwidth=spec.params["bandwidth"],
-            )
-        return NlmDenoiser(
-            patch_radius=spec.params["patch_radius"],
-            search_radius=spec.params["search_radius"],
-            noise_variance=spec.params["noise_variance"],
-        )
-    if spec.kind == "linear":
-        return LinearSymmetricDenoiser.local_average(shape)
-    if spec.kind == "gmm":
-        rng = np.random.default_rng(spec.params["center_seed"])
-        centers = rng.normal(
-            0.0, spec.params["center_scale"],
-            size=(spec.params["components"], shape[0] * shape[1]),
-        )
-        return GmmMmseDenoiser(centers, spec.params["noise_variance"])
-    return BernoulliMmseDenoiser(spec.params["noise_variance"])
+        def build(shape: tuple[int, int]) -> Denoiser:
+            return BernoulliMmseDenoiser(noise_variance)
+    return _DenoiserSpec(label=label, kind=kind, build=build)
 
 
 @dataclass(frozen=True)
@@ -345,7 +328,7 @@ def _build_problem(ps: _ProblemSpec, spec: _DenoiserSpec,
     shape = truth.pixels.shape
     op = make_uniform_blur(ps.blur) if ps.blur > 1 else IdentityOperator()
     y = awgn(op.apply(truth), ps.noise_variance, seed=seed)
-    denoiser = _build_denoiser(spec, shape)
+    denoiser = spec.build(shape)
     problem = RedProblem(
         operator=op,
         y=y,
@@ -481,7 +464,7 @@ def _plan_report(which: str) -> Callable:
             files = []
             summary_rows = []
             for spec in specs:
-                f = _build_denoiser(spec, (patch_size, patch_size))
+                f = spec.build((patch_size, patch_size))
                 rows = []
                 sums = dict.fromkeys(metrics, 0.0)
                 for name, x in points:
@@ -616,6 +599,24 @@ def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
     return execute
 
 
+def _deblur_oracle(problem: RedProblem) -> np.ndarray:
+    """Flat minimizer of the objective with a blur (or identity) and W.
+
+    A and W are both circulant, so the normal equations
+    (A^T A / sigma^2 + lambda (I - W)) x = A^T y / sigma^2 are diagonal in
+    the DFT basis and solved by one division.
+    """
+    op = problem.operator
+    shape = problem.y.pixels.shape
+    sigma2 = problem.noise_variance
+    h = 1.0 if isinstance(op, IdentityOperator) else op.transfer_function(shape)
+    rhs = np.conj(h) * np.fft.fft2(problem.y.pixels) / sigma2
+    diag = np.abs(h) ** 2 / sigma2 + problem.weight * (
+        1.0 - problem.denoiser.transfer_function()
+    )
+    return np.fft.ifft2(rhs / diag).real.reshape(-1)
+
+
 def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
     problem_spec = _read_problem(reader, config_dir, default_blur=9)
     denoiser_spec = _read_denoiser_spec(
@@ -632,12 +633,8 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
     def execute() -> Outputs:
         problem, truth = _build_problem(problem_spec, denoiser_spec, seed)
         shape = truth.pixels.shape
-        n = truth.size
-        a = operator_matrix(problem.operator, shape)
-        w = problem.denoiser.matrix
         sigma2 = problem.noise_variance
-        normal = a.T @ a / sigma2 + problem.weight * (np.eye(n) - w)
-        x_star = np.linalg.solve(normal, a.T @ problem.y.flat / sigma2)
+        x_star = _deblur_oracle(problem)
         star_norm = float(np.linalg.norm(x_star))
 
         configs = dict.fromkeys(_DEBLUR_ORDER, base)

@@ -9,8 +9,9 @@ The collection spans the structural properties the diagnostics probe:
                      equivariant) but non-symmetric Jacobian.
 * NlmDenoiser      - neither property exactly; pixel weights are
                      row-stochastic.
-* LinearSymmetricDenoiser - explicit symmetric matrix with spectrum in
-                     [0, 1]; every classical identity holds for it.
+* LinearSymmetricDenoiser - periodic convolution with an even kernel:
+                     a symmetric circulant matrix with spectral radius
+                     <= 1; every classical identity holds for it.
 * GmmMmseDenoiser  - posterior mean under a Gaussian-mixture prior.
 * BernoulliMmseDenoiser - per-pixel posterior mean under an equiprobable
                      {0, 1} prior.
@@ -18,10 +19,13 @@ The collection spans the structural properties the diagnostics probe:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .image import Image
+from .operators import CircularConvolution
 
 __all__ = [
     "BernoulliMmseDenoiser",
@@ -214,26 +218,28 @@ class NlmDenoiser(Denoiser):
 
 
 class LinearSymmetricDenoiser(Denoiser):
-    """Explicit symmetric linear filter with spectrum in [0, 1].
+    """Periodic convolution W with an even kernel and spectral radius <= 1.
 
-    The matrix acts on row-major flattened images.  Construction checks
-    symmetry exactly at tolerance 1e-14 and bounds the spectral radius by
-    power iteration.
+    W is the circulant matrix of `kernel` on images of `shape`, acting on
+    row-major flattened images.  The DFT diagonalises it: its eigenvalues
+    are the kernel's transfer-function values on the image grid.
+    Construction checks that the kernel is even (equal to itself reversed
+    along both axes, bitwise), so W is symmetric, and that the largest
+    transfer-function magnitude is at most 1 + 1e-10, so W has spectral
+    radius <= 1.  `apply` runs in the frequency domain; the dense `matrix`
+    is built only when first read, for small-image diagnostics.
     """
 
-    def __init__(self, matrix: np.ndarray, shape: tuple[int, int]):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        n = shape[0] * shape[1]
-        if matrix.shape != (n, n):
-            raise ShapeError(f"matrix shape {matrix.shape} != ({n}, {n})")
-        asym = np.max(np.abs(matrix - matrix.T))
-        if asym > 1e-14:
-            raise ConfigError(f"matrix is not symmetric: max |W - W^T| = {asym:.3e}")
-        radius = _power_iteration_radius(matrix)
+    def __init__(self, kernel: np.ndarray, shape: tuple[int, int]):
+        self._convolution = CircularConvolution(kernel)
+        kernel = self._convolution.kernel
+        if not np.array_equal(kernel, kernel[::-1, ::-1]):
+            raise ConfigError("kernel is not even-symmetric, so W is not symmetric")
+        self.kernel = kernel
+        self.shape = tuple(shape)
+        radius = float(np.max(np.abs(self.transfer_function())))
         if radius > 1.0 + 1e-10:
             raise ConfigError(f"spectral radius {radius:.6f} exceeds 1")
-        self.matrix = matrix
-        self.shape = shape
 
     @classmethod
     def local_average(cls, shape: tuple[int, int]) -> "LinearSymmetricDenoiser":
@@ -243,28 +249,21 @@ class LinearSymmetricDenoiser(Denoiser):
         matrix is symmetric with eigenvalues
         ((1+cos w1)/2)((1+cos w2)/2) in [0, 1].
         """
-        kernel = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0
-        return cls(_circulant_matrix(kernel, shape), shape)
+        return cls(np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0, shape)
+
+    def transfer_function(self) -> np.ndarray:
+        """Eigenvalues of W: the kernel's DFT on the image grid."""
+        return self._convolution.transfer_function(self.shape)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense W, built by index arithmetic independently of `apply`."""
+        return _circulant_matrix(self.kernel, self.shape)
 
     def apply(self, x: Image) -> Image:
         if x.pixels.shape != self.shape:
             raise ShapeError(f"expected shape {self.shape}, got {x.pixels.shape}")
-        return Image.from_flat(self.matrix @ x.flat, *self.shape)
-
-
-def _power_iteration_radius(matrix: np.ndarray, iterations: int = 200) -> float:
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(matrix.shape[0])
-    v /= np.linalg.norm(v)
-    radius = 0.0
-    for _ in range(iterations):
-        u = matrix @ v
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return 0.0
-        radius = norm
-        v = u / norm
-    return radius
+        return self._convolution.apply(x)
 
 
 def _circulant_matrix(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

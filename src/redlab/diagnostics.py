@@ -304,12 +304,13 @@ def cost_slice(p: RedProblem, center: Image, e1: np.ndarray, e2: np.ndarray,
         for beta in np.asarray(betas, dtype=np.float64):
             point = Image.from_flat(center.flat + alpha * e1 + beta * e2, h, w)
             fx = p.denoiser.apply(point)
-            g = fp_residual(p, point, fx)
+            data_residual = p.operator.apply(point).pixels - p.y.pixels
+            g = fp_residual(p, point, fx, data_residual=data_residual)
             samples.append(
                 SliceSample(
                     alpha=float(alpha),
                     beta=float(beta),
-                    cost=cost_red(p, point, fx),
+                    cost=cost_red(p, point, fx, data_residual=data_residual),
                     grad_e1=float(g @ e1),
                     grad_e2=float(g @ e2),
                 )

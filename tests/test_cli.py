@@ -6,8 +6,18 @@ import textwrap
 import numpy as np
 import pytest
 
-from redlab import save_pgm, synthetic_scene
-from redlab.cli import main
+from redlab import (
+    IdentityOperator,
+    LinearSymmetricDenoiser,
+    RedProblem,
+    awgn,
+    make_uniform_blur,
+    operator_matrix,
+    save_pgm,
+    solver_scene,
+    synthetic_scene,
+)
+from redlab.cli import _deblur_oracle, main
 
 
 @pytest.fixture(autouse=True)
@@ -305,6 +315,42 @@ class TestDeblur:
         fp_rows = read_csv(out_dir / "deblur_linear_fp.csv")
         assert float(fp_rows[-1][6]) < float(fp_rows[1][6])
         assert float(fp_rows[-1][6]) < 1e-6
+
+    def test_identity_blur_run(self, tmp_path):
+        """blur = 1 takes the identity operator through the Fourier oracle."""
+        out_dir = tmp_path / "deb1"
+        config = write_config(tmp_path, f"""\
+            [experiment]
+            name = deblur
+            seed = 4
+            output = {out_dir}
+
+            [problem]
+            size = 16
+            blur = 1
+
+            [solver]
+            iterations = 40
+        """)
+        assert main(["run", config]) == 0
+        summary = (out_dir / "deblur_summary.txt").read_text()
+        assert summary.startswith("deblur: 16x16, 1x1 uniform blur")
+        fp_rows = read_csv(out_dir / "deblur_linear_fp.csv")
+        assert len(fp_rows) == 41
+        assert float(fp_rows[-1][6]) < 1e-6
+
+    @pytest.mark.parametrize("blur", [3, 1])
+    def test_fourier_oracle_matches_dense_normal_equations(self, blur):
+        truth = solver_scene(size=16, index=0)
+        op = make_uniform_blur(blur) if blur > 1 else IdentityOperator()
+        den = LinearSymmetricDenoiser.local_average((16, 16))
+        p = RedProblem(operator=op, y=awgn(op.apply(truth), 2.0, seed=5),
+                       noise_variance=2.0, weight=0.02, denoiser=den)
+        a = operator_matrix(op, (16, 16))
+        lhs = a.T @ a / p.noise_variance + p.weight * (np.eye(256) - den.matrix)
+        x_star = np.linalg.solve(lhs, a.T @ p.y.flat / p.noise_variance)
+        gap = np.linalg.norm(_deblur_oracle(p) - x_star)
+        assert gap <= 1e-12 * np.linalg.norm(x_star)
 
     def test_nonlinear_denoiser_is_rejected_at_plan_time(self, tmp_path, capsys):
         out_dir = tmp_path / "never"

@@ -174,31 +174,56 @@ class TestNlmDenoiser:
 
 class TestLinearSymmetricDenoiser:
     def test_local_average_matches_separable_convolution(self):
-        """The matrix route agrees with the FFT route for the same kernel."""
-        from redlab import CircularConvolution
-        kernel = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0
-        conv = CircularConvolution(kernel)
-        den = LinearSymmetricDenoiser.local_average((8, 8))
+        """The FFT apply and the index-built dense matrix both agree with
+        periodic [1, 2, 1] / 4 smoothing along each axis."""
+        den = LinearSymmetricDenoiser.local_average((16, 16))
         rng = np.random.default_rng(29)
-        x = Image(rng.uniform(0.0, 255.0, size=(8, 8)))
-        np.testing.assert_allclose(den.apply(x).pixels, conv.apply(x).pixels,
-                                   atol=1e-10)
+        x = Image(rng.uniform(0.0, 255.0, size=(16, 16)))
+        rows = (np.roll(x.pixels, 1, 0) + 2.0 * x.pixels + np.roll(x.pixels, -1, 0)) / 4.0
+        both = (np.roll(rows, 1, 1) + 2.0 * rows + np.roll(rows, -1, 1)) / 4.0
+        np.testing.assert_allclose(den.apply(x).pixels, both, rtol=1e-12)
+        dense = den.matrix @ x.flat
+        np.testing.assert_allclose(dense, both.reshape(-1), rtol=1e-12)
+        out = den.apply(x).flat
+        assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_local_average_spectrum_in_unit_interval(self):
         den = LinearSymmetricDenoiser.local_average((4, 6))
         eigs = np.linalg.eigvalsh(den.matrix)
         assert eigs.min() >= -1e-12
         assert eigs.max() <= 1.0 + 1e-12
+        np.testing.assert_allclose(np.sort(den.transfer_function().real.ravel()),
+                                   eigs, atol=1e-14)
 
     def test_rejects_asymmetric_matrix(self):
-        m = np.eye(4)
-        m[0, 1] = 0.5
-        with pytest.raises(ConfigError):
-            LinearSymmetricDenoiser(m, shape=(2, 2))
+        kernel = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0
+        kernel[0, 1] += 0.01
+        kernel[2, 1] -= 0.01
+        with pytest.raises(ConfigError, match="not even-symmetric"):
+            LinearSymmetricDenoiser(kernel, shape=(4, 4))
 
     def test_rejects_expansive_matrix(self):
-        with pytest.raises(ConfigError):
-            LinearSymmetricDenoiser(1.5 * np.eye(4), shape=(2, 2))
+        with pytest.raises(ConfigError, match="spectral radius 1.500000 exceeds 1"):
+            LinearSymmetricDenoiser(np.array([[1.5]]), shape=(2, 2))
+
+    def test_accepts_unit_spectral_radius(self):
+        den = LinearSymmetricDenoiser(np.array([[1.0]]), shape=(2, 3))
+        x = Image(np.arange(6.0).reshape(2, 3))
+        np.testing.assert_allclose(den.apply(x).pixels, x.pixels, atol=1e-12)
+
+    def test_rejects_even_extent_kernel(self):
+        with pytest.raises(ConfigError, match="odd"):
+            LinearSymmetricDenoiser(np.full((2, 2), 0.25), shape=(4, 4))
+
+    def test_kernel_larger_than_image_is_rejected(self):
+        """A 3x3 kernel no longer wraps around a 2-pixel side."""
+        with pytest.raises(ShapeError, match="larger than image"):
+            LinearSymmetricDenoiser.local_average((2, 8))
+
+    def test_matrix_is_built_once(self):
+        den = LinearSymmetricDenoiser.local_average((4, 4))
+        assert "matrix" not in vars(den)
+        assert den.matrix is den.matrix
 
     def test_shape_guard(self):
         den = LinearSymmetricDenoiser.local_average((4, 4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from redlab import (
+    CircularConvolution,
     ConfigError,
     DegenerateInputError,
     Denoiser,
@@ -244,6 +245,35 @@ class TestCostSlice:
         by_coord = {(s.alpha, s.beta): s for s in samples}
         fd = (by_coord[(1.0, 0.0)].cost - by_coord[(-1.0, 0.0)].cost) / 2.0
         assert by_coord[(0.0, 0.0)].grad_e1 == pytest.approx(fd, rel=1e-9)
+
+    def test_applies_the_operator_once_per_node(self):
+        """A x - y is computed once per node and shared by the residual and
+        the cost, which equal the standalone functions bitwise."""
+
+        class CountingConvolution(CircularConvolution):
+            calls = 0
+
+            def apply(self, x: Image) -> Image:
+                self.calls += 1
+                return super().apply(x)
+
+        rng = np.random.default_rng(39)
+        op = CountingConvolution(np.full((3, 3), 1.0 / 9.0))
+        p = RedProblem(operator=op, y=Image(rng.uniform(0.0, 255.0, size=(4, 4))),
+                       noise_variance=2.0, weight=0.5, denoiser=TdtDenoiser(3.0))
+        center = Image(rng.uniform(0.0, 255.0, size=(4, 4)))
+        e1 = np.zeros(16)
+        e1[3] = 1.0
+        e2 = np.zeros(16)
+        e2[7] = 1.0
+        grid = np.array([-1.0, 0.0, 1.0])
+        samples = cost_slice(p, center, e1, e2, alphas=grid, betas=grid)
+        assert op.calls == len(samples) == 9
+        for s in samples:
+            point = Image.from_flat(center.flat + s.alpha * e1 + s.beta * e2, 4, 4)
+            g = fp_residual(p, point)
+            assert s.cost == cost_red(p, point)
+            assert (s.grad_e1, s.grad_e2) == (float(g @ e1), float(g @ e2))
 
     def test_directions_must_be_unit_norm(self, slice_problem):
         center = Image(np.zeros((4, 4)))

@@ -32,6 +32,7 @@ from .diagnostics import (
     RedProblem,
     SliceSample,
     analytic_hessian_linear,
+    central_differences,
     cost_red,
     cost_slice,
     fp_residual,

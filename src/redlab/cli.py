@@ -43,6 +43,7 @@ from .denoisers import (
 from .diagnostics import (
     DEFAULT_EPSILON,
     RedProblem,
+    central_differences,
     cost_red,
     cost_slice,
     grad_error,
@@ -52,7 +53,8 @@ from .diagnostics import (
     js_error,
     lh_error_1,
     lh_error_2,
-    numerical_gradient_rho,
+    # numerical_gradient_rho is not called here; bench/traced.py wraps it on this module.
+    numerical_gradient_rho,  # noqa: F401
     numerical_jacobian,
 )
 from .equilibrium import consensus_residual, denoising_equilibria, red_pg_pair
@@ -87,11 +89,6 @@ EXPERIMENTS = {
 }
 
 _DENOISER_KINDS = ("tdt", "median", "nlm", "linear", "gmm", "bernoulli")
-_REPORT_METRICS = {
-    "jacobian-report": ("e_J",),
-    "gradient-report": ("e_grad_romano", "e_grad_lh", "e_grad_true"),
-    "lh-report": ("e_LH1", "e_LH2"),
-}
 _REPORT_HEADER = [
     "image",
     "denoiser",
@@ -102,7 +99,6 @@ _REPORT_HEADER = [
     "e_LH1",
     "e_LH2",
 ]
-_DEBLUR_ORDER = ("sd", "admm", "admm_i1", "fp", "pg", "dpg", "apg")
 _LABEL_RE = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
 
 
@@ -391,8 +387,6 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _plan_report(which: str) -> Callable:
-    metrics = _REPORT_METRICS[which]
-
     def planner(reader: _ConfigReader, config_dir: Path, seed: int):
         image_names = reader.get_list("experiment", "images")
         patches_key = reader.get_int("experiment", "patches", minimum=1)
@@ -466,7 +460,7 @@ def _plan_report(which: str) -> Callable:
             for spec in specs:
                 f = spec.build((patch_size, patch_size))
                 rows = []
-                sums = dict.fromkeys(metrics, 0.0)
+                sums: dict[str, float] = {}
                 for name, x in points:
                     values = _report_metrics(which, f, x, epsilon)
                     cells = [name, spec.label]
@@ -475,14 +469,14 @@ def _plan_report(which: str) -> Callable:
                             repr(values[column]) if column in values else ""
                         )
                     rows.append(cells)
-                    for metric in metrics:
-                        sums[metric] += values[metric]
+                    for metric, value in values.items():
+                        sums[metric] = sums.get(metric, 0.0) + value
                 files.append(
                     (f"{which}_{spec.label}.csv", format_csv(_REPORT_HEADER, rows))
                 )
-                for metric in metrics:
+                for metric, total in sums.items():
                     summary_rows.append(
-                        [spec.label, metric, f"{sums[metric] / len(points):.6e}"]
+                        [spec.label, metric, f"{total / len(points):.6e}"]
                     )
             head = (
                 f"{which}: mean errors over {len(points)} noisy {patch_size}x"
@@ -498,17 +492,17 @@ def _plan_report(which: str) -> Callable:
 
 
 def _report_metrics(which: str, f: Denoiser, x: Image, epsilon: float) -> dict:
+    """The report's metrics, in CSV column order, for one patch."""
+    estimate = numerical_jacobian(f, x, epsilon)
     if which == "jacobian-report":
-        return {"e_J": js_error(numerical_jacobian(f, x, epsilon))}
+        return {"e_J": js_error(estimate)}
     if which == "gradient-report":
-        estimate = numerical_jacobian(f, x, epsilon)
-        numeric = numerical_gradient_rho(f, x, epsilon)
+        numeric = estimate.rho_gradient
         return {
             "e_grad_romano": grad_error(grad_red_romano(f, x), numeric),
             "e_grad_lh": grad_error(grad_red_lh(f, x, estimate), numeric),
             "e_grad_true": grad_error(grad_red_true(f, x, estimate), numeric),
         }
-    estimate = numerical_jacobian(f, x, epsilon)
     return {
         "e_LH1": lh_error_1(f, x, epsilon),
         "e_LH2": lh_error_2(f, x, epsilon, jacobian=estimate),
@@ -637,21 +631,17 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
         x_star = _deblur_oracle(problem)
         star_norm = float(np.linalg.norm(x_star))
 
-        configs = dict.fromkeys(_DEBLUR_ORDER, base)
-        configs["apg"] = replace(base, step_scale=l_apg)
-
         files = []
         summary_rows = []
         header = Trajectory.CSV_HEADER + ["oracle_gap"]
-        for name in _DEBLUR_ORDER:
+        for name, solve in SOLVERS.items():
             gaps: list[float] = []
 
             def observer(k: int, x: Image, gaps: list[float] = gaps) -> None:
                 gaps.append(float(np.linalg.norm(x.flat - x_star)) / star_norm)
 
-            _, trajectory = SOLVERS[name](
-                problem, configs[name], truth=truth, observer=observer
-            )
+            cfg = replace(base, step_scale=l_apg) if name == "apg" else base
+            _, trajectory = solve(problem, cfg, truth=truth, observer=observer)
             rows = [
                 cells + [repr(gap)]
                 for cells, gap in zip(trajectory.csv_rows(), gaps)
@@ -697,14 +687,7 @@ def _plan_tweedie(reader: _ConfigReader, config_dir: Path, seed: int):
             r = rng.normal(0.0, 1.5, size=n)
             regularizer = TweedieRegularizer(KdePrior(centers, nu))
             analytic = regularizer.gradient(r)
-            numeric = np.empty(n)
-            for j in range(n):
-                shifted = r.copy()
-                shifted[j] = r[j] + epsilon
-                upper = regularizer.value(shifted)
-                shifted[j] = r[j] - epsilon
-                lower = regularizer.value(shifted)
-                numeric[j] = (upper - lower) / (2.0 * epsilon)
+            numeric = central_differences(regularizer.value, r, epsilon)
             rel = float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric))
             worst = max(worst, rel)
             rows.append([str(index), repr(rel)])

@@ -14,11 +14,14 @@ Three candidate gradient expressions for rho are provided:
   valid whenever f is differentiable at x.
 
 The error metrics quantify how far a given denoiser is from satisfying
-each expression, using a central-difference Jacobian estimate.
+each expression.  The first-order probes of J and of the gradient of rho
+share one loop, `central_differences`, and numerical_jacobian takes both
+from the same 2 N denoiser applications.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,7 @@ __all__ = [
     "RedProblem",
     "SliceSample",
     "analytic_hessian_linear",
+    "central_differences",
     "cost_red",
     "cost_slice",
     "fp_residual",
@@ -54,10 +58,11 @@ DEFAULT_EPSILON = 1e-3
 
 @dataclass(frozen=True)
 class JacobianEstimate:
-    """Central-difference Jacobian of a denoiser at one image."""
+    """Central-difference Jacobian at one image; grad rho_red from the same calls."""
 
     matrix: np.ndarray
     epsilon: float
+    rho_gradient: np.ndarray | None = None
 
 
 def _check_epsilon(eps: float):
@@ -65,28 +70,48 @@ def _check_epsilon(eps: float):
         raise ConfigError(f"step size must be > 0, got {eps}")
 
 
-def numerical_jacobian(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> JacobianEstimate:
-    """Estimate the Jacobian of f at x by central differences.
+def central_differences(fn: Callable[[np.ndarray], float | np.ndarray],
+                        a: np.ndarray, eps: float) -> np.ndarray:
+    """Column j is [fn(a + eps e_j) - fn(a - eps e_j)] / (2 eps), j over a.flat.
 
-    Column n is [f(x + eps e_n) - f(x - eps e_n)] / (2 eps), costing
-    exactly 2 N denoiser applications for an N-pixel image.  Columns are
-    independent, so the result does not depend on evaluation order.
+    Costs 2 a.size calls of fn on one private copy of a, perturbed in place,
+    so fn must not return a view of its argument.  A scalar fn gives shape
+    (a.size,), a length-M vector fn a C-ordered (M, a.size) array.
     """
     _check_epsilon(eps)
-    n = x.size
-    h, w = x.pixels.shape
-    matrix = np.empty((n, n))
-    base = x.pixels.copy()
+    base = np.array(a, dtype=np.float64)
     flat = base.reshape(-1)
-    for j in range(n):
+    out = None
+    for j in range(flat.size):
         orig = flat[j]
         flat[j] = orig + eps
-        plus = f.apply(Image(base)).flat
+        plus = fn(base)
         flat[j] = orig - eps
-        minus = f.apply(Image(base)).flat
+        minus = fn(base)
         flat[j] = orig
-        matrix[:, j] = (plus - minus) / (2.0 * eps)
-    return JacobianEstimate(matrix, eps)
+        if out is None:
+            out = np.empty(np.shape(plus) + (flat.size,))
+        out[..., j] = (plus - minus) / (2.0 * eps)
+    return out
+
+
+def numerical_jacobian(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> JacobianEstimate:
+    """Central-difference Jacobian of f at x, plus the gradient of rho_red.
+
+    Costs exactly 2 N denoiser applications for an N-pixel image; rho_red is
+    taken from the same outputs, so `rho_gradient` is bitwise equal to
+    numerical_gradient_rho(f, x, eps) for a deterministic f.
+    """
+
+    def probe(pixels: np.ndarray) -> np.ndarray:
+        point = Image(pixels)
+        fx = f.apply(point).flat
+        # rho_red(f, point), from this same f(point).
+        return np.append(fx, 0.5 * float(point.flat @ (point.flat - fx)))
+
+    # One (N + 1, N) buffer: J is the C-contiguous top N rows, grad rho the last.
+    out = central_differences(probe, x.pixels, eps)
+    return JacobianEstimate(out[:-1], eps, rho_gradient=out[-1])
 
 
 def js_error(estimate: JacobianEstimate) -> float:
@@ -121,21 +146,11 @@ def grad_red_lh(f: Denoiser, x: Image, jacobian: JacobianEstimate) -> np.ndarray
 
 
 def numerical_gradient_rho(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Central-difference gradient of rho_red at x (2 N evaluations)."""
-    _check_epsilon(eps)
-    n = x.size
-    grad = np.empty(n)
-    base = x.pixels.copy()
-    flat = base.reshape(-1)
-    for j in range(n):
-        orig = flat[j]
-        flat[j] = orig + eps
-        plus = rho_red(f, Image(base))
-        flat[j] = orig - eps
-        minus = rho_red(f, Image(base))
-        flat[j] = orig
-        grad[j] = (plus - minus) / (2.0 * eps)
-    return grad
+    """Central-difference gradient of rho_red at x: 2 N applications, O(N) memory.
+
+    numerical_jacobian returns the same vector as `rho_gradient` alongside J.
+    """
+    return central_differences(lambda pixels: rho_red(f, Image(pixels)), x.pixels, eps)
 
 
 def grad_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -41,8 +41,10 @@ class QuadraticLoss:
     operator: LinearOperator
     y: Image
     noise_variance: float
-    _dense_gram: np.ndarray | None = field(default=None, repr=False)
-    _dense_rhs: np.ndarray | None = field(default=None, repr=False)
+    _dense_gram: np.ndarray | None = field(default=None, init=False, repr=False,
+                                           compare=False)
+    _dense_rhs: np.ndarray | None = field(default=None, init=False, repr=False,
+                                          compare=False)
     # conj(H) fft2(y) / sigma^2 per image shape, for the circular prox.
     _circular_rhs: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False

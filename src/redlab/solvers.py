@@ -126,12 +126,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self):
-        return iter(self.records)
-
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.records]
-
     def csv_rows(self) -> list[list[str]]:
         return [
             [str(r.iteration), "" if r.psnr_db is None else repr(r.psnr_db),

@@ -8,8 +8,11 @@ import pytest
 
 from redlab import (
     IdentityOperator,
+    Image,
     LinearSymmetricDenoiser,
+    MedianFilterDenoiser,
     RedProblem,
+    TdtDenoiser,
     awgn,
     make_uniform_blur,
     operator_matrix,
@@ -215,6 +218,31 @@ class TestOtherReports:
         assert float(row[3]) > 1e-3    # residual rule misses for tdt
         assert float(row[5]) <= 1e-8   # product rule tracks the probe
         assert row[6] == row[7] == ""
+
+    def test_gradient_report_makes_2n_plus_2_denoiser_calls(self, tmp_path,
+                                                            monkeypatch):
+        """J and grad rho share the 2 N probe calls; the residual and product
+        rules add one f(x) each."""
+        calls = dict.fromkeys(["TdtDenoiser", "MedianFilterDenoiser"], 0)
+        for cls in (TdtDenoiser, MedianFilterDenoiser):
+            def counted(self, x, _apply=cls.apply, _name=cls.__name__):
+                calls[_name] += 1
+                return _apply(self, x)
+
+            monkeypatch.setattr(cls, "apply", counted)
+        config = write_config(tmp_path, f"""\
+            [experiment]
+            name = gradient-report
+            seed = 5
+            patches = 2
+            patch_size = 8
+            denoisers = tdt, median
+            output = {tmp_path / "grad"}
+        """)
+        assert main(["run", config]) == 0
+        per_patch = 2 * 8 * 8 + 2
+        assert calls == {"TdtDenoiser": 2 * per_patch,
+                         "MedianFilterDenoiser": 2 * per_patch}
 
     def test_lh_report_separates_median_from_tdt(self, tmp_path):
         out_dir = tmp_path / "lh"
@@ -483,3 +511,80 @@ class TestOutputRouting:
         """)
         assert main(["run", config]) == 0
         assert (tmp_path / "rel_results" / "tweedie-check_summary.txt").exists()
+
+
+# Invalid configs: (case id, experiment, lines after the [experiment] name,
+# seed and output keys, exact stderr message).  "{dir}" is the resolved
+# config directory.  Every case exits 2 at `run` and writes nothing.
+INVALID_CONFIGS = [
+    ("tdt-size", "trajectory", "[problem]\nsize = 12\n",
+     "[problem] size: 'tdt' needs a power of two"),
+    ("tdt-patch-size", "jacobian-report", "patch_size = 12\n",
+     "[experiment] patch_size: 'tdt' needs a power of two"),
+    ("patch-size-without-images", "jacobian-report", "patch_size = 20\n",
+     "[experiment] patch_size: must be <= 16 without explicit images"),
+    ("bad-label", "jacobian-report", "denoisers = Bad\n",
+     "invalid denoiser label 'Bad'"),
+    ("label-without-section", "jacobian-report", "denoisers = mine\n",
+     "denoiser label 'mine' has no [mine] section and is not a known kind"),
+    ("duplicate-labels", "gradient-report", "denoisers = tdt, median, tdt\n",
+     "[experiment] denoisers: labels must be unique"),
+    ("median-even-window", "lh-report", "denoisers = median\n[median]\nwindow = 4\n",
+     "[median] window: must be odd, got 4"),
+    ("even-blur", "trajectory", "[problem]\nblur = 4\n",
+     "[problem] blur: width must be odd, got 4"),
+    ("unknown-kind", "cost-slice", "[denoiser]\nkind = bm3d\n",
+     "unknown denoiser kind 'bm3d'; valid kinds: tdt, median, nlm, linear, gmm, "
+     "bernoulli"),
+    ("section-without-kind", "jacobian-report", "denoisers = mine\n[mine]\n",
+     "[mine] needs a 'kind' key (one of: tdt, median, nlm, linear, gmm, bernoulli)"),
+    ("unknown-method", "trajectory", "[solver]\nmethod = foo\n",
+     "[solver] method: unknown solver 'foo'; valid methods: sd, admm, admm_i1, fp, "
+     "pg, dpg, apg"),
+    ("deblur-tdt", "deblur", "[denoiser]\nkind = tdt\n",
+     "deblur computes an exact oracle gap and therefore requires the linear "
+     "denoiser; use the trajectory experiment for other kinds"),
+    ("missing-problem-image", "equilibrium-check", "[problem]\nimage = missing.pgm\n",
+     "[problem] image: file not found: {dir}/missing.pgm"),
+    ("missing-report-image", "jacobian-report", "images = missing.pgm\n",
+     "[experiment] images: file not found: {dir}/missing.pgm"),
+    ("zero-iterations", "trajectory", "[solver]\niterations = 0\n",
+     "[solver] iterations: must be >= 1, got 0"),
+    ("negative-epsilon", "gradient-report", "epsilon = -1\n",
+     "[experiment] epsilon: must be > 0, got -1.0"),
+    ("unused-section", "tweedie-check", "[slice]\nradius = 1\n",
+     "section [slice] is not used by experiment 'tweedie-check'"),
+    ("tdt-on-12x12-pgm", "trajectory", "[problem]\nimage = small.pgm\n",
+     "denoiser 'tdt' needs power-of-two image sides, got (12, 12)"),
+    ("first-error-wins", "trajectory",
+     "[problem]\nsize = 12\nblur = 4\n[solver]\nmethod = foo\n",
+     "[problem] blur: width must be odd, got 4"),
+]
+# Cases whose error needs the image itself, so `validate` accepts them.
+RUN_TIME_ERRORS = {"tdt-on-12x12-pgm"}
+
+
+class TestInvalidConfigs:
+    @pytest.mark.parametrize(
+        "case, experiment, body, message", INVALID_CONFIGS,
+        ids=[case[0] for case in INVALID_CONFIGS],
+    )
+    def test_exit_code_message_and_no_outputs(self, tmp_path, capsys, case,
+                                              experiment, body, message):
+        save_pgm(Image(np.full((12, 12), 100.0)), str(tmp_path / "small.pgm"))
+        config = write_config(
+            tmp_path,
+            f"[experiment]\nname = {experiment}\nseed = 1\n"
+            f"output = {tmp_path / 'out'}\n{body}",
+        )
+        before = sorted(tmp_path.rglob("*"))
+        error = "error: " + message.format(dir=tmp_path.resolve()) + "\n"
+        if case in RUN_TIME_ERRORS:
+            assert main(["validate", config]) == 0
+            assert capsys.readouterr() == (f"config ok: experiment '{experiment}'\n", "")
+        else:
+            assert main(["validate", config]) == 2
+            assert capsys.readouterr() == ("", error)
+        assert main(["run", config]) == 2
+        assert capsys.readouterr() == ("", error)
+        assert sorted(tmp_path.rglob("*")) == before

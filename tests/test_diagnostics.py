@@ -15,10 +15,12 @@ from redlab import (
     JacobianEstimate,
     LinearSymmetricDenoiser,
     MedianFilterDenoiser,
+    NlmDenoiser,
     RedProblem,
     ShapeError,
     TdtDenoiser,
     analytic_hessian_linear,
+    central_differences,
     cost_red,
     cost_slice,
     fp_residual,
@@ -73,6 +75,84 @@ class TestNumericalJacobian:
     def test_step_validation(self, linear_den, probe_image):
         with pytest.raises(ConfigError):
             numerical_jacobian(linear_den, probe_image, eps=0.0)
+
+
+def reference_jacobian(f, x, eps=1e-3):
+    """The per-column loop numerical_jacobian ran before the shared core."""
+    n = x.size
+    matrix = np.empty((n, n))
+    base = x.pixels.copy()
+    flat = base.reshape(-1)
+    for j in range(n):
+        orig = flat[j]
+        flat[j] = orig + eps
+        plus = f.apply(Image(base)).flat
+        flat[j] = orig - eps
+        minus = f.apply(Image(base)).flat
+        flat[j] = orig
+        matrix[:, j] = (plus - minus) / (2.0 * eps)
+    return matrix
+
+
+PROBE_DENOISERS = {
+    "tdt": lambda: TdtDenoiser(25.0),
+    "median": lambda: MedianFilterDenoiser(3),
+    "nlm": lambda: NlmDenoiser(1, 2, None, 625.0),
+    "linear": lambda: LinearSymmetricDenoiser.local_average((16, 16)),
+}
+
+
+@pytest.fixture(scope="module", params=list(PROBE_DENOISERS))
+def probe16(request):
+    """(f, x, numerical_jacobian(f, x)) on a random 16x16 image."""
+    f = PROBE_DENOISERS[request.param]()
+    x = Image(np.random.default_rng(36).uniform(0.0, 255.0, size=(16, 16)))
+    return f, x, numerical_jacobian(f, x)
+
+
+class TestSharedProbe:
+    def test_rho_gradient_is_bitwise_numerical_gradient_rho(self, probe16):
+        f, x, est = probe16
+        assert est.rho_gradient.shape == (x.size,)
+        assert np.array_equal(est.rho_gradient, numerical_gradient_rho(f, x))
+
+    def test_matrix_is_c_contiguous_and_bitwise_the_reference_loop(self, probe16):
+        f, x, est = probe16
+        assert est.matrix.shape == (x.size, x.size)
+        assert est.matrix.flags.c_contiguous
+        assert np.array_equal(est.matrix, reference_jacobian(f, x))
+
+
+class TestCentralDifferences:
+    def test_scalar_fn_gives_the_gradient(self):
+        a = np.random.default_rng(37).normal(size=(3, 4))
+        before = a.copy()
+        grad = central_differences(lambda v: float(np.sum(v**2)), a, 1e-3)
+        assert grad.shape == (12,)
+        np.testing.assert_allclose(grad, 2.0 * a.reshape(-1), rtol=1e-9)
+        assert np.array_equal(a, before)
+
+    def test_vector_fn_gives_a_c_ordered_jacobian(self):
+        rng = np.random.default_rng(38)
+        m = rng.normal(size=(5, 12))
+        a = Image(rng.normal(size=(3, 4))).pixels  # read-only input
+        before = a.copy()
+        jac = central_differences(lambda v: m @ v.reshape(-1), a, 1e-3)
+        assert jac.shape == (5, 12)
+        assert jac.flags.c_contiguous
+        np.testing.assert_allclose(jac, m, atol=1e-10)
+        assert np.array_equal(a, before)
+
+    def test_two_calls_per_entry_at_plus_and_minus_eps(self):
+        a = np.array([1.0, 2.0])
+        seen = []
+        central_differences(lambda v: seen.append(v.copy()) or 0.0, a, 0.5)
+        expected = [[1.5, 2.0], [0.5, 2.0], [1.0, 2.5], [1.0, 1.5]]
+        assert [list(v) for v in seen] == expected
+
+    def test_step_validation(self):
+        with pytest.raises(ConfigError):
+            central_differences(lambda v: 0.0, np.ones(2), 0.0)
 
 
 class TestJsError:

@@ -58,6 +58,13 @@ class TestQuadraticLoss:
                   - loss.value(Image(down.reshape(6, 6)))) / (2.0 * eps)
             assert grad[j] == pytest.approx(fd, abs=1e-5)
 
+    def test_dense_cache_is_not_a_constructor_argument(self):
+        y = Image(np.zeros((2, 2)))
+        with pytest.raises(TypeError):
+            QuadraticLoss(IdentityOperator(), y, 1.0, _dense_gram=np.eye(4))
+        with pytest.raises(TypeError):
+            QuadraticLoss(IdentityOperator(), y, 1.0, _dense_rhs=np.zeros(4))
+
     def test_validation(self, rng):
         y = Image(np.zeros((4, 4)))
         with pytest.raises(ConfigError):

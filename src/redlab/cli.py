@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import re
 import sys
@@ -169,6 +170,8 @@ class _ConfigReader:
             raise ConfigError(
                 f"[{section}] {key}: expected a number, got {raw!r}"
             ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key}: must be finite, got {value}")
         if positive and value <= 0:
             raise ConfigError(f"[{section}] {key}: must be > 0, got {value}")
         return value
@@ -687,7 +690,9 @@ def _plan_tweedie(reader: _ConfigReader, config_dir: Path, seed: int):
             r = rng.normal(0.0, 1.5, size=n)
             regularizer = TweedieRegularizer(KdePrior(centers, nu))
             analytic = regularizer.gradient(r)
-            numeric = central_differences(regularizer.value, r, epsilon)
+            numeric = central_differences(
+                lambda rs: np.array([regularizer.value(row) for row in rs]), r, epsilon
+            )
             rel = float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric))
             worst = max(worst, rel)
             rows.append([str(index), repr(rel)])

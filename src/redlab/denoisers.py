@@ -1,7 +1,11 @@
 """Image denoisers used as regularization engines.
 
 Each denoiser is a deterministic map f: image -> image of the same shape.
-The collection spans the structural properties the diagnostics probe:
+`apply` maps one Image; `apply_stack` maps a (B, h, w) stack, row by row
+bitwise equal to `apply`.  TdtDenoiser, MedianFilterDenoiser and
+NlmDenoiser are each one array kernel over a leading batch axis, which both
+methods run; the others loop over `apply`.  The collection spans the
+structural properties the diagnostics probe:
 
 * TdtDenoiser      - wavelet soft thresholding; symmetric Jacobian but not
                      locally homogeneous.
@@ -20,6 +24,7 @@ The collection spans the structural properties the diagnostics probe:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -46,8 +51,50 @@ class Denoiser:
     def apply(self, x: Image) -> Image:
         raise NotImplementedError
 
+    def apply_stack(self, xs: np.ndarray) -> np.ndarray:
+        """f on each image of a float64 (B, h, w) stack, as a (B, h, w) array.
+
+        Row b is bitwise apply(Image(xs[b])).pixels.  This default loops
+        over apply; array-kernel denoisers evaluate the stack in one call.
+        """
+        return np.stack([self.apply(Image(x)).pixels for x in xs])
+
     def __call__(self, x: Image) -> Image:
         return self.apply(x)
+
+
+class _StackKernelDenoiser(Denoiser):
+    """A denoiser defined by one array kernel on (B, h, w) stacks.
+
+    `apply` runs the kernel on a stack of one, so single images and stacks
+    share one code path.
+    """
+
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def apply(self, x: Image) -> Image:
+        return Image(self._kernel(x.pixels[None])[0])
+
+    def apply_stack(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim != 3:
+            raise ShapeError(f"expected a (B, h, w) stack, got shape {xs.shape}")
+        return self._kernel(xs)
+
+
+def _finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _positive(name: str, value: float) -> float:
+    value = _finite(name, value)
+    if value <= 0:
+        raise ConfigError(f"{name} must be > 0, got {value}")
+    return value
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -57,40 +104,46 @@ def _is_power_of_two(n: int) -> bool:
 _SQRT2 = np.sqrt(2.0)
 
 
+def _check_haar_shape(a: np.ndarray) -> tuple[int, int]:
+    h, w = a.shape[-2:]
+    if not (_is_power_of_two(h) and _is_power_of_two(w)):
+        raise ShapeError(
+            f"Haar transform requires power-of-two extents, got {a.shape[-2:]}"
+        )
+    return h, w
+
+
 def haar_forward(a: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D Haar analysis at maximum decomposition depth.
 
-    Both extents must be powers of two (1 is allowed, giving a 1-D
-    transform along the other axis).  Coefficients are packed in the
+    Transforms the last two axes, so a (B, h, w) stack is B independent
+    images.  Both extents must be powers of two (1 is allowed, giving a
+    1-D transform along the other axis).  Coefficients are packed in the
     usual recursive quadrant layout; the transform is orthonormal, so
     energy is preserved exactly.
     """
-    h, w = a.shape
-    if not (_is_power_of_two(h) and _is_power_of_two(w)):
-        raise ShapeError(f"Haar transform requires power-of-two extents, got {a.shape}")
+    h, w = _check_haar_shape(a)
     out = a.astype(np.float64).copy()
     while h > 1 or w > 1:
-        block = out[:h, :w]
+        block = out[..., :h, :w]
         if w > 1:
-            lo = (block[:, 0::2] + block[:, 1::2]) / _SQRT2
-            hi = (block[:, 0::2] - block[:, 1::2]) / _SQRT2
-            block[:, : w // 2] = lo
-            block[:, w // 2 : w] = hi
+            lo = (block[..., :, 0::2] + block[..., :, 1::2]) / _SQRT2
+            hi = (block[..., :, 0::2] - block[..., :, 1::2]) / _SQRT2
+            block[..., :, : w // 2] = lo
+            block[..., :, w // 2 : w] = hi
         if h > 1:
-            lo = (block[0::2, :] + block[1::2, :]) / _SQRT2
-            hi = (block[0::2, :] - block[1::2, :]) / _SQRT2
-            block[: h // 2, :] = lo
-            block[h // 2 : h, :] = hi
+            lo = (block[..., 0::2, :] + block[..., 1::2, :]) / _SQRT2
+            hi = (block[..., 0::2, :] - block[..., 1::2, :]) / _SQRT2
+            block[..., : h // 2, :] = lo
+            block[..., h // 2 : h, :] = hi
         h = max(h // 2, 1)
         w = max(w // 2, 1)
     return out
 
 
 def haar_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of haar_forward."""
-    h, w = c.shape
-    if not (_is_power_of_two(h) and _is_power_of_two(w)):
-        raise ShapeError(f"Haar transform requires power-of-two extents, got {c.shape}")
+    """Inverse of haar_forward, also over the last two axes."""
+    h, w = _check_haar_shape(c)
     out = c.astype(np.float64).copy()
     # Replay the forward level sizes in reverse order.
     sizes = []
@@ -100,21 +153,21 @@ def haar_inverse(c: np.ndarray) -> np.ndarray:
         th = max(th // 2, 1)
         tw = max(tw // 2, 1)
     for lh, lw in reversed(sizes):
-        block = out[:lh, :lw]
+        block = out[..., :lh, :lw]
         if lh > 1:
-            lo = block[: lh // 2, :]
-            hi = block[lh // 2 : lh, :]
-            rec = np.empty((lh, lw))
-            rec[0::2, :] = (lo + hi) / _SQRT2
-            rec[1::2, :] = (lo - hi) / _SQRT2
-            block[:, :] = rec
+            lo = block[..., : lh // 2, :]
+            hi = block[..., lh // 2 : lh, :]
+            rec = np.empty(block.shape)
+            rec[..., 0::2, :] = (lo + hi) / _SQRT2
+            rec[..., 1::2, :] = (lo - hi) / _SQRT2
+            block[...] = rec
         if lw > 1:
-            lo = block[:, : lw // 2]
-            hi = block[:, lw // 2 : lw]
-            rec = np.empty((lh, lw))
-            rec[:, 0::2] = (lo + hi) / _SQRT2
-            rec[:, 1::2] = (lo - hi) / _SQRT2
-            block[:, :] = rec
+            lo = block[..., :, : lw // 2]
+            hi = block[..., :, lw // 2 : lw]
+            rec = np.empty(block.shape)
+            rec[..., :, 0::2] = (lo + hi) / _SQRT2
+            rec[..., :, 1::2] = (lo - hi) / _SQRT2
+            block[...] = rec
     return out
 
 
@@ -122,7 +175,7 @@ def _soft_threshold(c: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(c) * np.maximum(np.abs(c) - tau, 0.0)
 
 
-class TdtDenoiser(Denoiser):
+class TdtDenoiser(_StackKernelDenoiser):
     """Transform-domain soft thresholding in an orthonormal Haar basis.
 
     All coefficients are thresholded, the coarsest scaling coefficient
@@ -132,16 +185,16 @@ class TdtDenoiser(Denoiser):
     """
 
     def __init__(self, threshold: float):
+        threshold = _finite("threshold", threshold)
         if threshold < 0:
             raise ConfigError(f"threshold must be >= 0, got {threshold}")
-        self.threshold = float(threshold)
+        self.threshold = threshold
 
-    def apply(self, x: Image) -> Image:
-        coeffs = haar_forward(x.pixels)
-        return Image(haar_inverse(_soft_threshold(coeffs, self.threshold)))
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
+        return haar_inverse(_soft_threshold(haar_forward(xs), self.threshold))
 
 
-class MedianFilterDenoiser(Denoiser):
+class MedianFilterDenoiser(_StackKernelDenoiser):
     """Moving-window median with replicate (edge) padding."""
 
     def __init__(self, window: int = 3):
@@ -149,20 +202,43 @@ class MedianFilterDenoiser(Denoiser):
             raise ConfigError(f"window must be odd and positive, got {window}")
         self.window = window
 
-    def apply(self, x: Image) -> Image:
-        if self.window > min(x.height, x.width):
-            raise ShapeError(
-                f"window {self.window} exceeds image extent {x.height}x{x.width}"
-            )
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
+        _, h, w = xs.shape
+        if self.window > min(h, w):
+            raise ShapeError(f"window {self.window} exceeds image extent {h}x{w}")
         r = self.window // 2
-        padded = np.pad(x.pixels, r, mode="edge")
+        padded = np.pad(xs, ((0, 0), (r, r), (r, r)), mode="edge")
         windows = np.lib.stride_tricks.sliding_window_view(
-            padded, (self.window, self.window)
+            padded, (self.window, self.window), axis=(1, 2)
         )
-        return Image(np.median(windows, axis=(2, 3)))
+        return np.median(windows, axis=(3, 4))
 
 
-class NlmDenoiser(Denoiser):
+def _box_sum(sq: np.ndarray, k: int) -> np.ndarray:
+    """Sums of a C-ordered (B, rows, cols) array over every k x k window.
+
+    The additions run in the order numpy's np.sum(..., axis=(2, 3)) uses on
+    an array of k x k patches, so the result is bitwise that sum: row sums
+    over k columns, added down the k rows in order.  With one window per
+    row numpy sums each patch's k * k values as one vector instead, which
+    here are k * k consecutive values of sq.
+    """
+    b, rows, cols = sq.shape
+    out_rows, out_cols = rows - k + 1, cols - k + 1
+    sb, sr, sc = sq.strides
+    as_strided = np.lib.stride_tricks.as_strided
+    if out_cols == 1:
+        patches = as_strided(sq, (b, out_rows, k * k), (sb, sr, sc), writeable=False)
+        return np.add.reduce(patches, axis=2)[:, :, None]
+    windows = as_strided(sq, (b, rows, out_cols, k), (sb, sr, sc, sc), writeable=False)
+    row_sums = np.add.reduce(windows, axis=3)
+    out = row_sums[:, :out_rows].copy()
+    for i in range(1, k):
+        out += row_sums[:, i : i + out_rows]
+    return out
+
+
+class NlmDenoiser(_StackKernelDenoiser):
     """Non-local means with Gaussian patch-distance weights.
 
     Every output pixel is a convex combination of input pixels inside its
@@ -170,12 +246,18 @@ class NlmDenoiser(Denoiser):
     self weight), so outputs stay within the local input range.  Patches
     near the border are completed by replicate padding; search windows are
     clipped to the image.
+
+    For each search offset the squared pixel differences are formed once
+    per padded pixel and box-summed over the patches (Darbon et al., ISBI
+    2008), in an order that is bitwise the per-patch sum over (k, k).
     """
 
     def __init__(self, patch_radius: int = 1, search_radius: int = 5,
                  bandwidth: float | None = None, noise_variance: float | None = None):
         if patch_radius < 0 or search_radius < 0:
             raise ConfigError("radii must be >= 0")
+        if noise_variance is not None:
+            noise_variance = _positive("noise variance", noise_variance)
         if bandwidth is None:
             if noise_variance is None:
                 raise ConfigError("provide either bandwidth or noise_variance")
@@ -183,22 +265,19 @@ class NlmDenoiser(Denoiser):
             bandwidth = float(
                 np.sqrt(2.0 * noise_variance * (2 * patch_radius + 1) ** 2)
             )
-        if bandwidth <= 0:
-            raise ConfigError(f"bandwidth must be > 0, got {bandwidth}")
+        self.bandwidth = _positive("bandwidth", bandwidth)
         self.patch_radius = patch_radius
         self.search_radius = search_radius
-        self.bandwidth = float(bandwidth)
 
-    def apply(self, x: Image) -> Image:
-        h, w = x.pixels.shape
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
+        _, h, w = xs.shape
         p = self.patch_radius
         s = self.search_radius
-        padded = np.pad(x.pixels, p, mode="edge")
         k = 2 * p + 1
-        patches = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
+        padded = np.pad(xs, ((0, 0), (p, p), (p, p)), mode="edge")
         h2 = self.bandwidth**2
-        numer = np.zeros((h, w))
-        denom = np.zeros((h, w))
+        numer = np.zeros(xs.shape)
+        denom = np.zeros(xs.shape)
         for dy in range(-s, s + 1):
             r_lo, r_hi = max(0, -dy), min(h, h - dy)
             if r_lo >= r_hi:
@@ -207,14 +286,18 @@ class NlmDenoiser(Denoiser):
                 c_lo, c_hi = max(0, -dx), min(w, w - dx)
                 if c_lo >= c_hi:
                     continue
-                here = patches[r_lo:r_hi, c_lo:c_hi]
-                there = patches[r_lo + dy : r_hi + dy, c_lo + dx : c_hi + dx]
-                dist = np.sum((here - there) ** 2, axis=(2, 3))
+                # Padded pixels under the patches centred at rows r_lo:r_hi
+                # and columns c_lo:c_hi, and under their shifted partners.
+                here = padded[:, r_lo : r_hi + 2 * p, c_lo : c_hi + 2 * p]
+                there = padded[:, r_lo + dy : r_hi + dy + 2 * p,
+                               c_lo + dx : c_hi + dx + 2 * p]
+                sq = (here - there) ** 2
+                dist = _box_sum(sq, k)
                 weight = np.exp(-dist / h2)
-                vals = x.pixels[r_lo + dy : r_hi + dy, c_lo + dx : c_hi + dx]
-                numer[r_lo:r_hi, c_lo:c_hi] += weight * vals
-                denom[r_lo:r_hi, c_lo:c_hi] += weight
-        return Image(numer / denom)
+                vals = xs[:, r_lo + dy : r_hi + dy, c_lo + dx : c_hi + dx]
+                numer[:, r_lo:r_hi, c_lo:c_hi] += weight * vals
+                denom[:, r_lo:r_hi, c_lo:c_hi] += weight
+        return numer / denom
 
 
 class LinearSymmetricDenoiser(Denoiser):
@@ -297,10 +380,10 @@ class GmmMmseDenoiser(Denoiser):
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         if centers.shape[0] < 1:
             raise ConfigError("at least one center is required")
-        if noise_variance <= 0:
-            raise ConfigError(f"noise variance must be > 0, got {noise_variance}")
+        if not np.all(np.isfinite(centers)):
+            raise ConfigError("centers must be finite")
         self.centers = centers
-        self.noise_variance = float(noise_variance)
+        self.noise_variance = _positive("noise variance", noise_variance)
 
     def posterior_mean(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64).reshape(-1)
@@ -330,9 +413,7 @@ class BernoulliMmseDenoiser(Denoiser):
     """
 
     def __init__(self, noise_variance: float):
-        if noise_variance <= 0:
-            raise ConfigError(f"noise variance must be > 0, got {noise_variance}")
-        self.noise_variance = float(noise_variance)
+        self.noise_variance = _positive("noise variance", noise_variance)
 
     def posterior_mean(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)

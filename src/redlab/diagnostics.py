@@ -15,8 +15,9 @@ Three candidate gradient expressions for rho are provided:
 
 The error metrics quantify how far a given denoiser is from satisfying
 each expression.  The first-order probes of J and of the gradient of rho
-share one loop, `central_differences`, and numerical_jacobian takes both
-from the same 2 N denoiser applications.
+share one loop, `central_differences`, which evaluates the perturbed
+images in chunks, each chunk as one stack through Denoiser.apply_stack;
+numerical_jacobian takes both from the same 2 N denoised images.
 """
 
 from __future__ import annotations
@@ -70,44 +71,61 @@ def _check_epsilon(eps: float):
         raise ConfigError(f"step size must be > 0, got {eps}")
 
 
-def central_differences(fn: Callable[[np.ndarray], float | np.ndarray],
+# Largest perturbed stack, in bytes, that central_differences passes to fn
+# in one call (at least one column's pair of rows): 16 columns at 16x16.
+_STACK_BYTES = 64 * 1024
+
+
+def central_differences(fn: Callable[[np.ndarray], np.ndarray],
                         a: np.ndarray, eps: float) -> np.ndarray:
     """Column j is [fn(a + eps e_j) - fn(a - eps e_j)] / (2 eps), j over a.flat.
 
-    Costs 2 a.size calls of fn on one private copy of a, perturbed in place,
-    so fn must not return a view of its argument.  A scalar fn gives shape
-    (a.size,), a length-M vector fn a C-ordered (M, a.size) array.
+    fn maps a stack of B perturbed copies of a, shape (B, *a.shape), to
+    shape (B,) or (B, M).  Columns are evaluated in chunks: one call gets
+    the rows a + eps e_j, a - eps e_j, in that order, for consecutive j,
+    with as many columns as fit in _STACK_BYTES (at least one).  A scalar
+    fn gives shape (a.size,), a length-M vector fn a C-ordered
+    (M, a.size) array; 2 a.size rows are evaluated in all.
     """
     _check_epsilon(eps)
-    base = np.array(a, dtype=np.float64)
+    base = np.asarray(a, dtype=np.float64)
     flat = base.reshape(-1)
+    n = flat.size
+    chunk = max(1, _STACK_BYTES // (2 * flat.nbytes))
     out = None
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + eps
-        plus = fn(base)
-        flat[j] = orig - eps
-        minus = fn(base)
-        flat[j] = orig
+    for j0 in range(0, n, chunk):
+        pick = np.arange(min(chunk, n - j0))
+        cols = j0 + pick
+        rows = np.repeat(flat[None], 2 * pick.size, axis=0)
+        rows[2 * pick, cols] = flat[cols] + eps
+        rows[2 * pick + 1, cols] = flat[cols] - eps
+        values = np.asarray(fn(rows.reshape((-1,) + base.shape)))
+        diff = (values[0::2] - values[1::2]) / (2.0 * eps)
         if out is None:
-            out = np.empty(np.shape(plus) + (flat.size,))
-        out[..., j] = (plus - minus) / (2.0 * eps)
+            out = np.empty(diff.shape[1:] + (n,))
+        out[..., j0 : j0 + pick.size] = diff.T
     return out
+
+
+def _rho_rows(stack: np.ndarray, denoised: np.ndarray) -> np.ndarray:
+    """rho_red of each image of a stack, each computed as rho_red does."""
+    xs = stack.reshape(len(stack), -1)
+    fxs = denoised.reshape(len(stack), -1)
+    return np.array([0.5 * float(x @ (x - fx)) for x, fx in zip(xs, fxs)])
 
 
 def numerical_jacobian(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> JacobianEstimate:
     """Central-difference Jacobian of f at x, plus the gradient of rho_red.
 
-    Costs exactly 2 N denoiser applications for an N-pixel image; rho_red is
-    taken from the same outputs, so `rho_gradient` is bitwise equal to
-    numerical_gradient_rho(f, x, eps) for a deterministic f.
+    Costs exactly 2 N denoised images for an N-pixel image, evaluated
+    through f.apply_stack; rho_red is taken from the same outputs, so
+    `rho_gradient` is bitwise equal to numerical_gradient_rho(f, x, eps)
+    for a deterministic f.
     """
 
-    def probe(pixels: np.ndarray) -> np.ndarray:
-        point = Image(pixels)
-        fx = f.apply(point).flat
-        # rho_red(f, point), from this same f(point).
-        return np.append(fx, 0.5 * float(point.flat @ (point.flat - fx)))
+    def probe(stack: np.ndarray) -> np.ndarray:
+        fxs = f.apply_stack(stack)
+        return np.column_stack([fxs.reshape(len(stack), -1), _rho_rows(stack, fxs)])
 
     # One (N + 1, N) buffer: J is the C-contiguous top N rows, grad rho the last.
     out = central_differences(probe, x.pixels, eps)
@@ -146,11 +164,13 @@ def grad_red_lh(f: Denoiser, x: Image, jacobian: JacobianEstimate) -> np.ndarray
 
 
 def numerical_gradient_rho(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Central-difference gradient of rho_red at x: 2 N applications, O(N) memory.
+    """Central-difference gradient of rho_red at x: 2 N denoised images, O(N) memory.
 
     numerical_jacobian returns the same vector as `rho_gradient` alongside J.
     """
-    return central_differences(lambda pixels: rho_red(f, Image(pixels)), x.pixels, eps)
+    return central_differences(
+        lambda stack: _rho_rows(stack, f.apply_stack(stack)), x.pixels, eps
+    )
 
 
 def grad_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

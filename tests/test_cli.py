@@ -221,15 +221,20 @@ class TestOtherReports:
 
     def test_gradient_report_makes_2n_plus_2_denoiser_calls(self, tmp_path,
                                                             monkeypatch):
-        """J and grad rho share the 2 N probe calls; the residual and product
-        rules add one f(x) each."""
+        """J and grad rho share the 2 N probe images; the residual and product
+        rules add one f(x) each.  Counts apply calls plus apply_stack rows."""
         calls = dict.fromkeys(["TdtDenoiser", "MedianFilterDenoiser"], 0)
         for cls in (TdtDenoiser, MedianFilterDenoiser):
             def counted(self, x, _apply=cls.apply, _name=cls.__name__):
                 calls[_name] += 1
                 return _apply(self, x)
 
+            def counted_stack(self, xs, _apply=cls.apply_stack, _name=cls.__name__):
+                calls[_name] += len(xs)
+                return _apply(self, xs)
+
             monkeypatch.setattr(cls, "apply", counted)
+            monkeypatch.setattr(cls, "apply_stack", counted_stack)
         config = write_config(tmp_path, f"""\
             [experiment]
             name = gradient-report
@@ -556,6 +561,22 @@ INVALID_CONFIGS = [
      "section [slice] is not used by experiment 'tweedie-check'"),
     ("tdt-on-12x12-pgm", "trajectory", "[problem]\nimage = small.pgm\n",
      "denoiser 'tdt' needs power-of-two image sides, got (12, 12)"),
+    ("nlm-nan-variance", "jacobian-report",
+     "denoisers = nlm\n[nlm]\nkind = nlm\nnoise_variance = nan\n",
+     "[nlm] noise_variance: must be finite, got nan"),
+    ("nlm-inf-variance", "gradient-report",
+     "denoisers = nlm\n[nlm]\nkind = nlm\nnoise_variance = inf\n",
+     "[nlm] noise_variance: must be finite, got inf"),
+    ("nlm-nan-bandwidth", "lh-report",
+     "denoisers = nlm\n[nlm]\nkind = nlm\nbandwidth = nan\n",
+     "[nlm] bandwidth: must be finite, got nan"),
+    ("tdt-nan-threshold", "jacobian-report",
+     "denoisers = tdt\n[tdt]\nkind = tdt\nthreshold = nan\n",
+     "[tdt] threshold: must be finite, got nan"),
+    ("nan-epsilon", "tweedie-check", "epsilon = nan\n",
+     "[experiment] epsilon: must be finite, got nan"),
+    ("minus-inf-epsilon", "gradient-report", "epsilon = -inf\n",
+     "[experiment] epsilon: must be finite, got -inf"),
     ("first-error-wins", "trajectory",
      "[problem]\nsize = 12\nblur = 4\n[solver]\nmethod = foo\n",
      "[problem] blur: width must be odd, got 4"),

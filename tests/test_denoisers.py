@@ -1,5 +1,7 @@
 """Denoiser behavior against independent per-pixel and transform oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,8 +100,16 @@ class TestTdtDenoiser:
             TdtDenoiser(-0.1)
 
     def test_non_power_of_two_image_rejected(self):
-        with pytest.raises(ShapeError):
+        message = "Haar transform requires power-of-two extents, got (3, 4)"
+        with pytest.raises(ShapeError, match=re.escape(message)):
             TdtDenoiser(1.0).apply(Image(np.zeros((3, 4))))
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            TdtDenoiser(1.0).apply_stack(np.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, value):
+        with pytest.raises(ConfigError, match="threshold must be finite"):
+            TdtDenoiser(value)
 
 
 class TestMedianFilterDenoiser:
@@ -129,8 +139,11 @@ class TestMedianFilterDenoiser:
             MedianFilterDenoiser(4)
         with pytest.raises(ConfigError):
             MedianFilterDenoiser(-3)
-        with pytest.raises(ShapeError):
+        message = "window 5 exceeds image extent 3x3"
+        with pytest.raises(ShapeError, match=message):
             MedianFilterDenoiser(5).apply(Image(np.zeros((3, 3))))
+        with pytest.raises(ShapeError, match=message):
+            MedianFilterDenoiser(5).apply_stack(np.zeros((2, 3, 3)))
 
 
 class TestNlmDenoiser:
@@ -170,6 +183,18 @@ class TestNlmDenoiser:
             NlmDenoiser(patch_radius=1, search_radius=2)
         with pytest.raises(ConfigError):
             NlmDenoiser(patch_radius=1, search_radius=2, bandwidth=0.0)
+        with pytest.raises(ConfigError, match="noise variance must be > 0"):
+            NlmDenoiser(patch_radius=1, search_radius=2, noise_variance=-1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"noise_variance": np.nan}, "noise variance must be finite, got nan"),
+        ({"noise_variance": np.inf}, "noise variance must be finite, got inf"),
+        ({"bandwidth": np.nan}, "bandwidth must be finite, got nan"),
+        ({"bandwidth": np.inf}, "bandwidth must be finite, got inf"),
+    ])
+    def test_non_finite_parameters_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            NlmDenoiser(patch_radius=1, search_radius=2, **kwargs)
 
 
 class TestLinearSymmetricDenoiser:
@@ -268,6 +293,10 @@ class TestGmmMmseDenoiser:
             GmmMmseDenoiser(centers=np.zeros((0, 3)), noise_variance=1.0)
         with pytest.raises(ConfigError):
             GmmMmseDenoiser(centers=np.zeros((2, 3)), noise_variance=0.0)
+        with pytest.raises(ConfigError, match="noise variance must be finite"):
+            GmmMmseDenoiser(centers=np.zeros((2, 3)), noise_variance=np.nan)
+        with pytest.raises(ConfigError, match="centers must be finite"):
+            GmmMmseDenoiser(centers=np.full((2, 3), np.inf), noise_variance=1.0)
         den = GmmMmseDenoiser(centers=np.zeros((2, 3)), noise_variance=1.0)
         with pytest.raises(ShapeError):
             den.posterior_mean(np.zeros(4))
@@ -301,3 +330,78 @@ class TestBernoulliMmseDenoiser:
     def test_validation(self):
         with pytest.raises(ConfigError):
             BernoulliMmseDenoiser(noise_variance=-1.0)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="noise variance must be finite"):
+                BernoulliMmseDenoiser(noise_variance=value)
+
+
+def reference_nlm(x, patch_radius, search_radius, bandwidth):
+    """NLM with np.sum over each (k, k) patch: the loop before box sums."""
+    h, w = x.shape
+    p, s = patch_radius, search_radius
+    k = 2 * p + 1
+    patches = np.lib.stride_tricks.sliding_window_view(np.pad(x, p, mode="edge"), (k, k))
+    numer = np.zeros((h, w))
+    denom = np.zeros((h, w))
+    for dy in range(-s, s + 1):
+        r_lo, r_hi = max(0, -dy), min(h, h - dy)
+        if r_lo >= r_hi:
+            continue
+        for dx in range(-s, s + 1):
+            c_lo, c_hi = max(0, -dx), min(w, w - dx)
+            if c_lo >= c_hi:
+                continue
+            here = patches[r_lo:r_hi, c_lo:c_hi]
+            there = patches[r_lo + dy : r_hi + dy, c_lo + dx : c_hi + dx]
+            dist = np.sum((here - there) ** 2, axis=(2, 3))
+            weight = np.exp(-dist / bandwidth**2)
+            numer[r_lo:r_hi, c_lo:c_hi] += weight * x[r_lo + dy : r_hi + dy,
+                                                      c_lo + dx : c_hi + dx]
+            denom[r_lo:r_hi, c_lo:c_hi] += weight
+    return numer / denom
+
+
+class TestNlmBoxSum:
+    """The box-filtered patch distance is bitwise the per-patch np.sum."""
+
+    @pytest.mark.parametrize("shape, search_radius", [
+        ((16, 16), 5), ((64, 64), 3), ((12, 20), 25),
+    ])
+    @pytest.mark.parametrize("patch_radius", [0, 1, 2, 3, 4])
+    def test_apply_is_bitwise_the_reference(self, shape, search_radius, patch_radius):
+        x = np.random.default_rng(41).uniform(0.0, 255.0, size=shape)
+        f = NlmDenoiser(patch_radius, search_radius, noise_variance=625.0)
+        expected = reference_nlm(x, patch_radius, search_radius, f.bandwidth)
+        assert np.array_equal(f.apply(Image(x)).pixels, expected)
+
+
+STACK_CASES = {
+    "tdt-16x16": (lambda: TdtDenoiser(25.0), (16, 16)),
+    "tdt-8x32": (lambda: TdtDenoiser(25.0), (8, 32)),
+    "median3-9x14": (lambda: MedianFilterDenoiser(3), (9, 14)),
+    "median5-9x14": (lambda: MedianFilterDenoiser(5), (9, 14)),
+    **{f"nlm-p{p}-16x16": (lambda p=p: NlmDenoiser(p, 3, noise_variance=625.0), (16, 16))
+       for p in range(5)},
+    "nlm-search-beyond-image": (lambda: NlmDenoiser(1, 20, noise_variance=625.0), (8, 8)),
+    "nlm-12x20": (lambda: NlmDenoiser(2, 4, noise_variance=625.0), (12, 20)),
+    "linear": (lambda: LinearSymmetricDenoiser.local_average((16, 16)), (16, 16)),
+    "gmm": (lambda: GmmMmseDenoiser(
+        np.random.default_rng(42).normal(128.0, 60.0, size=(5, 16)), 625.0), (4, 4)),
+    "bernoulli": (lambda: BernoulliMmseDenoiser(625.0), (16, 16)),
+}
+
+
+class TestApplyStack:
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    def test_each_row_is_bitwise_apply(self, case):
+        build, shape = STACK_CASES[case]
+        f = build()
+        xs = np.random.default_rng(43).uniform(0.0, 255.0, size=(6,) + shape)
+        out = f.apply_stack(xs)
+        assert out.shape == xs.shape
+        for x, row in zip(xs, out):
+            assert np.array_equal(row, f.apply(Image(x)).pixels)
+
+    def test_rejects_a_single_image(self):
+        with pytest.raises(ShapeError, match="expected a"):
+            NlmDenoiser(1, 2, noise_variance=1.0).apply_stack(np.zeros((4, 4)))

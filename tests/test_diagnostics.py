@@ -94,6 +94,22 @@ def reference_jacobian(f, x, eps=1e-3):
     return matrix
 
 
+def reference_gradient_rho(f, x, eps=1e-3):
+    """The per-column rho_red loop numerical_gradient_rho ran before stacks."""
+    grad = np.empty(x.size)
+    base = x.pixels.copy()
+    flat = base.reshape(-1)
+    for j in range(x.size):
+        orig = flat[j]
+        flat[j] = orig + eps
+        plus = rho_red(f, Image(base))
+        flat[j] = orig - eps
+        minus = rho_red(f, Image(base))
+        flat[j] = orig
+        grad[j] = (plus - minus) / (2.0 * eps)
+    return grad
+
+
 PROBE_DENOISERS = {
     "tdt": lambda: TdtDenoiser(25.0),
     "median": lambda: MedianFilterDenoiser(3),
@@ -122,12 +138,28 @@ class TestSharedProbe:
         assert est.matrix.flags.c_contiguous
         assert np.array_equal(est.matrix, reference_jacobian(f, x))
 
+    def test_rho_gradient_is_bitwise_the_rho_red_loop(self, probe16):
+        f, x, est = probe16
+        assert np.array_equal(est.rho_gradient, reference_gradient_rho(f, x))
+
+    @pytest.mark.parametrize("label", ["median", "nlm"])
+    def test_odd_sized_probe_is_bitwise_the_reference_loops(self, label):
+        """5x7 stacks put rows at offsets that are not multiples of 16 bytes."""
+        f = PROBE_DENOISERS[label]()
+        x = Image(np.random.default_rng(40).uniform(0.0, 255.0, size=(5, 7)))
+        est = numerical_jacobian(f, x)
+        assert np.array_equal(est.matrix, reference_jacobian(f, x))
+        assert np.array_equal(est.rho_gradient, reference_gradient_rho(f, x))
+
+
+STACK_BUDGET = 64 * 1024
+
 
 class TestCentralDifferences:
     def test_scalar_fn_gives_the_gradient(self):
         a = np.random.default_rng(37).normal(size=(3, 4))
         before = a.copy()
-        grad = central_differences(lambda v: float(np.sum(v**2)), a, 1e-3)
+        grad = central_differences(lambda vs: np.sum(vs**2, axis=(1, 2)), a, 1e-3)
         assert grad.shape == (12,)
         np.testing.assert_allclose(grad, 2.0 * a.reshape(-1), rtol=1e-9)
         assert np.array_equal(a, before)
@@ -137,22 +169,57 @@ class TestCentralDifferences:
         m = rng.normal(size=(5, 12))
         a = Image(rng.normal(size=(3, 4))).pixels  # read-only input
         before = a.copy()
-        jac = central_differences(lambda v: m @ v.reshape(-1), a, 1e-3)
+        jac = central_differences(lambda vs: vs.reshape(len(vs), -1) @ m.T, a, 1e-3)
         assert jac.shape == (5, 12)
         assert jac.flags.c_contiguous
         np.testing.assert_allclose(jac, m, atol=1e-10)
         assert np.array_equal(a, before)
 
-    def test_two_calls_per_entry_at_plus_and_minus_eps(self):
+    def test_rows_at_plus_then_minus_eps_in_column_order(self):
         a = np.array([1.0, 2.0])
         seen = []
-        central_differences(lambda v: seen.append(v.copy()) or 0.0, a, 0.5)
+
+        def fn(vs):
+            assert vs.shape == (4, 2)
+            seen.extend(v.copy() for v in vs)
+            return np.zeros(len(vs))
+
+        central_differences(fn, a, 0.5)
         expected = [[1.5, 2.0], [0.5, 2.0], [1.0, 2.5], [1.0, 1.5]]
         assert [list(v) for v in seen] == expected
 
     def test_step_validation(self):
         with pytest.raises(ConfigError):
-            central_differences(lambda v: 0.0, np.ones(2), 0.0)
+            central_differences(lambda vs: np.zeros(len(vs)), np.ones(2), 0.0)
+
+    def test_chunk_boundary_is_bitwise_the_per_column_loop(self):
+        """At 24x24 a chunk holds 7 columns, which does not divide N = 576."""
+        f = MedianFilterDenoiser(3)
+        x = Image(np.random.default_rng(39).uniform(0.0, 255.0, size=(24, 24)))
+        rows = []
+
+        def fn(vs):
+            rows.append(len(vs))
+            return f.apply_stack(vs).reshape(len(vs), -1)
+
+        jac = central_differences(fn, x.pixels, 1e-3)
+        assert rows == [14] * 82 + [4]
+        assert jac.flags.c_contiguous
+        assert np.array_equal(jac, reference_jacobian(f, x))
+
+    @pytest.mark.parametrize("side", [16, 64])
+    def test_stacks_stay_within_the_byte_budget(self, side):
+        sizes = []
+
+        def fn(vs):
+            sizes.append(vs.nbytes)
+            return np.zeros(len(vs))
+
+        central_differences(fn, np.zeros((side, side)), 1e-3)
+        assert max(sizes) <= STACK_BUDGET
+        assert sum(sizes) == 2 * side**2 * side**2 * 8
+        if side == 16:
+            assert sizes == [STACK_BUDGET] * 16
 
 
 class TestJsError:

@@ -3,11 +3,13 @@
 The package splits into small, composable layers:
 
 * image / operators - immutable grayscale images, PGM I/O, and linear
-  forward models with exact adjoints;
+  forward models (identity, circular convolution on the real-FFT half
+  spectrum) with exact adjoints and their own regularized normal solves;
 * denoisers         - the image-to-image maps under study;
 * diagnostics       - Jacobian, gradient-expression, and homogeneity
   probes of those maps, plus the composite objective;
-* losses            - the quadratic fidelity term and its exact prox;
+* losses            - the quadratic fidelity term, its exact prox and the
+  data terms the solver logs reuse from the prox spectrum;
 * solvers           - three iteration kernels (residual descent, proximal
   gradient, variable splitting) behind seven solver names, with
   trajectory logs;
@@ -73,9 +75,9 @@ from .image import Image, awgn, extract_center_patch, load_pgm, psnr, save_pgm
 from .losses import QuadraticLoss, make_uniform_blur
 from .operators import (
     CircularConvolution,
-    DenseOperator,
     IdentityOperator,
     LinearOperator,
+    NormalSolver,
     operator_matrix,
 )
 from .scenes import (

@@ -460,12 +460,17 @@ def _plan_report(which: str) -> Callable:
             ]
             files = []
             summary_rows = []
-            for spec in specs:
-                f = spec.build((patch_size, patch_size))
+            denoisers = [spec.build((patch_size, patch_size)) for spec in specs]
+            # Patch 0 of every denoiser runs first, so a denoiser whose metrics
+            # raise (say, an identically zero Jacobian) fails before the rest.
+            first = [_report_metrics(which, f, points[0][1], epsilon) for f in denoisers]
+            for spec, f, first_values in zip(specs, denoisers, first):
                 rows = []
                 sums: dict[str, float] = {}
-                for name, x in points:
-                    values = _report_metrics(which, f, x, epsilon)
+                for i, (name, x) in enumerate(points):
+                    values = first_values if i == 0 else _report_metrics(
+                        which, f, x, epsilon
+                    )
                     cells = [name, spec.label]
                     for column in _REPORT_HEADER[2:]:
                         cells.append(

@@ -276,19 +276,23 @@ class RedProblem:
 
 
 def fp_residual(p: RedProblem, x: Image, fx: Image | None = None, *,
-                data_residual: np.ndarray | None = None) -> np.ndarray:
+                data_residual: np.ndarray | None = None,
+                data_gradient: np.ndarray | None = None) -> np.ndarray:
     """First-order residual A^T (A x - y) / sigma^2 + lambda (x - f(x)).
 
     Zero exactly at fixed points of the iterative solvers.  `fx` may carry
-    a precomputed f(x) to avoid a second denoiser application, and
-    `data_residual` the pixel array A x - y to avoid applying A again.
+    a precomputed f(x) to avoid a second denoiser application,
+    `data_residual` the pixel array A x - y to avoid applying A again, and
+    `data_gradient` the pixel array A^T (A x - y) / sigma^2 to avoid both
+    operator applications (`data_residual` is then unused).
     """
     if fx is None:
         fx = p.denoiser.apply(x)
-    if data_residual is None:
-        data_residual = p.operator.apply(x).pixels - p.y.pixels
-    data = p.operator.adjoint(Image(data_residual)).flat / p.noise_variance
-    return data + p.weight * (x.flat - fx.flat)
+    if data_gradient is None:
+        if data_residual is None:
+            data_residual = p.operator.apply(x).pixels - p.y.pixels
+        data_gradient = p.operator.adjoint(Image(data_residual)).pixels / p.noise_variance
+    return data_gradient.reshape(-1) + p.weight * (x.flat - fx.flat)
 
 
 def cost_red(p: RedProblem, x: Image, fx: Image | None = None, *,

@@ -1,9 +1,10 @@
-"""Linear forward operators with exact adjoints.
+"""Linear forward operators with exact adjoints and closed-form normal solves.
 
-Three concrete operators cover the measurement models used here: identity
-(denoising), circular convolution (deblurring with periodic boundaries,
-applied via the FFT), and an explicit dense matrix.  Adjoints are exact up
-to floating-point rounding, not approximations.
+Two concrete operators cover the measurement models used here: identity
+(denoising) and circular convolution (deblurring with periodic boundaries,
+applied by real-input FFTs on the half spectrum).  Adjoints are exact up
+to floating-point rounding, not approximations.  Each operator supplies
+the closed-form NormalSolver behind the quadratic loss's prox.
 """
 
 from __future__ import annotations
@@ -15,22 +16,15 @@ from .image import Image
 
 __all__ = [
     "CircularConvolution",
-    "DenseOperator",
     "IdentityOperator",
     "LinearOperator",
+    "NormalSolver",
     "operator_matrix",
 ]
 
 
 class LinearOperator:
-    """Base class: apply / adjoint on images plus shape metadata.
-
-    `in_shape` and `out_shape` are (height, width) tuples, or None for
-    operators that accept any shape (identity, circular convolution).
-    """
-
-    in_shape: tuple[int, int] | None = None
-    out_shape: tuple[int, int] | None = None
+    """Base class: apply / adjoint on images, and the normal solve if any."""
 
     def apply(self, x: Image) -> Image:
         raise NotImplementedError
@@ -41,6 +35,35 @@ class LinearOperator:
     def __call__(self, x: Image) -> Image:
         return self.apply(x)
 
+    def normal_solver(self, y: Image, noise_variance: float) -> NormalSolver:
+        """The regularized normal solve for data y (by default, none)."""
+        return NormalSolver(self, y, noise_variance)
+
+
+class NormalSolver:
+    """(v, w) -> (A^T A / sigma^2 + w I)^{-1} (A^T y / sigma^2 + w v) for one A, y.
+
+    The anchor v has the shape of y.  This base class has no solve, and its
+    `data_terms(x)`, the pair (A x - y, A^T (A x - y) / sigma^2), applies A
+    and A^T.  Operators with a closed form subclass it.
+    """
+
+    def __init__(self, operator: LinearOperator, y: Image, noise_variance: float):
+        self.operator, self.y, self.noise_variance = operator, y, noise_variance
+
+    def __call__(self, v: Image, weight: float) -> Image:
+        raise ConfigError(f"no prox rule for operator type {type(self.operator).__name__}")
+
+    def data_terms(self, x: Image) -> tuple[np.ndarray, np.ndarray]:
+        residual = self.operator.apply(x).pixels - self.y.pixels
+        return residual, self.operator.adjoint(Image(residual)).pixels / self.noise_variance
+
+
+class _IdentitySolver(NormalSolver):
+    def __call__(self, v: Image, weight: float) -> Image:
+        sigma2 = self.noise_variance
+        return Image((self.y.pixels / sigma2 + weight * v.pixels) / (1.0 / sigma2 + weight))
+
 
 class IdentityOperator(LinearOperator):
     def apply(self, x: Image) -> Image:
@@ -49,13 +72,49 @@ class IdentityOperator(LinearOperator):
     def adjoint(self, y: Image) -> Image:
         return y
 
+    def normal_solver(self, y: Image, noise_variance: float) -> NormalSolver:
+        return _IdentitySolver(self, y, noise_variance)
+
+
+class _SpectralSolver(NormalSolver):
+    """Pointwise division on the half spectrum H of a circulant A.
+
+    Each solve keeps the half spectrum X^ of the image it returns.  The data
+    terms at that very Image (an identity check; images are immutable) cost
+    two inverse transforms and no forward one; any other x falls back to
+    applying A and A^T.
+    """
+
+    def __init__(self, operator: CircularConvolution, y: Image, noise_variance: float):
+        super().__init__(operator, y, noise_variance)
+        self.h = operator.half_transfer_function(y.pixels.shape)
+        self.y_hat = np.fft.rfft2(y.pixels)
+        self.rhs = np.conj(self.h) * self.y_hat / noise_variance
+        self.gain = np.abs(self.h) ** 2 / noise_variance
+        self._last: tuple[Image, np.ndarray] | None = None
+
+    def __call__(self, v: Image, weight: float) -> Image:
+        x_hat = (self.rhs + weight * np.fft.rfft2(v.pixels)) / (self.gain + weight)
+        x = Image(np.fft.irfft2(x_hat, s=v.pixels.shape))
+        self._last = (x, x_hat)
+        return x
+
+    def data_terms(self, x: Image) -> tuple[np.ndarray, np.ndarray]:
+        if self._last is None or x is not self._last[0]:
+            return super().data_terms(x)
+        shape = x.pixels.shape
+        r_hat = self.h * self._last[1] - self.y_hat
+        residual = np.fft.irfft2(r_hat, s=shape)
+        gradient = np.fft.irfft2(np.conj(self.h) * r_hat, s=shape) / self.noise_variance
+        return residual, gradient
+
 
 class CircularConvolution(LinearOperator):
     """2-D convolution with periodic boundary handling.
 
     The kernel must have odd extents; its center tap aligns with the
-    output pixel.  Applications run in the frequency domain, caching one
-    transfer function per image shape.
+    output pixel.  Applications run on the half spectrum of real-input
+    FFTs, caching one half transfer function per image shape.
     """
 
     def __init__(self, kernel: np.ndarray):
@@ -65,63 +124,41 @@ class CircularConvolution(LinearOperator):
         if kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
             raise ConfigError(f"kernel extents must be odd, got {kernel.shape}")
         self.kernel = kernel
-        self._transfer: dict[tuple[int, int], np.ndarray] = {}
+        self._half_transfer: dict[tuple[int, int], np.ndarray] = {}
 
-    def transfer_function(self, shape: tuple[int, int]) -> np.ndarray:
-        """DFT of the kernel embedded with its center at the origin."""
+    def _centered(self, shape: tuple[int, int]) -> np.ndarray:
+        """The kernel embedded in an image of `shape`, center at the origin."""
         h, w = shape
         kh, kw = self.kernel.shape
         if kh > h or kw > w:
             raise ShapeError(f"kernel {self.kernel.shape} larger than image {shape}")
-        cached = self._transfer.get(shape)
+        padded = np.zeros(shape)
+        padded[:kh, :kw] = self.kernel
+        return np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
+
+    def transfer_function(self, shape: tuple[int, int]) -> np.ndarray:
+        """Full DFT of the kernel embedded with its center at the origin."""
+        return np.fft.fft2(self._centered(shape))
+
+    def half_transfer_function(self, shape: tuple[int, int]) -> np.ndarray:
+        """The rfft2 of the centered kernel: columns 0..w//2 of the DFT."""
+        cached = self._half_transfer.get(shape)
         if cached is None:
-            padded = np.zeros(shape)
-            padded[:kh, :kw] = self.kernel
-            padded = np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-            cached = np.fft.fft2(padded)
-            self._transfer[shape] = cached
+            cached = self._half_transfer[shape] = np.fft.rfft2(self._centered(shape))
         return cached
 
-    def _convolve(self, x: Image, conjugate: bool) -> Image:
-        tf = self.transfer_function(x.pixels.shape)
-        if conjugate:
-            tf = np.conj(tf)
-        out = np.fft.ifft2(np.fft.fft2(x.pixels) * tf).real
-        return Image(out)
+    @staticmethod
+    def _filter(x: Image, tf: np.ndarray) -> Image:
+        return Image(np.fft.irfft2(np.fft.rfft2(x.pixels) * tf, s=x.pixels.shape))
 
     def apply(self, x: Image) -> Image:
-        return self._convolve(x, conjugate=False)
+        return self._filter(x, self.half_transfer_function(x.pixels.shape))
 
     def adjoint(self, y: Image) -> Image:
-        return self._convolve(y, conjugate=True)
+        return self._filter(y, np.conj(self.half_transfer_function(y.pixels.shape)))
 
-
-class DenseOperator(LinearOperator):
-    """Explicit matrix acting on row-major flattened images."""
-
-    def __init__(self, matrix: np.ndarray, in_shape: tuple[int, int],
-                 out_shape: tuple[int, int]):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ShapeError(f"matrix must be 2-D, got ndim={matrix.ndim}")
-        if matrix.shape != (out_shape[0] * out_shape[1], in_shape[0] * in_shape[1]):
-            raise ShapeError(
-                f"matrix shape {matrix.shape} incompatible with "
-                f"in_shape={in_shape}, out_shape={out_shape}"
-            )
-        self.matrix = matrix
-        self.in_shape = in_shape
-        self.out_shape = out_shape
-
-    def apply(self, x: Image) -> Image:
-        if x.pixels.shape != self.in_shape:
-            raise ShapeError(f"expected input shape {self.in_shape}, got {x.pixels.shape}")
-        return Image.from_flat(self.matrix @ x.flat, *self.out_shape)
-
-    def adjoint(self, y: Image) -> Image:
-        if y.pixels.shape != self.out_shape:
-            raise ShapeError(f"expected input shape {self.out_shape}, got {y.pixels.shape}")
-        return Image.from_flat(self.matrix.T @ y.flat, *self.in_shape)
+    def normal_solver(self, y: Image, noise_variance: float) -> NormalSolver:
+        return _SpectralSolver(self, y, noise_variance)
 
 
 def operator_matrix(op: LinearOperator, shape: tuple[int, int]) -> np.ndarray:

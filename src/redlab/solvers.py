@@ -15,7 +15,9 @@ tolerance is configured; a divergence guard aborts when ||x_k|| passes
 1e4 max(||x_0||, ||y||), a bound that follows the problem's size and
 intensity scale.  Each iterate is logged to a Trajectory whose CSV form
 is byte-stable for fixed inputs (wall-clock timing is off by default for
-that reason).
+that reason).  The log takes A x - y and A^T (A x - y) / sigma^2 from
+QuadraticLoss.data_terms, which reuses the spectrum of the last circular
+prox output instead of applying A and A^T again.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ class _Run:
         if norm > self.guard:
             raise DivergenceError(k, norm, self.guard)
         n = x.size
-        data_residual = self.p.operator.apply(x).pixels - self.p.y.pixels
-        g = fp_residual(self.p, x, fx, data_residual=data_residual)
+        data_residual, data_gradient = self.loss.data_terms(x)
+        g = fp_residual(self.p, x, fx, data_gradient=data_gradient)
         residual = float(g @ g) / n
         delta = x.flat - x_prev.flat
         update = float(delta @ delta) / n

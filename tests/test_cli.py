@@ -183,6 +183,38 @@ class TestJacobianReport:
                      "jacobian-report_summary.txt"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_degenerate_denoiser_fails_before_any_second_patch(
+            self, tmp_path, capsys, monkeypatch):
+        """gmm's Jacobian at 8x8 is identically zero, so the report exits 2;
+        the other denoisers have then spent one Jacobian (2 N images) each,
+        on patch 0, and none on patch 1."""
+        calls = dict.fromkeys(["TdtDenoiser", "MedianFilterDenoiser"], 0)
+        for cls in (TdtDenoiser, MedianFilterDenoiser):
+            def counted(self, x, _apply=cls.apply, _name=cls.__name__):
+                calls[_name] += 1
+                return _apply(self, x)
+
+            def counted_stack(self, xs, _apply=cls.apply_stack, _name=cls.__name__):
+                calls[_name] += len(xs)
+                return _apply(self, xs)
+
+            monkeypatch.setattr(cls, "apply", counted)
+            monkeypatch.setattr(cls, "apply_stack", counted_stack)
+        out_dir = tmp_path / "degenerate"
+        config = write_config(tmp_path, f"""\
+            [experiment]
+            name = jacobian-report
+            seed = 7
+            patches = 2
+            patch_size = 8
+            denoisers = tdt, median, gmm
+            output = {out_dir}
+        """)
+        assert main(["run", config]) == 2
+        assert "identically zero" in capsys.readouterr().err
+        assert calls == {"TdtDenoiser": 2 * 8 * 8, "MedianFilterDenoiser": 2 * 8 * 8}
+        assert not out_dir.exists()
+
     def test_pgm_input_uses_the_file_stem(self, tmp_path):
         save_pgm(synthetic_scene(0, size=16), str(tmp_path / "camera.pgm"))
         out_dir = tmp_path / "img_out"

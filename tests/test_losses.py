@@ -1,16 +1,18 @@
 """Quadratic fidelity: values, gradients, and exact proximal maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from redlab import (
     ConfigError,
-    DenseOperator,
     IdentityOperator,
     Image,
     LinearOperator,
     QuadraticLoss,
     ShapeError,
+    f_prox,
     make_uniform_blur,
     operator_matrix,
 )
@@ -64,6 +66,14 @@ class TestQuadraticLoss:
             QuadraticLoss(IdentityOperator(), y, 1.0, _dense_gram=np.eye(4))
         with pytest.raises(TypeError):
             QuadraticLoss(IdentityOperator(), y, 1.0, _dense_rhs=np.zeros(4))
+        with pytest.raises(TypeError):
+            QuadraticLoss(IdentityOperator(), y, 1.0, _solver=None)
+
+    def test_fields_are_frozen(self):
+        """The normal solver caches terms of y, so y cannot be swapped."""
+        loss = QuadraticLoss(make_uniform_blur(3), Image(np.zeros((4, 4))), 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            loss.y = Image(np.ones((4, 4)))
 
     def test_validation(self, rng):
         y = Image(np.zeros((4, 4)))
@@ -92,13 +102,6 @@ class TestProx:
         loss = QuadraticLoss(operator=op, y=y, noise_variance=2.0)
         self.check_optimality(loss, Image(rng.uniform(0.0, 255.0, size=(8, 8))))
 
-    def test_dense_operator(self, rng):
-        op = DenseOperator(rng.standard_normal((40, 64)), in_shape=(8, 8),
-                           out_shape=(5, 8))
-        y = op.apply(Image(rng.uniform(0.0, 255.0, size=(8, 8))))
-        loss = QuadraticLoss(operator=op, y=y, noise_variance=2.0)
-        self.check_optimality(loss, Image(rng.uniform(0.0, 255.0, size=(8, 8))))
-
     def test_circular_prox_agrees_with_dense_solve(self, rng):
         """The FFT shortcut equals the explicit normal-equation solution."""
         op = make_uniform_blur(3)
@@ -114,20 +117,35 @@ class TestProx:
                                    atol=1e-10)
 
     def test_cached_circular_data_term_is_bitwise_and_left_intact(self, rng):
-        """Repeated prox calls reuse conj(H) fft2(y) / sigma^2 and match the
-        uncached formula bitwise, whatever the call order and weight."""
+        """Repeated prox calls reuse conj(H) rfft2(y) / sigma^2 on the half
+        spectrum and match the uncached formula bitwise, whatever the call
+        order and weight."""
         op = make_uniform_blur(3)
         y = op.apply(Image(rng.uniform(0.0, 255.0, size=(8, 8))))
         sigma2 = 2.0
         loss = QuadraticLoss(operator=op, y=y, noise_variance=sigma2)
-        tf = op.transfer_function((8, 8))
+        tf = op.half_transfer_function((8, 8))
         for weight in (self.WEIGHT, 3.0, self.WEIGHT):
             v = Image(rng.uniform(0.0, 255.0, size=(8, 8)))
-            numer = np.conj(tf) * np.fft.fft2(y.pixels) / sigma2
-            numer += weight * np.fft.fft2(v.pixels)
+            numer = np.conj(tf) * np.fft.rfft2(y.pixels) / sigma2
+            numer += weight * np.fft.rfft2(v.pixels)
             denom = np.abs(tf) ** 2 / sigma2 + weight
-            expected = np.fft.ifft2(numer / denom).real
+            expected = np.fft.irfft2(numer / denom, s=(8, 8))
             np.testing.assert_array_equal(loss.prox(v, weight).pixels, expected)
+
+    def test_identity_prox_formula_is_bitwise(self, rng):
+        y = Image(rng.uniform(0.0, 255.0, size=(5, 7)))
+        v = Image(rng.uniform(0.0, 255.0, size=(5, 7)))
+        loss = QuadraticLoss(operator=IdentityOperator(), y=y, noise_variance=2.0)
+        expected = (y.pixels / 2.0 + 0.3 * v.pixels) / (1.0 / 2.0 + 0.3)
+        np.testing.assert_array_equal(loss.prox(v, 0.3).pixels, expected)
+
+    def test_anchor_shape_must_match_the_data(self, rng):
+        y = Image(np.zeros((4, 4)))
+        for op in (IdentityOperator(), make_uniform_blur(3)):
+            loss = QuadraticLoss(operator=op, y=y, noise_variance=2.0)
+            with pytest.raises(ShapeError, match="anchor shape"):
+                loss.prox(Image(np.zeros((4, 5))), 0.5)
 
     def test_weight_validation(self, rng):
         loss = QuadraticLoss(operator=IdentityOperator(),
@@ -147,3 +165,74 @@ class TestProx:
                              noise_variance=1.0)
         with pytest.raises(ConfigError):
             loss.prox(Image(np.zeros((2, 2))), 0.5)
+
+
+class TestSpectrumHandOff:
+    """data_terms(x) reuses the spectrum of the last circular prox output
+    and applies A and A^T for any other image."""
+
+    SIGMA2 = 2.0
+
+    @pytest.fixture
+    def blur_loss(self, rng):
+        op = make_uniform_blur(3)
+        y = op.apply(Image(rng.uniform(0.0, 255.0, size=(8, 8))))
+        return QuadraticLoss(operator=op, y=y, noise_variance=self.SIGMA2)
+
+    def fallback(self, loss, x):
+        residual = loss.operator.apply(x).pixels - loss.y.pixels
+        return residual, loss.operator.adjoint(Image(residual)).pixels / self.SIGMA2
+
+    def test_last_prox_output_uses_the_half_spectrum_formula(self, blur_loss, rng):
+        v = Image(rng.uniform(0.0, 255.0, size=(8, 8)))
+        x = blur_loss.prox(v, 0.05)
+        tf = blur_loss.operator.half_transfer_function((8, 8))
+        numer = np.conj(tf) * np.fft.rfft2(blur_loss.y.pixels) / self.SIGMA2
+        x_hat = (numer + 0.05 * np.fft.rfft2(v.pixels)) / (np.abs(tf) ** 2 / self.SIGMA2
+                                                           + 0.05)
+        r_hat = tf * x_hat - np.fft.rfft2(blur_loss.y.pixels)
+        r, g = blur_loss.data_terms(x)
+        np.testing.assert_array_equal(r, np.fft.irfft2(r_hat, s=(8, 8)))
+        np.testing.assert_array_equal(
+            g, np.fft.irfft2(np.conj(tf) * r_hat, s=(8, 8)) / self.SIGMA2)
+        want_r, want_g = self.fallback(blur_loss, x)
+        np.testing.assert_allclose(r, want_r, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g, want_g, rtol=0, atol=1e-10)
+
+    def test_interleaved_prox_calls_fall_back_for_older_outputs(self, blur_loss, rng):
+        x1 = blur_loss.prox(Image(rng.uniform(0.0, 255.0, size=(8, 8))), 0.05)
+        x2 = blur_loss.prox(Image(rng.uniform(0.0, 255.0, size=(8, 8))), 3.0)
+        for got, want in zip(blur_loss.data_terms(x1), self.fallback(blur_loss, x1)):
+            np.testing.assert_array_equal(got, want)
+        # An equal image that is not the returned object also falls back.
+        copy = Image(x2.pixels)
+        for got, want in zip(blur_loss.data_terms(copy), self.fallback(blur_loss, copy)):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(blur_loss.data_terms(x2), self.fallback(blur_loss, x2)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_f_prox_callers_get_correct_terms(self, blur_loss, rng):
+        a = operator_matrix(blur_loss.operator, (8, 8))
+        for weight in (0.05, 3.0):
+            x = f_prox(blur_loss, weight, Image(rng.uniform(0.0, 255.0, size=(8, 8))))
+            r, g = blur_loss.data_terms(x)
+            residual = a @ x.flat - blur_loss.y.flat
+            np.testing.assert_allclose(r.reshape(-1), residual, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(g.reshape(-1), a.T @ residual / self.SIGMA2,
+                                       rtol=0, atol=1e-10)
+
+    def test_operator_without_a_solve_still_has_data_terms(self):
+        class OddOperator(LinearOperator):
+            def apply(self, x):
+                return Image(2.0 * x.pixels)
+
+            def adjoint(self, y):
+                return Image(2.0 * y.pixels)
+
+        y = Image(np.ones((2, 2)))
+        loss = QuadraticLoss(operator=OddOperator(), y=y, noise_variance=4.0)
+        r, g = loss.data_terms(Image(np.full((2, 2), 3.0)))
+        np.testing.assert_array_equal(r, np.full((2, 2), 5.0))
+        np.testing.assert_array_equal(g, np.full((2, 2), 2.5))
+        with pytest.raises(ConfigError, match="no prox rule for operator type OddOperator"):
+            loss.prox(y, 0.5)

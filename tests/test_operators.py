@@ -6,9 +6,10 @@ import pytest
 from redlab import (
     CircularConvolution,
     ConfigError,
-    DenseOperator,
     IdentityOperator,
     Image,
+    LinearOperator,
+    QuadraticLoss,
     ShapeError,
     operator_matrix,
 )
@@ -82,24 +83,45 @@ class TestCircularConvolution:
             op.apply(Image(np.zeros((3, 3))))
 
 
-class TestDenseOperator:
-    def test_apply_and_adjoint_match_matrix_algebra(self):
-        rng = np.random.default_rng(14)
-        m = rng.standard_normal((6, 12))
-        op = DenseOperator(m, in_shape=(3, 4), out_shape=(2, 3))
-        x = Image(rng.standard_normal((3, 4)))
-        z = Image(rng.standard_normal((2, 3)))
-        np.testing.assert_allclose(op.apply(x).flat, m @ x.flat, atol=1e-13)
-        np.testing.assert_allclose(op.adjoint(z).flat, m.T @ z.flat, atol=1e-13)
+class TestCircularShapes:
+    """Half-spectrum transforms on odd and non-square grids: apply, adjoint,
+    prox and the logged data terms against the dense matrix."""
 
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            DenseOperator(np.zeros((5, 12)), in_shape=(3, 4), out_shape=(2, 3))
-        op = DenseOperator(np.zeros((6, 12)), in_shape=(3, 4), out_shape=(2, 3))
-        with pytest.raises(ShapeError):
-            op.apply(Image(np.zeros((4, 3))))
-        with pytest.raises(ShapeError):
-            op.adjoint(Image(np.zeros((3, 2))))
+    CASES = [((9, 15), (3, 5)), ((8, 12), (3, 5)), ((5, 5), (5, 5))]
+
+    @pytest.fixture(params=CASES, ids=["9x15", "8x12", "5x5-kernel5x5"])
+    def case(self, request):
+        shape, kernel_shape = request.param
+        rng = np.random.default_rng(17)
+        op = CircularConvolution(rng.uniform(-1.0, 1.0, size=kernel_shape))
+        return op, shape, operator_matrix(op, shape), rng
+
+    def test_apply_and_adjoint(self, case):
+        op, shape, a, rng = case
+        img = rng.uniform(-3.0, 3.0, size=shape)
+        np.testing.assert_allclose(op.apply(Image(img)).pixels,
+                                   brute_force_circular(img, op.kernel), atol=1e-12)
+        np.testing.assert_allclose(op.adjoint(Image(img)).flat, a.T @ img.reshape(-1),
+                                   atol=1e-12)
+
+    def test_prox_and_data_terms(self, case):
+        op, shape, a, rng = case
+        n = shape[0] * shape[1]
+        sigma2, weight = 2.0, 0.05
+        y = Image(rng.uniform(0.0, 255.0, size=shape))
+        v = Image(rng.uniform(0.0, 255.0, size=shape))
+        loss = QuadraticLoss(operator=op, y=y, noise_variance=sigma2)
+        x = loss.prox(v, weight)
+        lhs = a.T @ a / sigma2 + weight * np.eye(n)
+        rhs = a.T @ y.flat / sigma2 + weight * v.flat
+        np.testing.assert_allclose(x.flat, np.linalg.solve(lhs, rhs), atol=1e-10)
+        residual = a @ x.flat - y.flat
+        for point in (x, Image(x.pixels)):  # the prox spectrum, then the fallback
+            r, g = loss.data_terms(point)
+            assert r.shape == g.shape == shape
+            np.testing.assert_allclose(r.reshape(-1), residual, atol=1e-10)
+            np.testing.assert_allclose(g.reshape(-1), a.T @ residual / sigma2,
+                                       atol=1e-10)
 
 
 class TestOperatorMatrix:
@@ -113,5 +135,9 @@ class TestOperatorMatrix:
     def test_recovers_dense_matrix_exactly(self):
         rng = np.random.default_rng(16)
         m = rng.standard_normal((6, 6))
-        op = DenseOperator(m, in_shape=(2, 3), out_shape=(3, 2))
-        np.testing.assert_array_equal(operator_matrix(op, (2, 3)), m)
+
+        class MatrixOperator(LinearOperator):
+            def apply(self, x):
+                return Image.from_flat(m @ x.flat, 3, 2)
+
+        np.testing.assert_array_equal(operator_matrix(MatrixOperator(), (2, 3)), m)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from redlab import (
+    CircularConvolution,
     ConfigError,
     Denoiser,
     DivergenceError,
@@ -31,6 +32,7 @@ from redlab import (
     red_sd,
     solver_scene,
 )
+from redlab import solvers as solvers_module
 
 
 def iterates_of(solver, problem, cfg, **kwargs):
@@ -340,19 +342,55 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_logged_residual_and_cost_match_the_public_functions(
-            self, blur16_tdt_problem, name):
-        """The log applies A once per iterate and shares A x - y between the
-        residual and the cost; the numbers are bitwise those of the public
-        functions evaluated from scratch."""
+            self, blur16_tdt_problem, name, monkeypatch):
+        """The log takes A x - y and A^T (A x - y) / sigma^2 from the loss's
+        data_terms and shares them between the residual and the cost; the
+        numbers are bitwise those of the public functions fed the same terms.
+        The prox-based presets form the terms from the prox spectrum, within
+        rtol 1e-9 (residual) and 1e-12 (cost) of a from-scratch evaluation;
+        sd applies A and A^T, so its log is bitwise the from-scratch one."""
         p = blur16_tdt_problem
-        seen = iterates_of(SOLVERS[name], p,
-                           SolverConfig(iterations=5, inner_iterations=2))
-        _, traj = SOLVERS[name](p, SolverConfig(iterations=5, inner_iterations=2))
-        for x_pixels, record in zip(seen, traj.records):
-            x = Image(x_pixels)
-            g = fp_residual(p, x)
-            assert record.fp_residual == float(g @ g) / x.size
-            assert record.cost_red == cost_red(p, x)
+        losses = []
+
+        class CapturedLoss(QuadraticLoss):
+            def __post_init__(self):
+                super().__post_init__()
+                losses.append(self)
+
+        applies = []
+
+        def counted_apply(self, x, _apply=CircularConvolution.apply):
+            applies.append(x)
+            return _apply(self, x)
+
+        monkeypatch.setattr(solvers_module, "QuadraticLoss", CapturedLoss)
+        monkeypatch.setattr(CircularConvolution, "apply", counted_apply)
+        fed = []
+
+        def observer(k, x):
+            before = len(applies)
+            r, d = losses[-1].data_terms(x)
+            # Only sd, which never calls the prox, applies A for its terms.
+            assert (len(applies) > before) == (name == "sd")
+            g = fp_residual(p, x, data_residual=r, data_gradient=d)
+            fed.append((x, float(g @ g) / x.size, cost_red(p, x, data_residual=r)))
+
+        _, traj = SOLVERS[name](p, SolverConfig(iterations=5, inner_iterations=2),
+                                observer=observer)
+        assert len(fed) == len(traj) == 5
+        for (x, residual, cost), record in zip(fed, traj.records):
+            assert record.fp_residual == residual
+            assert record.cost_red == cost
+            fresh = Image(x.pixels)
+            g = fp_residual(p, fresh)
+            if name == "sd":
+                assert record.fp_residual == float(g @ g) / x.size
+                assert record.cost_red == cost_red(p, fresh)
+            else:
+                assert record.fp_residual == pytest.approx(float(g @ g) / x.size,
+                                                           rel=1e-9, abs=0)
+                assert record.cost_red == pytest.approx(cost_red(p, fresh),
+                                                        rel=1e-12, abs=0)
 
     def test_shared_data_residual_is_bitwise(self, blur16_tdt_problem):
         p = blur16_tdt_problem
@@ -362,6 +400,11 @@ class TestPresets:
         np.testing.assert_array_equal(fp_residual(p, x, fx, data_residual=r),
                                       fp_residual(p, x))
         assert cost_red(p, x, fx, data_residual=r) == cost_red(p, x)
+        loss = QuadraticLoss(p.operator, p.y, p.noise_variance)
+        r2, d = loss.data_terms(x)
+        np.testing.assert_array_equal(r2, r)
+        np.testing.assert_array_equal(fp_residual(p, x, fx, data_gradient=d),
+                                      fp_residual(p, x))
 
 
 class TestDivergenceGuard:

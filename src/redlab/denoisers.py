@@ -219,9 +219,15 @@ def _box_sum(sq: np.ndarray, k: int) -> np.ndarray:
 
     The additions run in the order numpy's np.sum(..., axis=(2, 3)) uses on
     an array of k x k patches, so the result is bitwise that sum: row sums
-    over k columns, added down the k rows in order.  With one window per
-    row numpy sums each patch's k * k values as one vector instead, which
-    here are k * k consecutive values of sq.
+    over k columns, then added down the k rows in order by k - 1 shifted
+    in-place adds of row slices.  numpy adds fewer than 8 values one after
+    another, so for k <= 7 the row sums are likewise the first column
+    slice plus k - 1 shifted in-place adds of the next ones.  From 8 values
+    on numpy sums pairwise, which shifted adds do not reproduce, so for
+    k >= 9 the row sums stay one np.add.reduce over a strided (..., k)
+    window view.  With one window per row numpy sums each patch's k * k
+    values as one vector instead, which here are k * k consecutive values
+    of sq, again by one np.add.reduce.
     """
     b, rows, cols = sq.shape
     out_rows, out_cols = rows - k + 1, cols - k + 1
@@ -230,8 +236,13 @@ def _box_sum(sq: np.ndarray, k: int) -> np.ndarray:
     if out_cols == 1:
         patches = as_strided(sq, (b, out_rows, k * k), (sb, sr, sc), writeable=False)
         return np.add.reduce(patches, axis=2)[:, :, None]
-    windows = as_strided(sq, (b, rows, out_cols, k), (sb, sr, sc, sc), writeable=False)
-    row_sums = np.add.reduce(windows, axis=3)
+    if k <= 7:
+        row_sums = sq[:, :, :out_cols].copy()
+        for j in range(1, k):
+            row_sums += sq[:, :, j : j + out_cols]
+    else:
+        windows = as_strided(sq, (b, rows, out_cols, k), (sb, sr, sc, sc), writeable=False)
+        row_sums = np.add.reduce(windows, axis=3)
     out = row_sums[:, :out_rows].copy()
     for i in range(1, k):
         out += row_sums[:, i : i + out_rows]
@@ -249,7 +260,13 @@ class NlmDenoiser(_StackKernelDenoiser):
 
     For each search offset the squared pixel differences are formed once
     per padded pixel and box-summed over the patches (Darbon et al., ISBI
-    2008), in an order that is bitwise the per-patch sum over (k, k).
+    2008), in an order that is bitwise the per-patch sum over (k, k): for
+    patches of up to 7 x 7 by shifted in-place adds of column slices and
+    then of row slices (see _box_sum).  The weight exp(-d / h^2) is formed
+    in place as exp(d / -h^2), which is bitwise the same because IEEE
+    division is sign-symmetric.  Offsets are visited in a fixed order and
+    each adds its terms to the numerator and denominator before the next,
+    so the result does not depend on the batch size.
     """
 
     def __init__(self, patch_radius: int = 1, search_radius: int = 5,
@@ -291,9 +308,10 @@ class NlmDenoiser(_StackKernelDenoiser):
                 here = padded[:, r_lo : r_hi + 2 * p, c_lo : c_hi + 2 * p]
                 there = padded[:, r_lo + dy : r_hi + dy + 2 * p,
                                c_lo + dx : c_hi + dx + 2 * p]
-                sq = (here - there) ** 2
-                dist = _box_sum(sq, k)
-                weight = np.exp(-dist / h2)
+                sq = np.subtract(here, there)
+                dist = _box_sum(np.square(sq, out=sq), k)
+                # exp(-dist / h^2); IEEE division is sign-symmetric.
+                weight = np.exp(np.divide(dist, -h2, out=dist), out=dist)
                 vals = xs[:, r_lo + dy : r_hi + dy, c_lo + dx : c_hi + dx]
                 numer[:, r_lo:r_hi, c_lo:c_hi] += weight * vals
                 denom[:, r_lo:r_hi, c_lo:c_hi] += weight

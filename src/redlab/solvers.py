@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoisers import Denoiser
-from .diagnostics import RedProblem, cost_red, fp_residual
-from .errors import ConfigError, DivergenceError
+from .diagnostics import _STACK_BYTES, RedProblem, cost_red, fp_residual
+from .errors import ConfigError, DivergenceError, DomainError
 from .image import Image, psnr
 from .losses import QuadraticLoss
 
@@ -156,6 +156,8 @@ class _Run:
         # An all-zero start and data carry no scale; fall back to unit scale.
         scale = max(float(np.linalg.norm(self.x0.flat)), float(np.linalg.norm(p.y.flat)))
         self.guard = DIVERGENCE_FACTOR * (scale if scale > 0.0 else 1.0)
+        # g(x_k) of the last logged iterate, flat; red_sd steps along it.
+        self.residual: np.ndarray | None = None
 
     def record(self, k: int, x: Image, fx: Image, x_prev: Image) -> bool:
         """Log iterate k; returns True when the run should stop early."""
@@ -164,7 +166,7 @@ class _Run:
             raise DivergenceError(k, norm, self.guard)
         n = x.size
         data_residual, data_gradient = self.loss.data_terms(x)
-        g = fp_residual(self.p, x, fx, data_gradient=data_gradient)
+        g = self.residual = fp_residual(self.p, x, fx, data_gradient=data_gradient)
         residual = float(g @ g) / n
         delta = x.flat - x_prev.flat
         update = float(delta @ delta) / n
@@ -200,20 +202,23 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
     """Steepest descent on the fixed-point residual.
 
     The default step sigma^2 / (1 + lambda sigma^2) normalizes the
-    residual's identity-operator part.
+    residual's identity-operator part.  Each step follows the residual
+    g(x_k) that the log has just formed, so A and A^T are applied once per
+    iterate, plus once at x_0.
     """
     sigma2 = p.noise_variance
     mu = sigma2 / (1.0 + p.weight * sigma2) if cfg.sd_step is None else cfg.sd_step
     run = _Run(p, cfg, x0, truth, observer)
     x = run.x0
     fx = p.denoiser.apply(x)
+    g = run.loss.gradient(x).flat + p.weight * (x.flat - fx.flat)
     h, w = x.pixels.shape
     for k in range(1, cfg.iterations + 1):
-        g = run.loss.gradient(x).flat + p.weight * (x.flat - fx.flat)
         x_prev, x = x, Image.from_flat(x.flat - mu * g, h, w)
         fx = p.denoiser.apply(x)
         if run.record(k, x, fx, x_prev):
             break
+        g = run.residual
     return x, run.trajectory
 
 
@@ -361,19 +366,24 @@ def nonexpansiveness_probe(f: Denoiser, trials: int, seed: int,
     """Largest observed ||f(a) - f(b)|| / ||a - b|| over random pairs.
 
     Pairs are drawn uniformly from [0, scale]^N with numpy's PCG64
-    generator.  A value <= 1 + tol supports (never proves) that f is
-    non-expansive on its working range.
+    generator, a before b, and denoised through f.apply_stack in chunks of
+    as many pairs as fit in the probes' stack budget.  A value <= 1 + tol
+    supports (never proves) that f is non-expansive on its working range.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
+    h, w = shape
+    chunk = max(1, _STACK_BYTES // (2 * h * w * 8))
     worst = 0.0
-    for _ in range(trials):
-        a = Image(rng.uniform(0.0, scale, shape))
-        b = Image(rng.uniform(0.0, scale, shape))
-        gap = float(np.linalg.norm(a.flat - b.flat))
-        if gap == 0.0:
-            continue
-        out = float(np.linalg.norm(f.apply(a).flat - f.apply(b).flat))
-        worst = max(worst, out / gap)
+    for t0 in range(0, trials, chunk):
+        pairs = rng.uniform(0.0, scale, (min(chunk, trials - t0), 2, h, w))
+        outs = f.apply_stack(pairs.reshape(-1, h, w)).reshape(pairs.shape)
+        if not np.all(np.isfinite(outs)):
+            raise DomainError("denoiser output must be finite")
+        for (a, b), (fa, fb) in zip(pairs, outs):
+            gap = float(np.linalg.norm(a - b))
+            if gap == 0.0:
+                continue
+            worst = max(worst, float(np.linalg.norm(fa - fb)) / gap)
     return worst

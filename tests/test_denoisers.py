@@ -11,6 +11,8 @@ from hypothesis.extra import numpy as hnp
 from redlab import (
     BernoulliMmseDenoiser,
     ConfigError,
+    Denoiser,
+    DomainError,
     GmmMmseDenoiser,
     Image,
     LinearSymmetricDenoiser,
@@ -20,7 +22,7 @@ from redlab import (
     TdtDenoiser,
     nonexpansiveness_probe,
 )
-from redlab.denoisers import haar_forward, haar_inverse
+from redlab.denoisers import _box_sum, haar_forward, haar_inverse
 
 
 def dyadic_arrays():
@@ -374,6 +376,40 @@ class TestNlmBoxSum:
         expected = reference_nlm(x, patch_radius, search_radius, f.bandwidth)
         assert np.array_equal(f.apply(Image(x)).pixels, expected)
 
+    @pytest.mark.parametrize("search_radius", [3, 25])
+    @pytest.mark.parametrize("patch_radius", [0, 1, 2, 3, 4])
+    def test_apply_stack_rows_are_bitwise_the_reference(self, search_radius,
+                                                         patch_radius):
+        xs = np.random.default_rng(44).uniform(0.0, 255.0, size=(4, 12, 20))
+        f = NlmDenoiser(patch_radius, search_radius, noise_variance=625.0)
+        out = f.apply_stack(xs)
+        for x, row in zip(xs, out):
+            expected = reference_nlm(x, patch_radius, search_radius, f.bandwidth)
+            assert np.array_equal(row, expected)
+
+
+# Output extents (rows, cols) of the box sum: general, one row, one
+# column, a single window.
+BOX_OUTPUTS = {"general": (6, 9), "one-row": (1, 7), "one-column": (5, 1),
+               "single": (1, 1)}
+
+
+class TestBoxSumTable:
+    """_box_sum against np.sum over each k x k window of each image."""
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("outputs", list(BOX_OUTPUTS))
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+    def test_bitwise_the_per_window_sum(self, k, outputs, batch):
+        out_rows, out_cols = BOX_OUTPUTS[outputs]
+        shape = (batch, out_rows + k - 1, out_cols + k - 1)
+        sq = np.random.default_rng(45).uniform(0.0, 255.0, size=shape) ** 2
+        got = _box_sum(sq, k)
+        assert got.shape == (batch, out_rows, out_cols)
+        for image, sums in zip(sq, got):
+            windows = np.lib.stride_tricks.sliding_window_view(image, (k, k))
+            assert np.array_equal(sums, np.sum(windows, axis=(2, 3)))
+
 
 STACK_CASES = {
     "tdt-16x16": (lambda: TdtDenoiser(25.0), (16, 16)),
@@ -405,3 +441,69 @@ class TestApplyStack:
     def test_rejects_a_single_image(self):
         with pytest.raises(ShapeError, match="expected a"):
             NlmDenoiser(1, 2, noise_variance=1.0).apply_stack(np.zeros((4, 4)))
+
+
+def reference_probe(f, trials, seed, shape):
+    """The per-pair loop of nonexpansiveness_probe before stacked pairs."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        a = Image(rng.uniform(0.0, 255.0, shape))
+        b = Image(rng.uniform(0.0, 255.0, shape))
+        gap = float(np.linalg.norm(a.flat - b.flat))
+        if gap == 0.0:
+            continue
+        out = float(np.linalg.norm(f.apply(a).flat - f.apply(b).flat))
+        worst = max(worst, out / gap)
+    return worst
+
+
+class StackCounter(Denoiser):
+    """Records the number of rows of each apply_stack call."""
+
+    def __init__(self, inner: Denoiser):
+        self.inner = inner
+        self.rows = []
+
+    def apply(self, x: Image) -> Image:
+        return self.inner.apply(x)
+
+    def apply_stack(self, xs: np.ndarray) -> np.ndarray:
+        self.rows.append(len(xs))
+        return self.inner.apply_stack(xs)
+
+
+class TestNonexpansivenessProbe:
+    @pytest.mark.parametrize("build", [
+        lambda: TdtDenoiser(25.0), lambda: MedianFilterDenoiser(3),
+        lambda: NlmDenoiser(1, 5, noise_variance=625.0),
+    ], ids=["tdt", "median", "nlm"])
+    @pytest.mark.parametrize("trials, shape", [(17, (16, 16)), (3, (64, 64)),
+                                               (5, (8, 8))])
+    def test_bitwise_the_per_pair_loop(self, build, trials, shape):
+        f = build()
+        assert (nonexpansiveness_probe(f, trials, seed=7, shape=shape)
+                == reference_probe(f, trials, 7, shape))
+
+    @pytest.mark.parametrize("trials, shape, rows", [
+        (17, (16, 16), [32, 2]), (16, (16, 16), [32]), (3, (64, 64), [2, 2, 2]),
+    ])
+    def test_pairs_are_stacked_within_the_byte_budget(self, trials, shape, rows):
+        """16 pairs of 16x16 images fill 64 KB; one 64x64 pair already does."""
+        f = StackCounter(TdtDenoiser(25.0))
+        nonexpansiveness_probe(f, trials, seed=7, shape=shape)
+        assert f.rows == rows
+
+    def test_identical_pairs_are_skipped(self):
+        assert nonexpansiveness_probe(TdtDenoiser(25.0), 3, seed=7, scale=0.0) == 0.0
+
+    def test_non_finite_output_is_rejected(self):
+        class Blowup(Denoiser):
+            def apply(self, x: Image) -> Image:
+                raise AssertionError("the probe denoises through apply_stack")
+
+            def apply_stack(self, xs: np.ndarray) -> np.ndarray:
+                return np.full(xs.shape, np.inf)
+
+        with pytest.raises(DomainError, match="denoiser output must be finite"):
+            nonexpansiveness_probe(Blowup(), 2, seed=7)

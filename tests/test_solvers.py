@@ -147,6 +147,36 @@ class TestSteepestDescent:
                            x0=x0)
         np.testing.assert_allclose(seen[0], y.pixels, atol=1e-12)
 
+    def test_iterates_are_bitwise_steps_along_the_public_residual(
+            self, blur16_tdt_problem):
+        """x_k = x_{k-1} - mu g(x_{k-1}) with g from fp_residual, although
+        red_sd takes g(x_k) from the log instead of recomputing it."""
+        p = blur16_tdt_problem
+        seen = iterates_of(red_sd, p, SolverConfig(iterations=10))
+        mu = p.noise_variance / (1.0 + p.weight * p.noise_variance)
+        x = default_initialization(p)
+        for px in seen:
+            x = Image.from_flat(x.flat - mu * fp_residual(p, x), 16, 16)
+            np.testing.assert_array_equal(px, x.pixels)
+
+    @pytest.mark.parametrize("start, applies", [("default", 12), ("given", 11)])
+    def test_one_blur_apply_per_iterate(self, blur16_tdt_problem, monkeypatch,
+                                        start, applies):
+        """Ten iterations apply A once per logged iterate and once at x_0;
+        the default start adds the one apply of its DC gain (the step no
+        longer repeats the log's A and A^T: 21 and 20 applies before)."""
+        p = blur16_tdt_problem
+        x0 = None if start == "default" else default_initialization(p)
+        calls = []
+
+        def counted_apply(self, x, _apply=CircularConvolution.apply):
+            calls.append(x)
+            return _apply(self, x)
+
+        monkeypatch.setattr(CircularConvolution, "apply", counted_apply)
+        red_sd(p, SolverConfig(iterations=10), x0=x0)
+        assert len(calls) == applies
+
 
 class TestAlgebraicIdentities:
     def test_pg_with_unit_step_reproduces_fp_bitwise(self, blur16_tdt_problem):

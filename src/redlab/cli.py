@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import re
@@ -40,6 +41,7 @@ from .denoisers import (
     MedianFilterDenoiser,
     NlmDenoiser,
     TdtDenoiser,
+    _is_power_of_two,
 )
 from .diagnostics import (
     DEFAULT_EPSILON,
@@ -75,9 +77,6 @@ from .solvers import SOLVERS, SolverConfig, Trajectory, format_csv, red_pg
 
 __all__ = ["EXPERIMENTS", "main"]
 
-# Assumed denoiser input noise variance when a config does not set one.
-DEFAULT_NOISE_VARIANCE = 3.25**2
-
 EXPERIMENTS = {
     "jacobian-report": "Jacobian symmetry-error table over noisy patches",
     "gradient-report": "error table for the three candidate gradient expressions",
@@ -89,7 +88,6 @@ EXPERIMENTS = {
     "equilibrium-check": "consensus residuals at a fixed point plus the denoising mirror identity",
 }
 
-_DENOISER_KINDS = ("tdt", "median", "nlm", "linear", "gmm", "bernoulli")
 _REPORT_HEADER = [
     "image",
     "denoiser",
@@ -101,10 +99,6 @@ _REPORT_HEADER = [
     "e_LH2",
 ]
 _LABEL_RE = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 class _ConfigReader:
@@ -144,35 +138,34 @@ class _ConfigReader:
         raw = self._raw(section, key, required)
         return default if raw is None else raw.strip()
 
-    def get_int(self, section: str, key: str, default: int | None = None,
-                minimum: int | None = None, required: bool = False) -> int | None:
+    def _number(self, section: str, key: str, required: bool,
+                convert: type, expected: str) -> int | float | None:
         raw = self._raw(section, key, required)
-        if raw is None:
-            return default
         try:
-            value = int(raw)
+            return None if raw is None else convert(raw)
         except ValueError:
             raise ConfigError(
-                f"[{section}] {key}: expected an integer, got {raw!r}"
+                f"[{section}] {key}: expected {expected}, got {raw!r}"
             ) from None
+
+    def get_int(self, section: str, key: str, default: int | None = None,
+                minimum: int | None = None, required: bool = False) -> int | None:
+        value = self._number(section, key, required, int, "an integer")
+        if value is None:
+            return default
         if minimum is not None and value < minimum:
             raise ConfigError(f"[{section}] {key}: must be >= {minimum}, got {value}")
         return value
 
-    def get_float(self, section: str, key: str, default: float | None = None,
-                  positive: bool = False, required: bool = False) -> float | None:
-        raw = self._raw(section, key, required)
-        if raw is None:
+    def get_float(self, section: str, key: str,
+                  default: float | None = None) -> float | None:
+        """Every float key is a finite number > 0."""
+        value = self._number(section, key, False, float, "a number")
+        if value is None:
             return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[{section}] {key}: expected a number, got {raw!r}"
-            ) from None
         if not math.isfinite(value):
             raise ConfigError(f"[{section}] {key}: must be finite, got {value}")
-        if positive and value <= 0:
+        if value <= 0:
             raise ConfigError(f"[{section}] {key}: must be > 0, got {value}")
         return value
 
@@ -213,17 +206,75 @@ class _ConfigReader:
 # ---------------------------------------------------------------------------
 # Denoiser and problem construction
 
+_DenoiserBuild = Callable[[tuple[int, int]], Denoiser]
+
 
 @dataclass(frozen=True)
-class _DenoiserSpec:
-    label: str
-    kind: str
-    build: Callable[[tuple[int, int]], Denoiser]
+class _Key:
+    """A denoiser-section key: a float, or an int >= `minimum` (odd if `odd`)."""
+
+    name: str
+    type: type
+    default: float | None
+    minimum: int = 0
+    odd: bool = False
+
+    def read(self, reader: _ConfigReader, section: str) -> int | float | None:
+        if self.type is float:
+            return reader.get_float(section, self.name, default=self.default)
+        value = reader.get_int(section, self.name, default=self.default,
+                               minimum=self.minimum)
+        if self.odd and value % 2 == 0:
+            raise ConfigError(f"[{section}] {self.name}: must be odd, got {value}")
+        return value
 
 
-def _read_denoiser_spec(reader: _ConfigReader, section: str, label: str,
-                        default_kind: str | None = None) -> _DenoiserSpec:
-    """Read one denoiser section; the spec builds the denoiser for a shape."""
+def _build_tdt(shape: tuple[int, int], **values) -> Denoiser:
+    # Config sizes are checked at plan time; a PGM's sides are known only now.
+    if not (_is_power_of_two(shape[0]) and _is_power_of_two(shape[1])):
+        raise ConfigError(f"denoiser 'tdt' needs power-of-two image sides, got {shape}")
+    return TdtDenoiser(**values)
+
+
+def _build_gmm(shape: tuple[int, int], components: int, center_scale: float,
+               center_seed: int, noise_variance: float) -> Denoiser:
+    rng = np.random.default_rng(center_seed)
+    centers = rng.normal(0.0, center_scale, size=(components, shape[0] * shape[1]))
+    return GmmMmseDenoiser(centers, noise_variance)
+
+
+# Assumed denoiser input noise variance, also for the reports' noisy patches.
+_NOISE_VARIANCE = _Key("noise_variance", float, 3.25**2)
+# Each kind: its keys in read order, and a constructor taking the image
+# shape and the key values by name.
+_DENOISER_KINDS: dict[str, tuple[tuple[_Key, ...], Callable[..., Denoiser]]] = {
+    "tdt": ((_Key("threshold", float, 0.001),), _build_tdt),
+    "median": (
+        (_Key("window", int, 3, minimum=1, odd=True),),
+        lambda shape, **values: MedianFilterDenoiser(**values),
+    ),
+    # NlmDenoiser prefers the bandwidth over the noise variance when set.
+    "nlm": (
+        (_Key("patch_radius", int, 1), _Key("search_radius", int, 5),
+         _NOISE_VARIANCE, _Key("bandwidth", float, None)),
+        lambda shape, **values: NlmDenoiser(**values),
+    ),
+    # Looked up per call, so a wrapper installed on the class is seen.
+    "linear": ((), lambda shape: LinearSymmetricDenoiser.local_average(shape)),
+    "gmm": (
+        (_Key("components", int, 5, minimum=1), _Key("center_scale", float, 2.0),
+         _Key("center_seed", int, 1), _NOISE_VARIANCE),
+        _build_gmm,
+    ),
+    "bernoulli": (
+        (_NOISE_VARIANCE,), lambda shape, **values: BernoulliMmseDenoiser(**values)
+    ),
+}
+
+
+def _read_denoiser(reader: _ConfigReader, section: str,
+                   default_kind: str | None = None) -> tuple[str, _DenoiserBuild]:
+    """Read one denoiser section: its kind and a builder for an image shape."""
     kind = reader.get_str(section, "kind", default=default_kind)
     if kind is None:
         raise ConfigError(
@@ -233,59 +284,22 @@ def _read_denoiser_spec(reader: _ConfigReader, section: str, label: str,
         raise ConfigError(
             f"unknown denoiser kind {kind!r}; valid kinds: {', '.join(_DENOISER_KINDS)}"
         )
-    if kind == "tdt":
-        threshold = reader.get_float(section, "threshold", default=0.001, positive=True)
+    keys, build = _DENOISER_KINDS[kind]
+    values = {key.name: key.read(reader, section) for key in keys}
+    return kind, functools.partial(build, **values)
 
-        def build(shape: tuple[int, int]) -> Denoiser:
-            if not (_is_pow2(shape[0]) and _is_pow2(shape[1])):
-                raise ConfigError(
-                    f"denoiser 'tdt' needs power-of-two image sides, got {shape}"
-                )
-            return TdtDenoiser(threshold=threshold)
-    elif kind == "median":
-        window = reader.get_int(section, "window", default=3, minimum=1)
-        if window % 2 == 0:
-            raise ConfigError(f"[{section}] window: must be odd, got {window}")
 
-        def build(shape: tuple[int, int]) -> Denoiser:
-            return MedianFilterDenoiser(window=window)
-    elif kind == "nlm":
-        patch_radius = reader.get_int(section, "patch_radius", default=1, minimum=0)
-        search_radius = reader.get_int(section, "search_radius", default=5, minimum=0)
-        noise_variance = reader.get_float(
-            section, "noise_variance", default=DEFAULT_NOISE_VARIANCE, positive=True
-        )
-        # NlmDenoiser prefers the bandwidth over the noise variance when set.
-        bandwidth = reader.get_float(section, "bandwidth", positive=True)
+def _check_tdt_side(kinds: list[str], side: int, key: str) -> None:
+    """The Haar transform of 'tdt' needs power-of-two image sides."""
+    if "tdt" in kinds and not _is_power_of_two(side):
+        raise ConfigError(f"{key}: 'tdt' needs a power of two")
 
-        def build(shape: tuple[int, int]) -> Denoiser:
-            return NlmDenoiser(patch_radius, search_radius, bandwidth, noise_variance)
-    elif kind == "linear":
-        build = LinearSymmetricDenoiser.local_average
-    elif kind == "gmm":
-        components = reader.get_int(section, "components", default=5, minimum=1)
-        center_scale = reader.get_float(
-            section, "center_scale", default=2.0, positive=True
-        )
-        center_seed = reader.get_int(section, "center_seed", default=1, minimum=0)
-        noise_variance = reader.get_float(
-            section, "noise_variance", default=DEFAULT_NOISE_VARIANCE, positive=True
-        )
 
-        def build(shape: tuple[int, int]) -> Denoiser:
-            rng = np.random.default_rng(center_seed)
-            centers = rng.normal(
-                0.0, center_scale, size=(components, shape[0] * shape[1])
-            )
-            return GmmMmseDenoiser(centers, noise_variance)
-    else:
-        noise_variance = reader.get_float(
-            section, "noise_variance", default=DEFAULT_NOISE_VARIANCE, positive=True
-        )
-
-        def build(shape: tuple[int, int]) -> Denoiser:
-            return BernoulliMmseDenoiser(noise_variance)
-    return _DenoiserSpec(label=label, kind=kind, build=build)
+def _input_path(config_dir: Path, section: str, key: str, name: str) -> Path:
+    path = (config_dir / name).resolve()
+    if not path.is_file():
+        raise ConfigError(f"[{section}] {key}: file not found: {path}")
+    return path
 
 
 @dataclass(frozen=True)
@@ -296,30 +310,35 @@ class _ProblemSpec:
     blur: int
     noise_variance: float
     weight: float
+    denoiser_kind: str
+    build_denoiser: _DenoiserBuild
+
+    def check_tdt_size(self) -> None:
+        """Planners call this after their own reads, so those errors come first."""
+        if self.image_path is None:
+            _check_tdt_side([self.denoiser_kind], self.size, "[problem] size")
 
 
-def _read_problem(reader: _ConfigReader, config_dir: Path,
-                  default_blur: int) -> _ProblemSpec:
+def _read_problem(reader: _ConfigReader, config_dir: Path, default_blur: int,
+                  default_kind: str = "tdt") -> _ProblemSpec:
+    """Read the [problem] and [denoiser] sections."""
     size = reader.get_int("problem", "size", default=64, minimum=4)
     scene_index = reader.get_int("problem", "scene", default=0, minimum=0)
     image = reader.get_str("problem", "image")
-    image_path = None
-    if image is not None:
-        image_path = (config_dir / image).resolve()
-        if not image_path.is_file():
-            raise ConfigError(f"[problem] image: file not found: {image_path}")
+    image_path = None if image is None else _input_path(
+        config_dir, "problem", "image", image
+    )
     blur = reader.get_int("problem", "blur", default=default_blur, minimum=1)
     if blur % 2 == 0:
         raise ConfigError(f"[problem] blur: width must be odd, got {blur}")
-    noise_variance = reader.get_float(
-        "problem", "noise_variance", default=2.0, positive=True
-    )
-    weight = reader.get_float("problem", "weight", default=0.02, positive=True)
-    return _ProblemSpec(size, scene_index, image_path, blur, noise_variance, weight)
+    noise_variance = reader.get_float("problem", "noise_variance", default=2.0)
+    weight = reader.get_float("problem", "weight", default=0.02)
+    kind, build = _read_denoiser(reader, "denoiser", default_kind)
+    return _ProblemSpec(size, scene_index, image_path, blur, noise_variance, weight,
+                        kind, build)
 
 
-def _build_problem(ps: _ProblemSpec, spec: _DenoiserSpec,
-                   seed: int) -> tuple[RedProblem, Image]:
+def _build_problem(ps: _ProblemSpec, seed: int) -> tuple[RedProblem, Image]:
     if ps.image_path is not None:
         truth = load_pgm(str(ps.image_path))
     else:
@@ -327,7 +346,7 @@ def _build_problem(ps: _ProblemSpec, spec: _DenoiserSpec,
     shape = truth.pixels.shape
     op = make_uniform_blur(ps.blur) if ps.blur > 1 else IdentityOperator()
     y = awgn(op.apply(truth), ps.noise_variance, seed=seed)
-    denoiser = spec.build(shape)
+    denoiser = ps.build_denoiser(shape)
     problem = RedProblem(
         operator=op,
         y=y,
@@ -355,15 +374,15 @@ def _read_solver(reader: _ConfigReader, *, default_iterations: int,
         iterations=reader.get_int(
             "solver", "iterations", default=default_iterations, minimum=1
         ),
-        beta=reader.get_float("solver", "beta", default=0.001, positive=True),
-        step_scale=reader.get_float("solver", "l", default=default_l, positive=True),
-        l_initial=reader.get_float("solver", "l_initial", default=0.2, positive=True),
-        l_final=reader.get_float("solver", "l_final", default=2.0, positive=True),
+        beta=reader.get_float("solver", "beta", default=0.001),
+        step_scale=reader.get_float("solver", "l", default=default_l),
+        l_initial=reader.get_float("solver", "l_initial", default=0.2),
+        l_final=reader.get_float("solver", "l_final", default=2.0),
         inner_iterations=reader.get_int(
             "solver", "inner_iterations", default=default_inner, minimum=1
         ),
-        sd_step=reader.get_float("solver", "sd_step", positive=True),
-        stop_fp_residual=reader.get_float("solver", "stop_fp_residual", positive=True),
+        sd_step=reader.get_float("solver", "sd_step"),
+        stop_fp_residual=reader.get_float("solver", "stop_fp_residual"),
         record_timing=reader.get_bool("solver", "timing", default=False),
     )
 
@@ -397,13 +416,8 @@ def _plan_report(which: str) -> Callable:
             raise ConfigError("[experiment] set either 'patches' or 'images', not both")
         count = 10 if patches_key is None else patches_key
         patch_size = reader.get_int("experiment", "patch_size", default=16, minimum=4)
-        noise_variance = reader.get_float(
-            "experiment", "noise_variance", default=DEFAULT_NOISE_VARIANCE,
-            positive=True,
-        )
-        epsilon = reader.get_float(
-            "experiment", "epsilon", default=DEFAULT_EPSILON, positive=True
-        )
+        noise_variance = _NOISE_VARIANCE.read(reader, "experiment")
+        epsilon = reader.get_float("experiment", "epsilon", default=DEFAULT_EPSILON)
         labels = reader.get_list(
             "experiment", "denoisers", default=["tdt", "median", "nlm"]
         )
@@ -411,12 +425,10 @@ def _plan_report(which: str) -> Callable:
             raise ConfigError("[experiment] denoisers: labels must be unique")
         image_paths: list[Path] | None = None
         if image_names is not None:
-            image_paths = []
-            for name in image_names:
-                path = (config_dir / name).resolve()
-                if not path.is_file():
-                    raise ConfigError(f"[experiment] images: file not found: {path}")
-                image_paths.append(path)
+            image_paths = [
+                _input_path(config_dir, "experiment", "images", name)
+                for name in image_names
+            ]
             if patch_size > 32:
                 raise ConfigError("[experiment] patch_size: must be <= 32")
         elif patch_size > 16:
@@ -428,18 +440,15 @@ def _plan_report(which: str) -> Callable:
         for label in labels:
             if not _LABEL_RE.match(label):
                 raise ConfigError(f"invalid denoiser label {label!r}")
-            if reader.has_section(label) or label in _DENOISER_KINDS:
-                default_kind = label if label in _DENOISER_KINDS else None
-                specs.append(_read_denoiser_spec(reader, label, label, default_kind))
-            else:
+            if not (reader.has_section(label) or label in _DENOISER_KINDS):
                 raise ConfigError(
                     f"denoiser label {label!r} has no [{label}] section and is not "
                     f"a known kind"
                 )
-        if any(s.kind == "tdt" for s in specs) and not _is_pow2(patch_size):
-            raise ConfigError(
-                "[experiment] patch_size: 'tdt' needs a power of two"
-            )
+            default_kind = label if label in _DENOISER_KINDS else None
+            specs.append(_read_denoiser(reader, label, default_kind))
+        _check_tdt_side([kind for kind, _ in specs], patch_size,
+                        "[experiment] patch_size")
 
         def execute() -> Outputs:
             if image_paths is not None:
@@ -460,18 +469,18 @@ def _plan_report(which: str) -> Callable:
             ]
             files = []
             summary_rows = []
-            denoisers = [spec.build((patch_size, patch_size)) for spec in specs]
+            denoisers = [build((patch_size, patch_size)) for _, build in specs]
             # Patch 0 of every denoiser runs first, so a denoiser whose metrics
             # raise (say, an identically zero Jacobian) fails before the rest.
             first = [_report_metrics(which, f, points[0][1], epsilon) for f in denoisers]
-            for spec, f, first_values in zip(specs, denoisers, first):
+            for label, f, first_values in zip(labels, denoisers, first):
                 rows = []
                 sums: dict[str, float] = {}
                 for i, (name, x) in enumerate(points):
                     values = first_values if i == 0 else _report_metrics(
                         which, f, x, epsilon
                     )
-                    cells = [name, spec.label]
+                    cells = [name, label]
                     for column in _REPORT_HEADER[2:]:
                         cells.append(
                             repr(values[column]) if column in values else ""
@@ -480,11 +489,11 @@ def _plan_report(which: str) -> Callable:
                     for metric, value in values.items():
                         sums[metric] = sums.get(metric, 0.0) + value
                 files.append(
-                    (f"{which}_{spec.label}.csv", format_csv(_REPORT_HEADER, rows))
+                    (f"{which}_{label}.csv", format_csv(_REPORT_HEADER, rows))
                 )
                 for metric, total in sums.items():
                     summary_rows.append(
-                        [spec.label, metric, f"{total / len(points):.6e}"]
+                        [label, metric, f"{total / len(points):.6e}"]
                     )
             head = (
                 f"{which}: mean errors over {len(points)} noisy {patch_size}x"
@@ -519,14 +528,13 @@ def _report_metrics(which: str, f: Denoiser, x: Image, epsilon: float) -> dict:
 
 def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
     problem_spec = _read_problem(reader, config_dir, default_blur=1)
-    denoiser_spec = _read_denoiser_spec(reader, "denoiser", label="", default_kind="tdt")
     method = _read_method(reader)
     cfg = _read_solver(reader, default_iterations=500, method=method)
-    _check_tdt_size(denoiser_spec, problem_spec)
-    label = denoiser_spec.kind
+    problem_spec.check_tdt_size()
+    label = problem_spec.denoiser_kind
 
     def execute() -> Outputs:
-        problem, truth = _build_problem(problem_spec, denoiser_spec, seed)
+        problem, truth = _build_problem(problem_spec, seed)
         _, trajectory = SOLVERS[method](problem, cfg, truth=truth)
         last = trajectory.records[-1]
         summary = "\n".join(
@@ -554,16 +562,15 @@ def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
 
 def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
     problem_spec = _read_problem(reader, config_dir, default_blur=1)
-    denoiser_spec = _read_denoiser_spec(reader, "denoiser", label="", default_kind="tdt")
     method = _read_method(reader)
     cfg = _read_solver(reader, default_iterations=200, method=method)
-    radius = reader.get_float("slice", "radius", default=2.0, positive=True)
+    radius = reader.get_float("slice", "radius", default=2.0)
     points = reader.get_int("slice", "points", default=21, minimum=2)
-    _check_tdt_size(denoiser_spec, problem_spec)
-    label = denoiser_spec.kind
+    problem_spec.check_tdt_size()
+    label = problem_spec.denoiser_kind
 
     def execute() -> Outputs:
-        problem, _ = _build_problem(problem_spec, denoiser_spec, seed)
+        problem, _ = _build_problem(problem_spec, seed)
         center, _ = SOLVERS[method](problem, cfg)
         rng = np.random.default_rng(seed + 1)
         e1 = rng.standard_normal(center.size)
@@ -620,20 +627,18 @@ def _deblur_oracle(problem: RedProblem) -> np.ndarray:
 
 
 def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
-    problem_spec = _read_problem(reader, config_dir, default_blur=9)
-    denoiser_spec = _read_denoiser_spec(
-        reader, "denoiser", label="linear", default_kind="linear"
-    )
-    if denoiser_spec.kind != "linear":
+    problem_spec = _read_problem(reader, config_dir, default_blur=9,
+                                 default_kind="linear")
+    if problem_spec.denoiser_kind != "linear":
         raise ConfigError(
             "deblur computes an exact oracle gap and therefore requires the "
             "linear denoiser; use the trajectory experiment for other kinds"
         )
     base = _read_solver(reader, default_iterations=500, default_inner=20)
-    l_apg = reader.get_float("solver", "l_apg", default=1.0, positive=True)
+    l_apg = reader.get_float("solver", "l_apg", default=1.0)
 
     def execute() -> Outputs:
-        problem, truth = _build_problem(problem_spec, denoiser_spec, seed)
+        problem, truth = _build_problem(problem_spec, seed)
         shape = truth.pixels.shape
         sigma2 = problem.noise_variance
         x_star = _deblur_oracle(problem)
@@ -682,7 +687,7 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
 
 def _plan_tweedie(reader: _ConfigReader, config_dir: Path, seed: int):
     instances = reader.get_int("experiment", "instances", default=20, minimum=1)
-    epsilon = reader.get_float("experiment", "epsilon", default=1e-5, positive=True)
+    epsilon = reader.get_float("experiment", "epsilon", default=1e-5)
 
     def execute() -> Outputs:
         rng = np.random.default_rng(seed)
@@ -716,17 +721,15 @@ def _plan_tweedie(reader: _ConfigReader, config_dir: Path, seed: int):
 
 
 def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
-    denoising_variance = reader.get_float(
-        "experiment", "denoising_variance", default=100.0, positive=True
-    )
+    denoising_variance = reader.get_float("experiment", "denoising_variance",
+                                          default=100.0)
     problem_spec = _read_problem(reader, config_dir, default_blur=9)
-    denoiser_spec = _read_denoiser_spec(reader, "denoiser", label="", default_kind="tdt")
     cfg = _read_solver(reader, default_iterations=2000)
-    _check_tdt_size(denoiser_spec, problem_spec)
-    label = denoiser_spec.kind
+    problem_spec.check_tdt_size()
+    label = problem_spec.denoiser_kind
 
     def execute() -> Outputs:
-        problem, truth = _build_problem(problem_spec, denoiser_spec, seed)
+        problem, truth = _build_problem(problem_spec, seed)
         l_scale = cfg.step_scale
         x_hat, _ = red_pg(problem, cfg)
         f = problem.denoiser
@@ -764,15 +767,6 @@ def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
         return [(csv_name, format_csv(["quantity", "value"], rows))], summary
 
     return execute
-
-
-def _check_tdt_size(denoiser_spec: _DenoiserSpec, problem_spec: _ProblemSpec) -> None:
-    if (
-        denoiser_spec.kind == "tdt"
-        and problem_spec.image_path is None
-        and not _is_pow2(problem_spec.size)
-    ):
-        raise ConfigError("[problem] size: 'tdt' needs a power of two")
 
 
 _PLANNERS: dict[str, Callable] = {
@@ -875,10 +869,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DivergenceError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RedlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RedlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

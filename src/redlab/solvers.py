@@ -211,7 +211,7 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
     run = _Run(p, cfg, x0, truth, observer)
     x = run.x0
     fx = p.denoiser.apply(x)
-    g = run.loss.gradient(x).flat + p.weight * (x.flat - fx.flat)
+    g = fp_residual(p, x, fx)
     h, w = x.pixels.shape
     for k in range(1, cfg.iterations + 1):
         x_prev, x = x, Image.from_flat(x.flat - mu * g, h, w)

@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: configs, outputs, determinism, exit codes."""
 
 import csv
+import re
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,9 @@ from redlab import (
     solver_scene,
     synthetic_scene,
 )
-from redlab.cli import _deblur_oracle, main
+from redlab.cli import _DENOISER_KINDS, _deblur_oracle, main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -139,6 +145,88 @@ class TestListAndValidate:
             images = a.pgm
         """)
         assert main(["validate", config]) == 2
+
+
+def readme_config_block():
+    """The README's annotated config, the first ```ini block."""
+    text = (REPO / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+
+
+def readme_denoiser_keys():
+    """{key: (value, comment above it)} for the README's [denoiser] section;
+    a key may itself be commented out."""
+    keys, section, note = {}, None, ""
+    for line in readme_config_block().splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line)
+        key = re.fullmatch(r"(?:# )?(\w+) = (.*)", line)
+        if header:
+            section = header.group(1)
+        elif key and section == "denoiser":
+            keys[key.group(1)] = (key.group(2), note)
+        elif line.startswith("#"):
+            note = line
+    return keys
+
+
+class TestReadmeConfig:
+    def test_block_validates(self, tmp_path, capsys):
+        config = write_config(tmp_path, readme_config_block())
+        assert main(["validate", config]) == 0
+        assert capsys.readouterr() == ("config ok: experiment 'trajectory'\n", "")
+
+    def test_denoiser_keys_match_the_kinds_table(self):
+        documented = readme_denoiser_keys()
+        kind_line = documented.pop("kind")[1]
+        assert kind_line == "# " + " | ".join(_DENOISER_KINDS)
+        declared = {key.name: key for keys, _ in _DENOISER_KINDS.values()
+                    for key in keys}
+        assert set(documented) == set(declared)
+        defaults = 0
+        for name, (_, note) in documented.items():
+            default = re.search(r"\(default (\S+)\)", note)
+            if default:
+                key = declared[name]
+                assert key.default == key.type(default.group(1)), name
+                defaults += 1
+        assert defaults == 8
+
+    def test_each_kind_accepts_its_documented_values(self, tmp_path, capsys):
+        documented = readme_denoiser_keys()
+        for kind, (keys, _) in _DENOISER_KINDS.items():
+            lines = "".join(f"{key.name} = {documented[key.name][0]}\n" for key in keys)
+            config = write_config(
+                tmp_path,
+                f"[experiment]\nname = trajectory\nseed = 1\n"
+                f"[denoiser]\nkind = {kind}\n{lines}",
+            )
+            assert main(["validate", config]) == 0, kind
+        assert capsys.readouterr().err == ""
+
+
+def test_traced_run_finds_every_name_it_wraps(tmp_path):
+    """bench/traced.py replaces functions where the CLI looks them up; a name
+    it expects on `redlab.cli` (or elsewhere) must still be there."""
+    config = write_config(tmp_path, f"""\
+        [experiment]
+        name = trajectory
+        seed = 1
+        output = {tmp_path / "out"}
+
+        [problem]
+        size = 16
+
+        [solver]
+        iterations = 5
+    """)
+    spans = tmp_path / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(REPO / "bench" / "traced.py"), str(REPO / "src"),
+         config, str(spans)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert spans.stat().st_size > 0
 
 
 class TestJacobianReport:
@@ -612,6 +700,16 @@ INVALID_CONFIGS = [
     ("first-error-wins", "trajectory",
      "[problem]\nsize = 12\nblur = 4\n[solver]\nmethod = foo\n",
      "[problem] blur: width must be odd, got 4"),
+    # The tdt size rule runs after the experiment's own checks.
+    ("deblur-tdt-before-size", "deblur", "[problem]\nsize = 12\n[denoiser]\nkind = tdt\n",
+     "deblur computes an exact oracle gap and therefore requires the linear "
+     "denoiser; use the trajectory experiment for other kinds"),
+    ("slice-radius-before-size", "cost-slice",
+     "[problem]\nsize = 12\n[slice]\nradius = -1\n",
+     "[slice] radius: must be > 0, got -1.0"),
+    ("method-before-size", "trajectory", "[problem]\nsize = 12\n[solver]\nmethod = foo\n",
+     "[solver] method: unknown solver 'foo'; valid methods: sd, admm, admm_i1, fp, "
+     "pg, dpg, apg"),
 ]
 # Cases whose error needs the image itself, so `validate` accepts them.
 RUN_TIME_ERRORS = {"tdt-on-12x12-pgm"}

@@ -321,21 +321,29 @@ class _ProblemSpec:
 
 def _read_problem(reader: _ConfigReader, config_dir: Path, default_blur: int,
                   default_kind: str = "tdt") -> _ProblemSpec:
-    """Read the [problem] and [denoiser] sections."""
-    size = reader.get_int("problem", "size", default=64, minimum=4)
-    scene_index = reader.get_int("problem", "scene", default=0, minimum=0)
+    """Read the [problem] and [denoiser] sections.
+
+    `size` and `scene` choose the synthetic scene, which `image` replaces,
+    so neither may be set next to `image`.
+    """
+    size = reader.get_int("problem", "size", minimum=4)
+    scene_index = reader.get_int("problem", "scene", minimum=0)
     image = reader.get_str("problem", "image")
-    image_path = None if image is None else _input_path(
-        config_dir, "problem", "image", image
-    )
+    image_path = None
+    if image is not None:
+        for key, value in (("size", size), ("scene", scene_index)):
+            if value is not None:
+                raise ConfigError(f"[problem] {key}: not allowed with image")
+        image_path = _input_path(config_dir, "problem", "image", image)
     blur = reader.get_int("problem", "blur", default=default_blur, minimum=1)
     if blur % 2 == 0:
         raise ConfigError(f"[problem] blur: width must be odd, got {blur}")
     noise_variance = reader.get_float("problem", "noise_variance", default=2.0)
     weight = reader.get_float("problem", "weight", default=0.02)
     kind, build = _read_denoiser(reader, "denoiser", default_kind)
-    return _ProblemSpec(size, scene_index, image_path, blur, noise_variance, weight,
-                        kind, build)
+    return _ProblemSpec(64 if size is None else size,
+                        0 if scene_index is None else scene_index,
+                        image_path, blur, noise_variance, weight, kind, build)
 
 
 def _build_problem(ps: _ProblemSpec, seed: int) -> tuple[RedProblem, Image]:

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .image import Image
 from .operators import CircularConvolution
 
@@ -67,7 +67,9 @@ class _StackKernelDenoiser(Denoiser):
     """A denoiser defined by one array kernel on (B, h, w) stacks.
 
     `apply` runs the kernel on a stack of one, so single images and stacks
-    share one code path.
+    share one code path.  `apply_stack` rejects non-finite pixels as Image
+    does, so a stack raises DomainError where `apply` would, and kernels
+    may assume finite input.
     """
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
@@ -80,6 +82,8 @@ class _StackKernelDenoiser(Denoiser):
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 3:
             raise ShapeError(f"expected a (B, h, w) stack, got shape {xs.shape}")
+        if not np.all(np.isfinite(xs)):
+            raise DomainError("image pixels must be finite")
         return self._kernel(xs)
 
 
@@ -195,7 +199,12 @@ class TdtDenoiser(_StackKernelDenoiser):
 
 
 class MedianFilterDenoiser(_StackKernelDenoiser):
-    """Moving-window median with replicate (edge) padding."""
+    """Moving-window median with replicate (edge) padding.
+
+    Each window's middle value is selected by one np.partition, bitwise
+    np.median over the window on finite input, which apply_stack enforces:
+    NaN would not propagate through the partition.
+    """
 
     def __init__(self, window: int = 3):
         if window % 2 == 0 or window < 1:
@@ -203,15 +212,18 @@ class MedianFilterDenoiser(_StackKernelDenoiser):
         self.window = window
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
-        _, h, w = xs.shape
+        b, h, w = xs.shape
         if self.window > min(h, w):
             raise ShapeError(f"window {self.window} exceeds image extent {h}x{w}")
         r = self.window // 2
         padded = np.pad(xs, ((0, 0), (r, r), (r, r)), mode="edge")
         windows = np.lib.stride_tricks.sliding_window_view(
             padded, (self.window, self.window), axis=(1, 2)
-        )
-        return np.median(windows, axis=(3, 4))
+        ).reshape(b, h, w, self.window**2)
+        mid = self.window**2 // 2
+        # np.median adds its one selected value to 0.0, which turns -0.0
+        # into 0.0 and leaves every other finite value as it is.
+        return np.partition(windows, mid, axis=-1)[..., mid] + 0.0
 
 
 def _box_sum(sq: np.ndarray, k: int) -> np.ndarray:
@@ -249,6 +261,11 @@ def _box_sum(sq: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+# Bytes of weight arrays an NLM call keeps for the mirrored offsets; beyond
+# it a mirror recomputes its weights (one 256 x 256 apply would keep 31 MB).
+_MIRROR_BYTES = 4 << 20
+
+
 class NlmDenoiser(_StackKernelDenoiser):
     """Non-local means with Gaussian patch-distance weights.
 
@@ -267,6 +284,14 @@ class NlmDenoiser(_StackKernelDenoiser):
     division is sign-symmetric.  Offsets are visited in a fixed order and
     each adds its terms to the numerator and denominator before the next,
     so the result does not depend on the batch size.
+
+    The patch distance from q to q + d is the one from q + d to q, summed
+    in the same order over a region of the same shape, so the weight array
+    of offset -d is bitwise that of offset d.  The first offset of each
+    pair keeps its weights for the mirror while the kept arrays fit in
+    _MIRROR_BYTES; a mirror past that budget recomputes them, with the same
+    bits.  The squared differences and numerator terms of every offset are
+    formed in one scratch buffer.
     """
 
     def __init__(self, patch_radius: int = 1, search_radius: int = 5,
@@ -295,6 +320,13 @@ class NlmDenoiser(_StackKernelDenoiser):
         h2 = self.bandwidth**2
         numer = np.zeros(xs.shape)
         denom = np.zeros(xs.shape)
+        # One buffer for the squared differences and the numerator terms of
+        # every offset; prefixes of it are C-ordered, as _box_sum needs.
+        scratch = np.empty(padded.size)
+        # Weights of offsets d that come before -d in the loop, kept for
+        # their mirror while they fit in the byte budget.
+        kept: dict[tuple[int, int], np.ndarray] = {}
+        budget = _MIRROR_BYTES
         for dy in range(-s, s + 1):
             r_lo, r_hi = max(0, -dy), min(h, h - dy)
             if r_lo >= r_hi:
@@ -303,17 +335,25 @@ class NlmDenoiser(_StackKernelDenoiser):
                 c_lo, c_hi = max(0, -dx), min(w, w - dx)
                 if c_lo >= c_hi:
                     continue
-                # Padded pixels under the patches centred at rows r_lo:r_hi
-                # and columns c_lo:c_hi, and under their shifted partners.
-                here = padded[:, r_lo : r_hi + 2 * p, c_lo : c_hi + 2 * p]
-                there = padded[:, r_lo + dy : r_hi + dy + 2 * p,
-                               c_lo + dx : c_hi + dx + 2 * p]
-                sq = np.subtract(here, there)
-                dist = _box_sum(np.square(sq, out=sq), k)
-                # exp(-dist / h^2); IEEE division is sign-symmetric.
-                weight = np.exp(np.divide(dist, -h2, out=dist), out=dist)
+                weight = kept.pop((dy, dx), None)
+                if weight is None:
+                    # Padded pixels under the patches centred at rows
+                    # r_lo:r_hi and columns c_lo:c_hi, and under their
+                    # shifted partners.
+                    here = padded[:, r_lo : r_hi + 2 * p, c_lo : c_hi + 2 * p]
+                    there = padded[:, r_lo + dy : r_hi + dy + 2 * p,
+                                   c_lo + dx : c_hi + dx + 2 * p]
+                    sq = scratch[: here.size].reshape(here.shape)
+                    np.subtract(here, there, out=sq)
+                    dist = _box_sum(np.square(sq, out=sq), k)
+                    # exp(-dist / h^2); IEEE division is sign-symmetric.
+                    weight = np.exp(np.divide(dist, -h2, out=dist), out=dist)
+                    if (dy, dx) < (0, 0) and weight.nbytes <= budget:
+                        kept[(-dy, -dx)] = weight
+                        budget -= weight.nbytes
                 vals = xs[:, r_lo + dy : r_hi + dy, c_lo + dx : c_hi + dx]
-                numer[:, r_lo:r_hi, c_lo:c_hi] += weight * vals
+                terms = scratch[: weight.size].reshape(weight.shape)
+                numer[:, r_lo:r_hi, c_lo:c_hi] += np.multiply(weight, vals, out=terms)
                 denom[:, r_lo:r_hi, c_lo:c_hi] += weight
         return numer / denom
 

@@ -15,6 +15,7 @@ from redlab import (
     Image,
     LinearSymmetricDenoiser,
     MedianFilterDenoiser,
+    NonConvergenceError,
     RedProblem,
     TdtDenoiser,
     awgn,
@@ -569,6 +570,34 @@ class TestEquilibriumCheck:
         assert float(values["consensus_residual_g"]) <= 1e-8
         assert float(values["denoising_mirror_gap"]) <= 1e-8
 
+    def test_non_convergence_exits_three_without_outputs(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """A seed-0 16x16 median run converges, so the failure is injected."""
+        def fail(f, y):
+            raise NonConvergenceError(residual=1.0, maxiter=10)
+
+        monkeypatch.setattr("redlab.cli.denoising_equilibria", fail)
+        out_dir = tmp_path / "eq"
+        config = write_config(tmp_path, f"""\
+            [experiment]
+            name = equilibrium-check
+            seed = 0
+            output = {out_dir}
+
+            [problem]
+            size = 16
+
+            [denoiser]
+            kind = median
+
+            [solver]
+            iterations = 20
+        """)
+        assert main(["run", config]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: fixed-point residual 1.000e+00 after 10 iterations\n")
+        assert not out_dir.exists()
+
 
 class TestCostSlice:
     def test_grid_csv_around_a_fixed_point(self, tmp_path):
@@ -681,6 +710,12 @@ INVALID_CONFIGS = [
      "section [slice] is not used by experiment 'tweedie-check'"),
     ("tdt-on-12x12-pgm", "trajectory", "[problem]\nimage = small.pgm\n",
      "denoiser 'tdt' needs power-of-two image sides, got (12, 12)"),
+    ("image-with-size", "trajectory",
+     "[problem]\nimage = small.pgm\nsize = 16\n[denoiser]\nkind = median\n",
+     "[problem] size: not allowed with image"),
+    ("image-with-scene", "equilibrium-check",
+     "[problem]\nimage = small.pgm\nscene = 0\n[denoiser]\nkind = median\n",
+     "[problem] scene: not allowed with image"),
     ("nlm-nan-variance", "jacobian-report",
      "denoisers = nlm\n[nlm]\nkind = nlm\nnoise_variance = nan\n",
      "[nlm] noise_variance: must be finite, got nan"),

@@ -22,6 +22,7 @@ from redlab import (
     TdtDenoiser,
     nonexpansiveness_probe,
 )
+from redlab import denoisers
 from redlab.denoisers import _box_sum, haar_forward, haar_inverse
 
 
@@ -146,6 +147,39 @@ class TestMedianFilterDenoiser:
             MedianFilterDenoiser(5).apply(Image(np.zeros((3, 3))))
         with pytest.raises(ShapeError, match=message):
             MedianFilterDenoiser(5).apply_stack(np.zeros((2, 3, 3)))
+
+
+def reference_median(xs, window):
+    """np.median over each edge-padded window: the kernel before partition."""
+    r = window // 2
+    padded = np.pad(xs, ((0, 0), (r, r), (r, r)), mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (window, window),
+                                                       axis=(1, 2))
+    return np.median(windows, axis=(3, 4))
+
+
+MEDIAN_INPUTS = {
+    "uniform": lambda rng, shape: rng.uniform(0.0, 255.0, shape),
+    "ties": lambda rng, shape: rng.integers(0, 3, shape).astype(np.float64),
+    "signed-zeros": lambda rng, shape: rng.choice([-0.0, 0.0, -1.0, 1.0], shape),
+}
+
+
+class TestMedianSelection:
+    """The one-partition selection is bitwise np.median on finite input."""
+
+    @pytest.mark.parametrize("inputs", list(MEDIAN_INPUTS))
+    @pytest.mark.parametrize("batch", [1, 32])
+    @pytest.mark.parametrize("window, shape", [
+        (1, (9, 14)), (3, (9, 14)), (5, (9, 14)), (7, (9, 14)),
+        (5, (5, 8)), (7, (12, 7)), (3, (3, 3)),
+    ])
+    def test_bitwise_the_np_median_reference(self, window, shape, batch, inputs):
+        xs = MEDIAN_INPUTS[inputs](np.random.default_rng(46), (batch,) + shape)
+        f = MedianFilterDenoiser(window)
+        expected = reference_median(xs, window)
+        assert f.apply_stack(xs).tobytes() == expected.tobytes()
+        assert f.apply(Image(xs[0])).pixels.tobytes() == expected[0].tobytes()
 
 
 class TestNlmDenoiser:
@@ -387,6 +421,46 @@ class TestNlmBoxSum:
             expected = reference_nlm(x, patch_radius, search_radius, f.bandwidth)
             assert np.array_equal(row, expected)
 
+    @pytest.mark.parametrize("batch, shape, patch_radius, search_radius", [
+        (32, (16, 16), 1, 5),
+        (3, (12, 20), 5, 3),
+        (2, (16, 16), 5, 5),
+        (3, (1, 23), 1, 5),
+        (3, (19, 1), 2, 5),
+    ], ids=["probes", "p5-12x20", "p5-16x16", "1xw", "hx1"])
+    def test_mirrored_weights_are_bitwise_the_reference(self, batch, shape,
+                                                        patch_radius, search_radius):
+        xs = np.random.default_rng(47).uniform(0.0, 255.0, size=(batch,) + shape)
+        f = NlmDenoiser(patch_radius, search_radius, noise_variance=625.0)
+        out = f.apply_stack(xs)
+        for x, row in zip(xs, out):
+            expected = reference_nlm(x, patch_radius, search_radius, f.bandwidth)
+            assert row.tobytes() == expected.tobytes()
+            assert f.apply(Image(x)).pixels.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("budget, computed", [
+        (4 << 20, 61), (8 * 16 * 16 * 20, None), (0, 121),
+    ], ids=["all-kept", "budget-runs-out", "none-kept"])
+    def test_mirrors_past_the_budget_recompute_the_same_bits(self, monkeypatch,
+                                                             budget, computed):
+        """Of 121 offsets (search radius 5 on 16x16), 60 pairs can share."""
+        calls = []
+
+        def counted_box_sum(sq, k):
+            calls.append(sq.shape)
+            return _box_sum(sq, k)
+
+        monkeypatch.setattr(denoisers, "_MIRROR_BYTES", budget)
+        monkeypatch.setattr(denoisers, "_box_sum", counted_box_sum)
+        x = np.random.default_rng(48).uniform(0.0, 255.0, size=(16, 16))
+        f = NlmDenoiser(1, 5, noise_variance=625.0)
+        out = f.apply(Image(x)).pixels
+        assert out.tobytes() == reference_nlm(x, 1, 5, f.bandwidth).tobytes()
+        if computed is None:
+            assert 61 < len(calls) < 121
+        else:
+            assert len(calls) == computed
+
 
 # Output extents (rows, cols) of the box sum: general, one row, one
 # column, a single window.
@@ -441,6 +515,19 @@ class TestApplyStack:
     def test_rejects_a_single_image(self):
         with pytest.raises(ShapeError, match="expected a"):
             NlmDenoiser(1, 2, noise_variance=1.0).apply_stack(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda: TdtDenoiser(25.0), lambda: MedianFilterDenoiser(3),
+        lambda: NlmDenoiser(1, 5, noise_variance=625.0),
+    ], ids=["tdt", "median", "nlm"])
+    def test_rejects_non_finite_stacks_as_image_does(self, build, value):
+        xs = np.random.default_rng(49).uniform(0.0, 255.0, size=(3, 8, 8))
+        xs[1, 2, 5] = value
+        with pytest.raises(DomainError, match="image pixels must be finite"):
+            Image(xs[1])
+        with pytest.raises(DomainError, match="image pixels must be finite"):
+            build().apply_stack(xs)
 
 
 def reference_probe(f, trials, seed, shape):

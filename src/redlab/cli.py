@@ -68,7 +68,7 @@ from .errors import (
     RedlabError,
 )
 from .image import Image, awgn, extract_center_patch, load_pgm
-from .losses import QuadraticLoss, make_uniform_blur
+from .losses import make_uniform_blur
 # operator_matrix is not called here; bench/traced.py wraps it on this module.
 from .operators import IdentityOperator, operator_matrix  # noqa: F401
 from .scenes import diagnostic_patches, solver_scene
@@ -743,8 +743,7 @@ def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
         f = problem.denoiser
         fx_hat = f.apply(x_hat)
         u_hat = Image((fx_hat.pixels - x_hat.pixels) / l_scale)
-        loss = QuadraticLoss(problem.operator, problem.y, problem.noise_variance)
-        pair = red_pg_pair(loss, f, problem.weight, l_scale)
+        pair = red_pg_pair(problem.loss, f, problem.weight, l_scale)
         res_f, res_g = consensus_residual(pair, x_hat, u_hat)
 
         y2 = awgn(truth, denoising_variance, seed=seed + 1)

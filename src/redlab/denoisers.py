@@ -127,7 +127,7 @@ def haar_forward(a: np.ndarray) -> np.ndarray:
     energy is preserved exactly.
     """
     h, w = _check_haar_shape(a)
-    out = a.astype(np.float64).copy()
+    out = np.array(a, dtype=np.float64)
     while h > 1 or w > 1:
         block = out[..., :h, :w]
         if w > 1:
@@ -148,7 +148,7 @@ def haar_forward(a: np.ndarray) -> np.ndarray:
 def haar_inverse(c: np.ndarray) -> np.ndarray:
     """Inverse of haar_forward, also over the last two axes."""
     h, w = _check_haar_shape(c)
-    out = c.astype(np.float64).copy()
+    out = np.array(c, dtype=np.float64)
     # Replay the forward level sizes in reverse order.
     sizes = []
     th, tw = h, w
@@ -443,15 +443,17 @@ class GmmMmseDenoiser(Denoiser):
         self.centers = centers
         self.noise_variance = _positive("noise variance", noise_variance)
 
-    def posterior_mean(self, r: np.ndarray) -> np.ndarray:
+    def log_kernels(self, r: np.ndarray) -> np.ndarray:
+        """-||r - c_t||^2 / (2 nu) for each center c_t, r a flat vector."""
         r = np.asarray(r, dtype=np.float64).reshape(-1)
         if r.size != self.centers.shape[1]:
             raise ShapeError(
                 f"input dimension {r.size} != center dimension {self.centers.shape[1]}"
             )
-        log_w = -np.sum((r[None, :] - self.centers) ** 2, axis=1) / (
-            2.0 * self.noise_variance
-        )
+        return -np.sum((r[None, :] - self.centers) ** 2, axis=1) / (2.0 * self.noise_variance)
+
+    def posterior_mean(self, r: np.ndarray) -> np.ndarray:
+        log_w = self.log_kernels(r)
         log_w -= log_w.max()
         weights = np.exp(log_w)
         weights /= weights.sum()

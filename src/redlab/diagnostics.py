@@ -14,22 +14,25 @@ Three candidate gradient expressions for rho are provided:
   valid whenever f is differentiable at x.
 
 The error metrics quantify how far a given denoiser is from satisfying
-each expression.  The first-order probes of J and of the gradient of rho
-share one loop, `central_differences`, which evaluates the perturbed
-images in chunks, each chunk as one stack through Denoiser.apply_stack;
-numerical_jacobian takes both from the same 2 N denoised images.
+each expression.  All probes share one perturbation loop,
+`central_differences`, which evaluates the perturbed images in chunks,
+each chunk as one stack through Denoiser.apply_stack; numerical_jacobian
+takes J and grad rho from the same 2 N denoised images, and the Hessian
+differences grad rho once more.  The cost and residual take their data
+terms from the problem's own QuadraticLoss.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .denoisers import Denoiser
 from .errors import ConfigError, DegenerateInputError, DomainError, ShapeError
 from .image import Image
+from .losses import QuadraticLoss
 from .operators import LinearOperator
 
 __all__ = [
@@ -212,40 +215,16 @@ def lh_error_2(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON,
 
 
 def hessian_rho_red(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Central-difference Hessian of rho_red at x.
+    """(H + H^T) / 2, H the central differences of numerical_gradient_rho.
 
-    Off-diagonal entries use the standard four-point stencil; the result
-    is symmetrized by construction (entry (i, j) is computed once for
-    i <= j and mirrored).  Cost is O(N^2) regularizer evaluations, so this
-    is intended for small probe images.
+    Off the diagonal this is the four-point stencil of rho_red, on it a
+    second difference of step 2 eps.  Costs 4 N^2 denoised images, so it
+    is meant for small probe images.
     """
-    _check_epsilon(eps)
-    n = x.size
-    hess = np.empty((n, n))
-    base = x.pixels.copy()
-    flat = base.reshape(-1)
-
-    def rho_shifted(i: int, di: float, j: int, dj: float) -> float:
-        orig_i, orig_j = flat[i], flat[j]
-        flat[i] = orig_i + di
-        flat[j] = flat[j] + dj
-        val = rho_red(f, Image(base))
-        flat[i], flat[j] = orig_i, orig_j
-        return val
-
-    center = rho_red(f, Image(base))
-    for i in range(n):
-        plus = rho_shifted(i, eps, i, 0.0)
-        minus = rho_shifted(i, -eps, i, 0.0)
-        hess[i, i] = (plus - 2.0 * center + minus) / eps**2
-        for j in range(i + 1, n):
-            pp = rho_shifted(i, eps, j, eps)
-            pm = rho_shifted(i, eps, j, -eps)
-            mp = rho_shifted(i, -eps, j, eps)
-            mm = rho_shifted(i, -eps, j, -eps)
-            hess[i, j] = (pp - pm - mp + mm) / (4.0 * eps**2)
-            hess[j, i] = hess[i, j]
-    return hess
+    rows = central_differences(
+        lambda stack: np.stack([numerical_gradient_rho(f, Image(s), eps) for s in stack]),
+        x.pixels, eps)
+    return (rows + rows.T) / 2.0
 
 
 def analytic_hessian_linear(w: np.ndarray) -> np.ndarray:
@@ -256,42 +235,40 @@ def analytic_hessian_linear(w: np.ndarray) -> np.ndarray:
     return np.eye(w.shape[0]) - 0.5 * w - 0.5 * w.T
 
 
-@dataclass
+@dataclass(frozen=True)
 class RedProblem:
-    """Composite recovery problem: quadratic fidelity plus lambda * rho_red."""
+    """Composite recovery problem: quadratic fidelity plus lambda * rho_red.
+
+    Frozen: `loss`, built once from operator, y and noise_variance, holds y.
+    """
 
     operator: LinearOperator
     y: Image
     noise_variance: float
     weight: float
     denoiser: Denoiser
+    loss: QuadraticLoss = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.noise_variance <= 0:
-            raise ConfigError(
-                f"noise variance must be > 0, got {self.noise_variance}"
-            )
+        loss = QuadraticLoss(self.operator, self.y, self.noise_variance)
+        object.__setattr__(self, "loss", loss)
         if self.weight <= 0:
             raise ConfigError(f"regularization weight must be > 0, got {self.weight}")
 
 
 def fp_residual(p: RedProblem, x: Image, fx: Image | None = None, *,
-                data_residual: np.ndarray | None = None,
                 data_gradient: np.ndarray | None = None) -> np.ndarray:
     """First-order residual A^T (A x - y) / sigma^2 + lambda (x - f(x)).
 
     Zero exactly at fixed points of the iterative solvers.  `fx` may carry
-    a precomputed f(x) to avoid a second denoiser application,
-    `data_residual` the pixel array A x - y to avoid applying A again, and
-    `data_gradient` the pixel array A^T (A x - y) / sigma^2 to avoid both
-    operator applications (`data_residual` is then unused).
+    a precomputed f(x) to avoid a second denoiser application, and
+    `data_gradient` the pixel array A^T (A x - y) / sigma^2; otherwise it
+    comes from p.loss.data_terms(x).
     """
     if fx is None:
         fx = p.denoiser.apply(x)
     if data_gradient is None:
-        if data_residual is None:
-            data_residual = p.operator.apply(x).pixels - p.y.pixels
-        data_gradient = p.operator.adjoint(Image(data_residual)).pixels / p.noise_variance
+        data_gradient = p.loss.data_terms(x)[1]
     return data_gradient.reshape(-1) + p.weight * (x.flat - fx.flat)
 
 
@@ -305,7 +282,7 @@ def cost_red(p: RedProblem, x: Image, fx: Image | None = None, *,
     if fx is None:
         fx = p.denoiser.apply(x)
     if data_residual is None:
-        data_residual = p.operator.apply(x).pixels - p.y.pixels
+        data_residual = p.loss.data_terms(x)[0]
     fidelity = float(np.sum(data_residual**2)) / (2.0 * p.noise_variance)
     return fidelity + p.weight * 0.5 * float(x.flat @ (x.flat - fx.flat))
 
@@ -343,8 +320,8 @@ def cost_slice(p: RedProblem, center: Image, e1: np.ndarray, e2: np.ndarray,
         for beta in np.asarray(betas, dtype=np.float64):
             point = Image.from_flat(center.flat + alpha * e1 + beta * e2, h, w)
             fx = p.denoiser.apply(point)
-            data_residual = p.operator.apply(point).pixels - p.y.pixels
-            g = fp_residual(p, point, fx, data_residual=data_residual)
+            data_residual, data_gradient = p.loss.data_terms(point)
+            g = fp_residual(p, point, fx, data_gradient=data_gradient)
             samples.append(
                 SliceSample(
                     alpha=float(alpha),

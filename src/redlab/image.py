@@ -173,8 +173,8 @@ def load_pgm(path: str) -> Image:
     """Load a binary (P5) or ASCII (P2) PGM file with maxval <= 255.
 
     A single comment line immediately after the magic number is tolerated.
-    Malformed files raise PgmParseError naming the byte offset; maxval
-    above 255 raises UnsupportedFormatError.
+    Malformed files, samples above maxval included, raise PgmParseError
+    naming the byte offset; maxval above 255 raises UnsupportedFormatError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -208,6 +208,10 @@ def load_pgm(path: str) -> Image:
                 sc.pos + len(raster),
             )
         values = np.frombuffer(raster, dtype=np.uint8, count=count).astype(np.float64)
+        above = np.flatnonzero(values > maxval)
+        if above.size:
+            at = int(above[0])
+            raise PgmParseError(f"pixel value {values[at]:g} outside [0, {maxval}]", sc.pos + at)
     else:
         values = np.empty(count, dtype=np.float64)
         for i in range(count):

@@ -15,13 +15,14 @@ and what the tests verify by finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .denoisers import Denoiser, GmmMmseDenoiser
 from .errors import ConfigError, ShapeError
 from .image import Image
+from .losses import QuadraticLoss
 from .operators import LinearOperator
 
 __all__ = [
@@ -35,18 +36,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KdePrior:
-    """Equal-weight isotropic Gaussian mixture over flat vectors."""
+    """Equal-weight isotropic Gaussian mixture; its matched denoiser is built once."""
 
     centers: np.ndarray
     bandwidth: float
+    _denoiser: GmmMmseDenoiser = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
-        if centers.shape[0] < 1:
-            raise ConfigError("at least one center is required")
-        if self.bandwidth <= 0:
-            raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth}")
-        object.__setattr__(self, "centers", centers)
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ConfigError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        denoiser = GmmMmseDenoiser(self.centers, self.bandwidth)
+        object.__setattr__(self, "centers", denoiser.centers)
+        object.__setattr__(self, "_denoiser", denoiser)
 
     @property
     def dimension(self) -> int:
@@ -58,15 +59,14 @@ class KdePrior:
 
     def denoiser(self) -> GmmMmseDenoiser:
         """Posterior-mean denoiser matched to this prior."""
-        return GmmMmseDenoiser(self.centers, self.bandwidth)
+        return self._denoiser
 
     def log_density(self, r: np.ndarray) -> float:
         """ln p(r) evaluated with max-subtracted exponentials."""
-        r = _flat(r, self.dimension)
-        nu = self.bandwidth
-        log_kernels = -np.sum((r[None, :] - self.centers) ** 2, axis=1) / (2.0 * nu)
+        log_kernels = self._denoiser.log_kernels(_flat(r, self.dimension))
         peak = log_kernels.max()
         lse = peak + math.log(np.exp(log_kernels - peak).sum())
+        nu = self.bandwidth
         return float(
             lse - math.log(self.count) - 0.5 * self.dimension * math.log(2.0 * math.pi * nu)
         )
@@ -119,7 +119,8 @@ def score_match_identity(f: Denoiser, prior: KdePrior, x: Image) -> tuple[float,
     mmse = prior.denoiser().posterior_mean(x.flat)
     lhs = float(np.sum((fx - mmse) ** 2))
     psi = (fx - x.flat) / nu
-    rhs = nu**2 * float(np.sum((psi - score(prior, x.flat)) ** 2))
+    # score(prior, x) is (E[x|.] - x) / nu, formed from the mean above.
+    rhs = nu**2 * float(np.sum((psi - (mmse - x.flat) / nu) ** 2))
     return lhs, rhs
 
 
@@ -131,7 +132,5 @@ def kde_map_residual(prior: KdePrior, operator: LinearOperator, y: Image,
     the solvers' fixed-point residual at weight lambda = 1 / nu and the
     mixture-matched posterior-mean denoiser.
     """
-    if noise_variance <= 0:
-        raise ConfigError(f"noise variance must be > 0, got {noise_variance}")
-    data = operator.adjoint(Image(operator.apply(x).pixels - y.pixels)).flat
-    return data / noise_variance - score(prior, x.flat)
+    data = QuadraticLoss(operator, y, noise_variance).gradient(x).flat
+    return data - score(prior, x.flat)

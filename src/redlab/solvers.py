@@ -15,9 +15,10 @@ tolerance is configured; a divergence guard aborts when ||x_k|| passes
 1e4 max(||x_0||, ||y||), a bound that follows the problem's size and
 intensity scale.  Each iterate is logged to a Trajectory whose CSV form
 is byte-stable for fixed inputs (wall-clock timing is off by default for
-that reason).  The log takes A x - y and A^T (A x - y) / sigma^2 from
-QuadraticLoss.data_terms, which reuses the spectrum of the last circular
-prox output instead of applying A and A^T again.
+that reason).  Every solver proxes through the problem's own loss,
+RedProblem.loss, and the log takes A x - y and A^T (A x - y) / sigma^2
+from its data_terms, which reuses the spectrum of the last circular prox
+output instead of applying A and A^T again.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .denoisers import Denoiser
 from .diagnostics import _STACK_BYTES, RedProblem, cost_red, fp_residual
 from .errors import ConfigError, DivergenceError, DomainError
 from .image import Image, psnr
-from .losses import QuadraticLoss
 
 __all__ = [
     "SOLVERS",
@@ -144,12 +144,11 @@ class Trajectory:
 
 
 class _Run:
-    """Shared solver plumbing: loss, instrumentation, guards, stopping."""
+    """Shared solver plumbing: instrumentation, guards, stopping."""
 
     def __init__(self, p: RedProblem, cfg: SolverConfig, x0: Image | None,
                  truth: Image | None, observer: Observer | None):
         self.p, self.cfg, self.truth, self.observer = p, cfg, truth, observer
-        self.loss = QuadraticLoss(p.operator, p.y, p.noise_variance)
         self.trajectory = Trajectory()
         self.start = time.perf_counter()
         self.x0 = default_initialization(p) if x0 is None else x0
@@ -165,7 +164,7 @@ class _Run:
         if norm > self.guard:
             raise DivergenceError(k, norm, self.guard)
         n = x.size
-        data_residual, data_gradient = self.loss.data_terms(x)
+        data_residual, data_gradient = self.p.loss.data_terms(x)
         g = self.residual = fp_residual(self.p, x, fx, data_gradient=data_gradient)
         residual = float(g @ g) / n
         delta = x.flat - x_prev.flat
@@ -244,7 +243,7 @@ def _proximal_gradient(p: RedProblem, cfg: SolverConfig, x0: Image | None,
     t_prev = 1.0
     h, w = x.pixels.shape
     for k in range(1, cfg.iterations + 1):
-        x_prev, x = x, run.loss.prox(v, p.weight * l_scale)
+        x_prev, x = x, p.loss.prox(v, p.weight * l_scale)
         l_scale = schedule(k)
         if momentum:
             t_k = (1.0 + math.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
@@ -320,7 +319,7 @@ def _admm(p: RedProblem, cfg: SolverConfig, x0: Image | None, truth: Image | Non
     u = Image(np.zeros_like(x.pixels))
     h, w = x.pixels.shape
     for k in range(1, cfg.iterations + 1):
-        x_prev, x = x, run.loss.prox(Image(v.pixels - u.pixels), beta)
+        x_prev, x = x, p.loss.prox(Image(v.pixels - u.pixels), beta)
         anchor = x.flat + u.flat
         for _ in range(inner):
             v = Image.from_flat(c_f * p.denoiser.apply(v).flat + c_x * anchor, h, w)

@@ -230,6 +230,34 @@ def test_traced_run_finds_every_name_it_wraps(tmp_path):
     assert spans.stat().st_size > 0
 
 
+@pytest.fixture
+def bench_modules(monkeypatch):
+    """bench/run.py and bench/check.py, imported as the benchmark does."""
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import check
+    import run
+    return run, check
+
+
+@pytest.mark.parametrize("workload", ["deblur", "trajectory", "probes"])
+def test_benchmark_workload_matches_its_reference(tmp_path, monkeypatch,
+                                                  bench_modules, workload):
+    """Each benchmark workload at the reference seed reproduces the recorded
+    reference cells, and probes keeps the paper's gradient findings, so a
+    change that breaks the reference fails here before the benchmark runs."""
+    run, check = bench_modules
+    experiment, template = run.WORKLOADS[workload]
+    config = write_config(tmp_path, template.format(seed=run.REFERENCE_SEED))
+    out_dir = tmp_path / "out"
+    monkeypatch.setenv("REDLAB_OUT", str(out_dir))
+    assert main(["run", config]) == 0
+    refs = check.reference_files(workload)
+    assert refs
+    assert check.check_outputs(out_dir, experiment, refs, cells=True) == []
+    if workload == "probes":
+        assert check.check_probe_properties(out_dir) == []
+
+
 class TestJacobianReport:
     def run_report(self, tmp_path, out_name):
         out_dir = tmp_path / out_name
@@ -469,6 +497,32 @@ class TestDeblur:
         fp_rows = read_csv(out_dir / "deblur_linear_fp.csv")
         assert float(fp_rows[-1][6]) < float(fp_rows[1][6])
         assert float(fp_rows[-1][6]) < 1e-6
+
+    def test_l_apg_moves_only_the_apg_log(self, tmp_path):
+        """[solver] l_apg sets L for apg alone; the other six logs stay
+        byte-identical to the default run's."""
+        logs = {}
+        for label, extra in (("default", ""), ("l_apg", "l_apg = 1.1")):
+            config = write_config(tmp_path, f"""\
+                [experiment]
+                name = deblur
+                seed = 4
+                output = {tmp_path / label}
+
+                [problem]
+                size = 16
+
+                [solver]
+                iterations = 20
+                {extra}
+            """, name=f"{label}.ini")
+            assert main(["run", config]) == 0
+            logs[label] = {
+                name: (tmp_path / label / f"deblur_linear_{name}.csv").read_bytes()
+                for name in ["sd", "admm", "admm_i1", "fp", "pg", "dpg", "apg"]
+            }
+        for name, data in logs["default"].items():
+            assert (logs["l_apg"][name] == data) == (name != "apg"), name
 
     def test_identity_blur_run(self, tmp_path):
         """blur = 1 takes the identity operator through the Fourier oracle."""

@@ -1,5 +1,7 @@
 """Jacobian, gradient-expression, and objective probes on known maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -300,7 +302,40 @@ class TestLocalHomogeneityErrors:
             lh_error_2(f, probe_image), rel=1e-12)
 
 
+def reference_hessian(f, x, eps):
+    """The former per-entry loop over rho_red: the four-point stencil off the
+    diagonal, a second difference of step eps on it."""
+    base = x.pixels.reshape(-1)
+
+    def rho_at(*steps):
+        z = base.copy()
+        for i, d in steps:
+            z[i] += d
+        return rho_red(f, Image(z.reshape(x.pixels.shape)))
+
+    n = base.size
+    hess = np.empty((n, n))
+    for i in range(n):
+        hess[i, i] = (rho_at((i, eps)) - 2.0 * rho_at() + rho_at((i, -eps))) / eps**2
+        for j in range(i + 1, n):
+            hess[i, j] = hess[j, i] = (
+                rho_at((i, eps), (j, eps)) - rho_at((i, eps), (j, -eps))
+                - rho_at((i, -eps), (j, eps)) + rho_at((i, -eps), (j, -eps))
+            ) / (4.0 * eps**2)
+    return hess
+
+
 class TestHessian:
+    def test_matches_the_per_entry_stencil_to_truncation_error(self):
+        """Off the diagonal both evaluate the same stencil in another order;
+        on it the step grows from eps to 2 eps, which moves a smooth map's
+        entries by O(eps^2) = 1e-6 at eps = 1e-3, times the map's curvature."""
+        centers = np.array([[1.0, -0.5, 0.3, 2.0], [-1.2, 0.1, 0.8, -0.4]])
+        f = GmmMmseDenoiser(centers=centers, noise_variance=1.5)
+        x = Image(np.array([[0.2, -0.3], [0.5, 0.4]]))
+        np.testing.assert_allclose(hessian_rho_red(f, x, eps=1e-3),
+                                   reference_hessian(f, x, eps=1e-3), rtol=0, atol=1e-5)
+
     def test_matches_analytic_form_for_linear_map(self):
         """rho is quadratic for a linear denoiser, so the four-point stencil
         reproduces I - (W + W^T)/2 to rounding."""
@@ -319,6 +354,21 @@ class TestHessian:
         eigs = np.linalg.eigvalsh((h + h.T) / 2.0)
         np.testing.assert_allclose(eigs, [-3.0, 1.0], atol=1e-5)
 
+    def test_is_the_symmetrized_difference_of_the_gradient_probe(self):
+        """Row i of H is central_differences of numerical_gradient_rho along
+        pixel i, and the result is exactly (H + H^T) / 2; the median's
+        Jacobian is not symmetric, so H itself is not."""
+        f = MedianFilterDenoiser(3)
+        x = Image(np.random.default_rng(8).uniform(0.0, 255.0, size=(3, 4)))
+        eps = 0.01
+        h = central_differences(
+            lambda stack: np.stack([numerical_gradient_rho(f, Image(s), eps)
+                                    for s in stack]),
+            x.pixels, eps)
+        hess = hessian_rho_red(f, x, eps)
+        np.testing.assert_array_equal(hess, (h + h.T) / 2.0)
+        np.testing.assert_array_equal(hess, hess.T)
+
 
 class TestRedProblem:
     def test_parameter_validation(self, linear_den):
@@ -329,6 +379,24 @@ class TestRedProblem:
         with pytest.raises(ConfigError):
             RedProblem(operator=IdentityOperator(), y=y, noise_variance=2.0,
                        weight=-1.0, denoiser=linear_den)
+        with pytest.raises(ConfigError, match="noise variance"):
+            RedProblem(operator=IdentityOperator(), y=y, noise_variance=0.0,
+                       weight=-1.0, denoiser=linear_den)
+
+    def test_is_frozen_with_its_loss_built_once(self, linear_den):
+        y = Image(np.zeros((4, 4)))
+        p = RedProblem(operator=IdentityOperator(), y=y, noise_variance=2.0,
+                       weight=0.02, denoiser=linear_den)
+        assert (p.loss.operator, p.loss.y, p.loss.noise_variance) == (
+            p.operator, p.y, p.noise_variance)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.y = Image(np.ones((4, 4)))
+
+    def test_kernel_larger_than_the_data_fails_at_construction(self, linear_den):
+        with pytest.raises(ShapeError):
+            RedProblem(operator=CircularConvolution(np.ones((5, 5)) / 25.0),
+                       y=Image(np.zeros((4, 4))), noise_variance=2.0, weight=0.02,
+                       denoiser=linear_den)
 
     def test_identity_problem_hand_values(self, identity_denoiser):
         """With A = I and f = identity the objective is pure fidelity."""

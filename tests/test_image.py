@@ -175,6 +175,22 @@ class TestPgm:
         with pytest.raises(PgmParseError):
             load_pgm(str(path))
 
+    def test_binary_sample_above_maxval_names_its_offset(self, tmp_path):
+        """A binary sample above maxval used to load as its byte value; it
+        now fails as an ASCII one does, at the first such byte."""
+        path = tmp_path / "over.pgm"
+        header = b"P5\n4 1\n100\n"
+        path.write_bytes(header + bytes([7, 101, 200, 3]))
+        with pytest.raises(PgmParseError) as err:
+            load_pgm(str(path))
+        assert err.value.offset == len(header) + 1
+        assert "pixel value 101 outside [0, 100]" in str(err.value)
+
+    def test_binary_samples_up_to_a_small_maxval_load(self, tmp_path):
+        path = tmp_path / "small.pgm"
+        path.write_bytes(b"P5\n3 1\n100\n" + bytes([0, 42, 100]))
+        np.testing.assert_array_equal(load_pgm(str(path)).pixels, [[0.0, 42.0, 100.0]])
+
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2,

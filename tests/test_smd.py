@@ -83,6 +83,36 @@ class TestKdePrior:
         with pytest.raises(ConfigError):
             KdePrior(centers=np.zeros((2, 2)), bandwidth=0.0)
 
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bandwidth_is_rejected(self, bandwidth):
+        """Such a prior used to be built, and log_density returned nan or -inf."""
+        with pytest.raises(ConfigError):
+            KdePrior(centers=np.zeros((2, 2)), bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_center_is_rejected(self, bad):
+        centers = np.zeros((2, 2))
+        centers[1, 0] = bad
+        with pytest.raises(ConfigError):
+            KdePrior(centers=centers, bandwidth=1.0)
+
+    def test_one_denoiser_keeps_the_former_bits(self, small_prior):
+        """log_density, score and the Tweedie gradient equal, bit for bit,
+        the expressions they had when each call built its own mixture."""
+        prior = small_prior
+        assert prior.denoiser() is prior.denoiser()
+        r = np.array([0.37, -1.9])
+        nu, centers = prior.bandwidth, prior.centers
+        log_kernels = -np.sum((r[None, :] - centers) ** 2, axis=1) / (2.0 * nu)
+        peak = log_kernels.max()
+        lse = peak + np.log(np.exp(log_kernels - peak).sum())
+        expected = float(lse - np.log(len(centers))
+                         - 0.5 * centers.shape[1] * np.log(2.0 * np.pi * nu))
+        assert prior.log_density(r) == expected
+        mean = GmmMmseDenoiser(centers, nu).posterior_mean(r)
+        np.testing.assert_array_equal(score(prior, r), (mean - r) / nu)
+        np.testing.assert_array_equal(TweedieRegularizer(prior).gradient(r), r - mean)
+
 
 class TestTweedieRegularizer:
     def test_gradient_is_the_denoising_residual(self, small_prior):

@@ -14,6 +14,7 @@ from redlab import (
     RedProblem,
     SOLVERS,
     SolverConfig,
+    TdtDenoiser,
     Trajectory,
     TrajectoryRecord,
     awgn,
@@ -32,7 +33,6 @@ from redlab import (
     red_sd,
     solver_scene,
 )
-from redlab import solvers as solvers_module
 
 
 def iterates_of(solver, problem, cfg, **kwargs):
@@ -373,36 +373,29 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_logged_residual_and_cost_match_the_public_functions(
             self, blur16_tdt_problem, name, monkeypatch):
-        """The log takes A x - y and A^T (A x - y) / sigma^2 from the loss's
-        data_terms and shares them between the residual and the cost; the
-        numbers are bitwise those of the public functions fed the same terms.
-        The prox-based presets form the terms from the prox spectrum, within
-        rtol 1e-9 (residual) and 1e-12 (cost) of a from-scratch evaluation;
-        sd applies A and A^T, so its log is bitwise the from-scratch one."""
+        """The log takes A x - y and A^T (A x - y) / sigma^2 from
+        p.loss.data_terms and shares them between the residual and the cost;
+        the numbers are bitwise those of the public functions fed the same
+        terms.  The prox-based presets form the terms from the prox spectrum,
+        within rtol 1e-9 (residual) and 1e-12 (cost) of a from-scratch
+        evaluation; sd applies A and A^T, so its log is bitwise the
+        from-scratch one."""
         p = blur16_tdt_problem
-        losses = []
-
-        class CapturedLoss(QuadraticLoss):
-            def __post_init__(self):
-                super().__post_init__()
-                losses.append(self)
-
         applies = []
 
         def counted_apply(self, x, _apply=CircularConvolution.apply):
             applies.append(x)
             return _apply(self, x)
 
-        monkeypatch.setattr(solvers_module, "QuadraticLoss", CapturedLoss)
         monkeypatch.setattr(CircularConvolution, "apply", counted_apply)
         fed = []
 
         def observer(k, x):
             before = len(applies)
-            r, d = losses[-1].data_terms(x)
+            r, d = p.loss.data_terms(x)
             # Only sd, which never calls the prox, applies A for its terms.
             assert (len(applies) > before) == (name == "sd")
-            g = fp_residual(p, x, data_residual=r, data_gradient=d)
+            g = fp_residual(p, x, data_gradient=d)
             fed.append((x, float(g @ g) / x.size, cost_red(p, x, data_residual=r)))
 
         _, traj = SOLVERS[name](p, SolverConfig(iterations=5, inner_iterations=2),
@@ -427,14 +420,42 @@ class TestPresets:
         x = default_initialization(p)
         fx = p.denoiser.apply(x)
         r = p.operator.apply(x).pixels - p.y.pixels
-        np.testing.assert_array_equal(fp_residual(p, x, fx, data_residual=r),
-                                      fp_residual(p, x))
         assert cost_red(p, x, fx, data_residual=r) == cost_red(p, x)
         loss = QuadraticLoss(p.operator, p.y, p.noise_variance)
         r2, d = loss.data_terms(x)
         np.testing.assert_array_equal(r2, r)
         np.testing.assert_array_equal(fp_residual(p, x, fx, data_gradient=d),
                                       fp_residual(p, x))
+
+    def test_every_solver_uses_the_problems_one_loss(self, monkeypatch):
+        """RedProblem builds one QuadraticLoss; the seven solvers prox and log
+        through it and build none of their own."""
+        built, used = [], []
+        post_init, prox, data_terms = (QuadraticLoss.__post_init__,
+                                       QuadraticLoss.prox, QuadraticLoss.data_terms)
+
+        def counted_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def seen(method):
+            def wrapper(self, *args):
+                used.append(self)
+                return method(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(QuadraticLoss, "__post_init__", counted_post_init)
+        monkeypatch.setattr(QuadraticLoss, "prox", seen(prox))
+        monkeypatch.setattr(QuadraticLoss, "data_terms", seen(data_terms))
+        truth = solver_scene(size=16, index=0)
+        op = make_uniform_blur(3)
+        p = RedProblem(operator=op, y=awgn(op.apply(truth), 2.0, seed=3),
+                       noise_variance=2.0, weight=0.02, denoiser=TdtDenoiser(1.0))
+        assert built == [p.loss]
+        for solve in SOLVERS.values():
+            solve(p, SolverConfig(iterations=3, inner_iterations=2))
+        assert built == [p.loss]
+        assert used and all(loss is p.loss for loss in used)
 
 
 class TestDivergenceGuard:

@@ -626,7 +626,7 @@ def _deblur_oracle(problem: RedProblem) -> np.ndarray:
     op = problem.operator
     shape = problem.y.pixels.shape
     sigma2 = problem.noise_variance
-    h = 1.0 if isinstance(op, IdentityOperator) else op.transfer_function(shape)
+    h = op.transfer_function(shape)
     rhs = np.conj(h) * np.fft.fft2(problem.y.pixels) / sigma2
     diag = np.abs(h) ** 2 / sigma2 + problem.weight * (
         1.0 - problem.denoiser.transfer_function()

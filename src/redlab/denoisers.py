@@ -2,10 +2,10 @@
 
 Each denoiser is a deterministic map f: image -> image of the same shape.
 `apply` maps one Image; `apply_stack` maps a (B, h, w) stack, row by row
-bitwise equal to `apply`.  TdtDenoiser, MedianFilterDenoiser and
-NlmDenoiser are each one array kernel over a leading batch axis, which both
-methods run; the others loop over `apply`.  The collection spans the
-structural properties the diagnostics probe:
+bitwise equal to `apply`.  TdtDenoiser, MedianFilterDenoiser, NlmDenoiser
+and LinearSymmetricDenoiser are each one array kernel over a leading batch
+axis, which both methods run; the others loop over `apply`.  The collection
+spans the structural properties the diagnostics probe:
 
 * TdtDenoiser      - wavelet soft thresholding; symmetric Jacobian but not
                      locally homogeneous.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .image import Image
-from .operators import CircularConvolution
+from .operators import CircularConvolution, _irfft2, _rfft2
 
 __all__ = [
     "BernoulliMmseDenoiser",
@@ -82,7 +82,7 @@ class _StackKernelDenoiser(Denoiser):
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 3:
             raise ShapeError(f"expected a (B, h, w) stack, got shape {xs.shape}")
-        if not np.all(np.isfinite(xs)):
+        if not np.isfinite(xs).all():
             raise DomainError("image pixels must be finite")
         return self._kernel(xs)
 
@@ -125,30 +125,41 @@ def haar_forward(a: np.ndarray) -> np.ndarray:
     1-D transform along the other axis).  Coefficients are packed in the
     usual recursive quadrant layout; the transform is orthonormal, so
     energy is preserved exactly.
+
+    Each pass is three ufunc calls: the pair sums and the pair differences
+    go into the two halves of a scratch buffer, allocated once per call,
+    and one division by sqrt(2) writes both halves back into the block.
     """
     h, w = _check_haar_shape(a)
     out = np.array(a, dtype=np.float64)
+    scratch = np.empty(out.size)
     while h > 1 or w > 1:
         block = out[..., :h, :w]
+        t = scratch[: block.size].reshape(block.shape)
         if w > 1:
-            lo = (block[..., :, 0::2] + block[..., :, 1::2]) / _SQRT2
-            hi = (block[..., :, 0::2] - block[..., :, 1::2]) / _SQRT2
-            block[..., :, : w // 2] = lo
-            block[..., :, w // 2 : w] = hi
+            even, odd = block[..., :, 0::2], block[..., :, 1::2]
+            np.add(even, odd, out=t[..., :, : w // 2])
+            np.subtract(even, odd, out=t[..., :, w // 2 :])
+            np.divide(t, _SQRT2, out=block)
         if h > 1:
-            lo = (block[..., 0::2, :] + block[..., 1::2, :]) / _SQRT2
-            hi = (block[..., 0::2, :] - block[..., 1::2, :]) / _SQRT2
-            block[..., : h // 2, :] = lo
-            block[..., h // 2 : h, :] = hi
+            even, odd = block[..., 0::2, :], block[..., 1::2, :]
+            np.add(even, odd, out=t[..., : h // 2, :])
+            np.subtract(even, odd, out=t[..., h // 2 :, :])
+            np.divide(t, _SQRT2, out=block)
         h = max(h // 2, 1)
         w = max(w // 2, 1)
     return out
 
 
 def haar_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of haar_forward, also over the last two axes."""
+    """Inverse of haar_forward, also over the last two axes.
+
+    Each pass interleaves the sums and differences of the two halves into
+    a scratch buffer and divides it back into the block, as haar_forward.
+    """
     h, w = _check_haar_shape(c)
     out = np.array(c, dtype=np.float64)
+    scratch = np.empty(out.size)
     # Replay the forward level sizes in reverse order.
     sizes = []
     th, tw = h, w
@@ -158,25 +169,26 @@ def haar_inverse(c: np.ndarray) -> np.ndarray:
         tw = max(tw // 2, 1)
     for lh, lw in reversed(sizes):
         block = out[..., :lh, :lw]
+        t = scratch[: block.size].reshape(block.shape)
         if lh > 1:
-            lo = block[..., : lh // 2, :]
-            hi = block[..., lh // 2 : lh, :]
-            rec = np.empty(block.shape)
-            rec[..., 0::2, :] = (lo + hi) / _SQRT2
-            rec[..., 1::2, :] = (lo - hi) / _SQRT2
-            block[...] = rec
+            lo, hi = block[..., : lh // 2, :], block[..., lh // 2 :, :]
+            np.add(lo, hi, out=t[..., 0::2, :])
+            np.subtract(lo, hi, out=t[..., 1::2, :])
+            np.divide(t, _SQRT2, out=block)
         if lw > 1:
-            lo = block[..., :, : lw // 2]
-            hi = block[..., :, lw // 2 : lw]
-            rec = np.empty(block.shape)
-            rec[..., :, 0::2] = (lo + hi) / _SQRT2
-            rec[..., :, 1::2] = (lo - hi) / _SQRT2
-            block[...] = rec
+            lo, hi = block[..., :, : lw // 2], block[..., :, lw // 2 :]
+            np.add(lo, hi, out=t[..., :, 0::2])
+            np.subtract(lo, hi, out=t[..., :, 1::2])
+            np.divide(t, _SQRT2, out=block)
     return out
 
 
 def _soft_threshold(c: np.ndarray, tau: float) -> np.ndarray:
-    return np.sign(c) * np.maximum(np.abs(c) - tau, 0.0)
+    """sign(c) * max(|c| - tau, 0), with the sign array the one temporary."""
+    out = np.abs(c)
+    np.subtract(out, tau, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(np.sign(c), out, out=out)
 
 
 class TdtDenoiser(_StackKernelDenoiser):
@@ -358,7 +370,7 @@ class NlmDenoiser(_StackKernelDenoiser):
         return numer / denom
 
 
-class LinearSymmetricDenoiser(Denoiser):
+class LinearSymmetricDenoiser(_StackKernelDenoiser):
     """Periodic convolution W with an even kernel and spectral radius <= 1.
 
     W is the circulant matrix of `kernel` on images of `shape`, acting on
@@ -367,8 +379,9 @@ class LinearSymmetricDenoiser(Denoiser):
     Construction checks that the kernel is even (equal to itself reversed
     along both axes, bitwise), so W is symmetric, and that the largest
     transfer-function magnitude is at most 1 + 1e-10, so W has spectral
-    radius <= 1.  `apply` runs in the frequency domain; the dense `matrix`
-    is built only when first read, for small-image diagnostics.
+    radius <= 1.  `apply` and `apply_stack` run in the frequency domain, a
+    whole stack through one pair of half-spectrum transforms; the dense
+    `matrix` is built only when first read, for small-image diagnostics.
     """
 
     def __init__(self, kernel: np.ndarray, shape: tuple[int, int]):
@@ -401,10 +414,11 @@ class LinearSymmetricDenoiser(Denoiser):
         """Dense W, built by index arithmetic independently of `apply`."""
         return _circulant_matrix(self.kernel, self.shape)
 
-    def apply(self, x: Image) -> Image:
-        if x.pixels.shape != self.shape:
-            raise ShapeError(f"expected shape {self.shape}, got {x.pixels.shape}")
-        return self._convolution.apply(x)
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
+        if xs.shape[1:] != self.shape:
+            raise ShapeError(f"expected shape {self.shape}, got {xs.shape[1:]}")
+        tf = self._convolution.half_transfer_function(self.shape)
+        return _irfft2(_rfft2(xs) * tf, self.shape[1])
 
 
 def _circulant_matrix(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -41,7 +41,7 @@ class Image:
             raise ShapeError(f"image requires a 2-D array, got ndim={a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ShapeError(f"image dimensions must be positive, got {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise DomainError("image pixels must be finite")
         a = a.copy()
         a.flags.writeable = False
@@ -159,6 +159,7 @@ class _PgmScanner:
         return self.data[start : self.pos]
 
     def integer(self, what: str) -> int:
+        self.skip_whitespace()
         start = self.pos
         tok = self.token(what)
         try:
@@ -215,6 +216,7 @@ def load_pgm(path: str) -> Image:
     else:
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
+            sc.skip_whitespace()
             at = sc.pos
             v = sc.integer("pixel value")
             if v < 0 or v > maxval:

@@ -23,6 +23,21 @@ __all__ = [
 ]
 
 
+def _rfft2(a: np.ndarray) -> np.ndarray:
+    """np.fft.rfft2 over the last two axes, as its two 1-D passes.
+
+    numpy's rfftn runs rfft along the last axis, then fft along the one
+    before it; calling them directly skips its argument handling and gives
+    the same bits.
+    """
+    return np.fft.fft(np.fft.rfft(a, axis=-1), axis=-2)
+
+
+def _irfft2(a: np.ndarray, width: int) -> np.ndarray:
+    """np.fft.irfft2(a, s=(h, width)) over the last two axes, as its two passes."""
+    return np.fft.irfft(np.fft.ifft(a, axis=-2), n=width, axis=-1)
+
+
 class LinearOperator:
     """Base class: apply / adjoint on images, and the normal solve if any."""
 
@@ -72,6 +87,10 @@ class IdentityOperator(LinearOperator):
     def adjoint(self, y: Image) -> Image:
         return y
 
+    def transfer_function(self, shape: tuple[int, int]) -> np.ndarray:
+        """The DFT of the identity: ones on the image grid."""
+        return np.ones(shape)
+
     def normal_solver(self, y: Image, noise_variance: float) -> NormalSolver:
         return _IdentitySolver(self, y, noise_variance)
 
@@ -81,32 +100,35 @@ class _SpectralSolver(NormalSolver):
 
     Each solve keeps the half spectrum X^ of the image it returns.  The data
     terms at that very Image (an identity check; images are immutable) cost
-    two inverse transforms and no forward one; any other x falls back to
-    applying A and A^T.
+    one inverse transform of the stack [R^, conj(H) R^], with R^ = H X^ - Y^,
+    and no forward one; any other x falls back to applying A and A^T.
     """
 
     def __init__(self, operator: CircularConvolution, y: Image, noise_variance: float):
         super().__init__(operator, y, noise_variance)
         self.h = operator.half_transfer_function(y.pixels.shape)
-        self.y_hat = np.fft.rfft2(y.pixels)
-        self.rhs = np.conj(self.h) * self.y_hat / noise_variance
+        self.h_conj = np.conj(self.h)
+        self.y_hat = _rfft2(y.pixels)
+        self.rhs = self.h_conj * self.y_hat / noise_variance
         self.gain = np.abs(self.h) ** 2 / noise_variance
         self._last: tuple[Image, np.ndarray] | None = None
 
     def __call__(self, v: Image, weight: float) -> Image:
-        x_hat = (self.rhs + weight * np.fft.rfft2(v.pixels)) / (self.gain + weight)
-        x = Image(np.fft.irfft2(x_hat, s=v.pixels.shape))
+        x_hat = (self.rhs + weight * _rfft2(v.pixels)) / (self.gain + weight)
+        x = Image(_irfft2(x_hat, v.width))
         self._last = (x, x_hat)
         return x
 
     def data_terms(self, x: Image) -> tuple[np.ndarray, np.ndarray]:
         if self._last is None or x is not self._last[0]:
             return super().data_terms(x)
-        shape = x.pixels.shape
-        r_hat = self.h * self._last[1] - self.y_hat
-        residual = np.fft.irfft2(r_hat, s=shape)
-        gradient = np.fft.irfft2(np.conj(self.h) * r_hat, s=shape) / self.noise_variance
-        return residual, gradient
+        spectra = np.empty((2,) + self.h.shape, dtype=self.h.dtype)
+        r_hat, g_hat = spectra
+        np.multiply(self.h, self._last[1], out=r_hat)
+        r_hat -= self.y_hat
+        np.multiply(self.h_conj, r_hat, out=g_hat)
+        residual, gradient = _irfft2(spectra, x.width)
+        return residual, gradient / self.noise_variance
 
 
 class CircularConvolution(LinearOperator):
@@ -144,12 +166,12 @@ class CircularConvolution(LinearOperator):
         """The rfft2 of the centered kernel: columns 0..w//2 of the DFT."""
         cached = self._half_transfer.get(shape)
         if cached is None:
-            cached = self._half_transfer[shape] = np.fft.rfft2(self._centered(shape))
+            cached = self._half_transfer[shape] = _rfft2(self._centered(shape))
         return cached
 
     @staticmethod
     def _filter(x: Image, tf: np.ndarray) -> Image:
-        return Image(np.fft.irfft2(np.fft.rfft2(x.pixels) * tf, s=x.pixels.shape))
+        return Image(_irfft2(_rfft2(x.pixels) * tf, x.width))
 
     def apply(self, x: Image) -> Image:
         return self._filter(x, self.half_transfer_function(x.pixels.shape))

@@ -320,9 +320,9 @@ def _admm(p: RedProblem, cfg: SolverConfig, x0: Image | None, truth: Image | Non
     h, w = x.pixels.shape
     for k in range(1, cfg.iterations + 1):
         x_prev, x = x, p.loss.prox(Image(v.pixels - u.pixels), beta)
-        anchor = x.flat + u.flat
+        pull = c_x * (x.flat + u.flat)
         for _ in range(inner):
-            v = Image.from_flat(c_f * p.denoiser.apply(v).flat + c_x * anchor, h, w)
+            v = Image.from_flat(c_f * p.denoiser.apply(v).flat + pull, h, w)
         u = Image(u.pixels + x.pixels - v.pixels)
         if run.record(k, x, p.denoiser.apply(x), x_prev):
             break

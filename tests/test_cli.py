@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: configs, outputs, determinism, exit codes."""
 
 import csv
+import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -28,6 +30,9 @@ from redlab import (
 from redlab.cli import _DENOISER_KINDS, _deblur_oracle, main
 
 REPO = Path(__file__).resolve().parents[1]
+# SHA-256 of every output file of the benchmark configs at the reference
+# seed, with the numpy version they were recorded with.
+BENCH_DIGESTS = Path(__file__).resolve().parent / "bench_digests.json"
 
 
 @pytest.fixture(autouse=True)
@@ -244,7 +249,10 @@ def test_benchmark_workload_matches_its_reference(tmp_path, monkeypatch,
                                                   bench_modules, workload):
     """Each benchmark workload at the reference seed reproduces the recorded
     reference cells, and probes keeps the paper's gradient findings, so a
-    change that breaks the reference fails here before the benchmark runs."""
+    change that breaks the reference fails here before the benchmark runs.
+    The same run's output files must also match the SHA-256 digests in
+    BENCH_DIGESTS byte for byte; those were recorded with one numpy
+    version, and on another the digest check skips."""
     run, check = bench_modules
     experiment, template = run.WORKLOADS[workload]
     config = write_config(tmp_path, template.format(seed=run.REFERENCE_SEED))
@@ -256,6 +264,13 @@ def test_benchmark_workload_matches_its_reference(tmp_path, monkeypatch,
     assert check.check_outputs(out_dir, experiment, refs, cells=True) == []
     if workload == "probes":
         assert check.check_probe_properties(out_dir) == []
+    pinned = json.loads(BENCH_DIGESTS.read_text())
+    if pinned["numpy"] != np.__version__:
+        pytest.skip(f"output digests were recorded with numpy {pinned['numpy']}; "
+                    f"this is numpy {np.__version__}")
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out_dir.iterdir())}
+    assert digests == pinned["workloads"][workload]
 
 
 class TestJacobianReport:

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from redlab import (
     BernoulliMmseDenoiser,
+    CircularConvolution,
     ConfigError,
     Denoiser,
     DomainError,
@@ -23,7 +24,7 @@ from redlab import (
     nonexpansiveness_probe,
 )
 from redlab import denoisers
-from redlab.denoisers import _box_sum, haar_forward, haar_inverse
+from redlab.denoisers import _box_sum, _soft_threshold, haar_forward, haar_inverse
 
 
 def dyadic_arrays():
@@ -65,6 +66,111 @@ class TestHaarTransform:
     def test_round_trip_property(self, a):
         np.testing.assert_allclose(haar_inverse(haar_forward(a)), a,
                                    atol=1e-9 * (1.0 + np.max(np.abs(a))))
+
+
+_SQRT2 = np.sqrt(2.0)
+
+
+def reference_haar_forward(a):
+    """The former haar_forward: four ufunc calls and two slice assignments
+    per pass."""
+    h, w = a.shape[-2:]
+    out = np.array(a, dtype=np.float64)
+    while h > 1 or w > 1:
+        block = out[..., :h, :w]
+        if w > 1:
+            lo = (block[..., :, 0::2] + block[..., :, 1::2]) / _SQRT2
+            hi = (block[..., :, 0::2] - block[..., :, 1::2]) / _SQRT2
+            block[..., :, : w // 2] = lo
+            block[..., :, w // 2 : w] = hi
+        if h > 1:
+            lo = (block[..., 0::2, :] + block[..., 1::2, :]) / _SQRT2
+            hi = (block[..., 0::2, :] - block[..., 1::2, :]) / _SQRT2
+            block[..., : h // 2, :] = lo
+            block[..., h // 2 : h, :] = hi
+        h = max(h // 2, 1)
+        w = max(w // 2, 1)
+    return out
+
+
+def reference_haar_inverse(c):
+    """The former haar_inverse: a fresh block and a copy per pass."""
+    h, w = c.shape[-2:]
+    out = np.array(c, dtype=np.float64)
+    sizes = []
+    th, tw = h, w
+    while th > 1 or tw > 1:
+        sizes.append((th, tw))
+        th = max(th // 2, 1)
+        tw = max(tw // 2, 1)
+    for lh, lw in reversed(sizes):
+        block = out[..., :lh, :lw]
+        if lh > 1:
+            lo = block[..., : lh // 2, :]
+            hi = block[..., lh // 2 : lh, :]
+            rec = np.empty(block.shape)
+            rec[..., 0::2, :] = (lo + hi) / _SQRT2
+            rec[..., 1::2, :] = (lo - hi) / _SQRT2
+            block[...] = rec
+        if lw > 1:
+            lo = block[..., :, : lw // 2]
+            hi = block[..., :, lw // 2 : lw]
+            rec = np.empty(block.shape)
+            rec[..., :, 0::2] = (lo + hi) / _SQRT2
+            rec[..., :, 1::2] = (lo - hi) / _SQRT2
+            block[...] = rec
+    return out
+
+
+HAAR_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 64), (64, 1), (2, 2), (4, 8), (8, 4),
+               (16, 16), (32, 8), (64, 64), (256, 256), (3, 8, 8), (5, 1, 32),
+               (2, 32, 1), (4, 16, 64)]
+
+
+def haar_inputs(shape):
+    """Uniform values with scattered +0 and -0, at unit scale and near
+    1e300 and 1e-300."""
+    rng = np.random.default_rng(37)
+    base = rng.uniform(-255.0, 255.0, size=shape)
+    base.reshape(-1)[::5] = 0.0
+    base.reshape(-1)[2::7] = -0.0
+    return [base, base * 1e298, base * 1e-302]
+
+
+class TestHaarTable:
+    """The three-call passes are bitwise the former transforms."""
+
+    @pytest.mark.parametrize("shape", HAAR_SHAPES, ids=str)
+    def test_forward_is_bitwise_the_reference(self, shape):
+        for a in haar_inputs(shape):
+            assert haar_forward(a).tobytes() == reference_haar_forward(a).tobytes()
+
+    @pytest.mark.parametrize("shape", HAAR_SHAPES, ids=str)
+    def test_inverse_is_bitwise_the_reference(self, shape):
+        for c in haar_inputs(shape):
+            assert haar_inverse(c).tobytes() == reference_haar_inverse(c).tobytes()
+
+    def test_inputs_are_not_modified(self):
+        a = haar_inputs((3, 8, 8))[0]
+        kept = a.copy()
+        haar_forward(a)
+        haar_inverse(a)
+        assert a.tobytes() == kept.tobytes()
+
+
+class TestSoftThresholdTable:
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 3.0, 1e300])
+    def test_is_bitwise_the_reference(self, tau):
+        """Signed zeros included: c = -tau gives -0.0, c = -0.0 keeps its sign
+        wherever the reference does."""
+        rng = np.random.default_rng(38)
+        c = np.concatenate([rng.uniform(-5.0, 5.0, 200), [0.0, -0.0, tau, -tau,
+                            np.nextafter(tau, 0.0), -np.nextafter(tau, 0.0),
+                            1e300, -1e300, 1e-300, -1e-300]]).reshape(-1, 7, 6)
+        expected = np.sign(c) * np.maximum(np.abs(c) - tau, 0.0)
+        out = _soft_threshold(c, tau)
+        assert out.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
 
 
 class TestTdtDenoiser:
@@ -288,8 +394,23 @@ class TestLinearSymmetricDenoiser:
 
     def test_shape_guard(self):
         den = LinearSymmetricDenoiser.local_average((4, 4))
-        with pytest.raises(ShapeError):
+        message = re.escape("expected shape (4, 4), got (2, 8)")
+        with pytest.raises(ShapeError, match=message):
             den.apply(Image(np.zeros((2, 8))))
+        with pytest.raises(ShapeError, match=message):
+            den.apply_stack(np.zeros((3, 2, 8)))
+
+    @pytest.mark.parametrize("shape", [(16, 16), (15, 17), (64, 64), (3, 5)], ids=str)
+    def test_apply_is_bitwise_the_2d_filter(self, shape):
+        """The stack kernel filters as the former 2-D rfft2/irfft2 apply did."""
+        den = LinearSymmetricDenoiser.local_average(shape)
+        xs = np.random.default_rng(39).uniform(0.0, 255.0, size=(3,) + shape)
+        tf = np.fft.rfft2(CircularConvolution(den.kernel)._centered(shape))
+        out = den.apply_stack(xs)
+        for x, row in zip(xs, out):
+            expected = np.fft.irfft2(np.fft.rfft2(x) * tf, s=shape)
+            assert den.apply(Image(x)).pixels.tobytes() == expected.tobytes()
+            assert row.tobytes() == expected.tobytes()
 
 
 class TestGmmMmseDenoiser:
@@ -495,6 +616,7 @@ STACK_CASES = {
     "nlm-search-beyond-image": (lambda: NlmDenoiser(1, 20, noise_variance=625.0), (8, 8)),
     "nlm-12x20": (lambda: NlmDenoiser(2, 4, noise_variance=625.0), (12, 20)),
     "linear": (lambda: LinearSymmetricDenoiser.local_average((16, 16)), (16, 16)),
+    "linear-15x17": (lambda: LinearSymmetricDenoiser.local_average((15, 17)), (15, 17)),
     "gmm": (lambda: GmmMmseDenoiser(
         np.random.default_rng(42).normal(128.0, 60.0, size=(5, 16)), 625.0), (4, 4)),
     "bernoulli": (lambda: BernoulliMmseDenoiser(625.0), (16, 16)),

@@ -175,6 +175,30 @@ class TestPgm:
         with pytest.raises(PgmParseError):
             load_pgm(str(path))
 
+    def test_ascii_sample_above_maxval_names_its_first_byte(self, tmp_path):
+        """The offset is the sample's first byte, as for a binary sample,
+        not the whitespace before it."""
+        path = tmp_path / "over.pgm"
+        data = b"P2\n3 1\n100\n7 101 200\n"
+        path.write_bytes(data)
+        with pytest.raises(PgmParseError) as err:
+            load_pgm(str(path))
+        assert err.value.offset == data.index(b"101") == 13
+        assert "pixel value 101 outside [0, 100] (byte offset 13)" in str(err.value)
+
+    @pytest.mark.parametrize("data, token", [
+        (b"P2\n3 1\n100\n7  x1 20\n", b"x1"),
+        (b"P2\n3 1\n100\n7\n\t1.5 20\n", b"1.5"),
+        (b"P2\n3  w\n100\n7 1 20\n", b"w"),
+        (b"P5\n\n 3x 1\n255\n\x00\x00\x00", b"3x"),
+    ], ids=["p2-sample", "p2-sample-after-newline-tab", "p2-height", "p5-width"])
+    def test_non_integer_token_names_its_first_byte(self, tmp_path, data, token):
+        path = tmp_path / "token.pgm"
+        path.write_bytes(data)
+        with pytest.raises(PgmParseError, match="expected integer") as err:
+            load_pgm(str(path))
+        assert err.value.offset == data.index(token)
+
     def test_binary_sample_above_maxval_names_its_offset(self, tmp_path):
         """A binary sample above maxval used to load as its byte value; it
         now fails as an ASCII one does, at the first such byte."""

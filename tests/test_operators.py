@@ -13,6 +13,7 @@ from redlab import (
     ShapeError,
     operator_matrix,
 )
+from redlab.operators import _irfft2, _rfft2
 
 
 def brute_force_circular(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -37,6 +38,12 @@ class TestIdentityOperator:
         op = IdentityOperator()
         np.testing.assert_array_equal(op.apply(img).pixels, img.pixels)
         np.testing.assert_array_equal(op.adjoint(img).pixels, img.pixels)
+
+    def test_transfer_function_is_ones(self):
+        """The DFT of the identity, as the deblur oracle divides by it."""
+        tf = IdentityOperator().transfer_function((3, 5))
+        assert tf.shape == (3, 5)
+        np.testing.assert_array_equal(tf, np.ones((3, 5)))
 
 
 class TestCircularConvolution:
@@ -141,3 +148,78 @@ class TestOperatorMatrix:
                 return Image.from_flat(m @ x.flat, 3, 2)
 
         np.testing.assert_array_equal(operator_matrix(MatrixOperator(), (2, 3)), m)
+
+
+FFT_SHAPES = [(1, 1), (1, 9), (9, 1), (15, 17), (64, 64), (3, 15, 17), (7, 33, 65)]
+
+
+class TestHalfSpectrumTransforms:
+    """_rfft2 and _irfft2 run numpy's two 1-D passes directly; each is
+    bitwise the 2-D numpy call it replaces, on single images and stacks."""
+
+    @pytest.mark.parametrize("shape", FFT_SHAPES, ids=str)
+    def test_forward_is_bitwise_rfft2(self, shape):
+        a = np.random.default_rng(31).uniform(-255.0, 255.0, size=shape)
+        assert _rfft2(a).tobytes() == np.fft.rfft2(a).tobytes()
+
+    @pytest.mark.parametrize("shape", FFT_SHAPES, ids=str)
+    def test_inverse_is_bitwise_irfft2(self, shape):
+        rng = np.random.default_rng(32)
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        # A transformed image, and an arbitrary half spectrum.
+        spectra = [np.fft.rfft2(rng.uniform(-255.0, 255.0, size=shape)),
+                   rng.standard_normal(half) + 1j * rng.standard_normal(half)]
+        for spectrum in spectra:
+            expected = np.fft.irfft2(spectrum, s=shape[-2:])
+            assert _irfft2(spectrum, shape[-1]).tobytes() == expected.tobytes()
+
+
+class TestSpectralSolverTables:
+    """The circular prox and its logged data terms against the former
+    separate numpy calls, bitwise."""
+
+    CASES = [((15, 17), 3), ((64, 64), 9), ((1, 9), 1), ((33, 65), 5)]
+
+    @pytest.fixture(params=CASES, ids=lambda c: f"{c[0][0]}x{c[0][1]}-blur{c[1]}")
+    def solved(self, request):
+        shape, blur = request.param
+        rng = np.random.default_rng(33)
+        op = CircularConvolution(np.full((blur, blur), 1.0 / blur**2))
+        y = Image(rng.uniform(0.0, 255.0, size=shape))
+        loss = QuadraticLoss(operator=op, y=y, noise_variance=2.5)
+        v = Image(rng.uniform(0.0, 255.0, size=shape))
+        return loss, v, loss.prox(v, 0.3)
+
+    def test_prox_is_bitwise_the_2d_calls(self, solved):
+        loss, v, x = solved
+        solver = loss._solver
+        h = np.fft.rfft2(loss.operator._centered(v.pixels.shape))
+        assert solver.h.tobytes() == h.tobytes()
+        y_hat = np.fft.rfft2(loss.y.pixels)
+        rhs = np.conj(h) * y_hat / loss.noise_variance
+        gain = np.abs(h) ** 2 / loss.noise_variance
+        x_hat = (rhs + 0.3 * np.fft.rfft2(v.pixels)) / (gain + 0.3)
+        assert solver._last[1].tobytes() == x_hat.tobytes()
+        expected = np.fft.irfft2(x_hat, s=v.pixels.shape)
+        assert x.pixels.tobytes() == expected.tobytes()
+
+    def test_data_terms_are_bitwise_two_inverse_transforms(self, solved):
+        loss, _, x = solved
+        solver = loss._solver
+        shape = x.pixels.shape
+        r_hat = solver.h * solver._last[1] - solver.y_hat
+        residual = np.fft.irfft2(r_hat, s=shape)
+        gradient = np.fft.irfft2(np.conj(solver.h) * r_hat, s=shape) / loss.noise_variance
+        r, g = loss.data_terms(x)
+        assert r.tobytes() == residual.tobytes()
+        assert g.tobytes() == gradient.tobytes()
+
+    def test_apply_and_adjoint_are_bitwise_the_2d_calls(self, solved):
+        loss, v, _ = solved
+        op, shape = loss.operator, v.pixels.shape
+        tf = np.fft.rfft2(op._centered(shape))
+        spectrum = np.fft.rfft2(v.pixels)
+        applied = np.fft.irfft2(spectrum * tf, s=shape)
+        adjoint = np.fft.irfft2(spectrum * np.conj(tf), s=shape)
+        assert op.apply(v).pixels.tobytes() == applied.tobytes()
+        assert op.adjoint(v).pixels.tobytes() == adjoint.tobytes()

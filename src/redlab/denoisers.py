@@ -2,10 +2,10 @@
 
 Each denoiser is a deterministic map f: image -> image of the same shape.
 `apply` maps one Image; `apply_stack` maps a (B, h, w) stack, row by row
-bitwise equal to `apply`.  TdtDenoiser, MedianFilterDenoiser, NlmDenoiser
-and LinearSymmetricDenoiser are each one array kernel over a leading batch
-axis, which both methods run; the others loop over `apply`.  The collection
-spans the structural properties the diagnostics probe:
+bitwise equal to `apply`.  Every denoiser but GmmMmseDenoiser is one array
+kernel over a leading batch axis, which both methods run; the mixture loops
+over `apply`.  The collection spans the structural properties the
+diagnostics probe:
 
 * TdtDenoiser      - wavelet soft thresholding; symmetric Jacobian but not
                      locally homogeneous.
@@ -23,6 +23,8 @@ spans the structural properties the diagnostics probe:
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import math
 
@@ -108,13 +110,85 @@ def _is_power_of_two(n: int) -> bool:
 _SQRT2 = np.sqrt(2.0)
 
 
-def _check_haar_shape(a: np.ndarray) -> tuple[int, int]:
+def _check_haar_shape(a: np.ndarray) -> None:
     h, w = a.shape[-2:]
     if not (_is_power_of_two(h) and _is_power_of_two(w)):
         raise ShapeError(
             f"Haar transform requires power-of-two extents, got {a.shape[-2:]}"
         )
-    return h, w
+
+
+class _HaarPlan:
+    """Buffers and pass views of both Haar transforms for one array shape.
+
+    A transform runs in place in `out`.  Each pass is a view tuple
+    (x, y, sums, diffs, t, block) and three ufunc calls: the pair sums and
+    differences x + y and x - y go into the two parts of `t`, a prefix of
+    one scratch buffer shaped like the block, and one division by sqrt(2)
+    writes `t` back into the block of `out`.  The forward passes pair the
+    even and odd columns, then rows, of each level from the finest; the
+    inverse passes pair the low and high halves of the rows, then columns,
+    from the coarsest, and interleave their sums and differences.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.out = out = np.empty(shape)
+        scratch = np.empty(out.size)
+        self.forward = []
+        self.inverse = []
+        # Block sizes of the forward levels, finest first.
+        levels = []
+        h, w = shape[-2:]
+        while h > 1 or w > 1:
+            levels.append((h, w))
+            h, w = max(h // 2, 1), max(w // 2, 1)
+        for h, w in levels:
+            block = out[..., :h, :w]
+            t = scratch[: block.size].reshape(block.shape)
+            if w > 1:
+                self.forward.append((block[..., :, 0::2], block[..., :, 1::2],
+                                     t[..., :, : w // 2], t[..., :, w // 2 :], t, block))
+            if h > 1:
+                self.forward.append((block[..., 0::2, :], block[..., 1::2, :],
+                                     t[..., : h // 2, :], t[..., h // 2 :, :], t, block))
+        for h, w in reversed(levels):
+            block = out[..., :h, :w]
+            t = scratch[: block.size].reshape(block.shape)
+            if h > 1:
+                self.inverse.append((block[..., : h // 2, :], block[..., h // 2 :, :],
+                                     t[..., 0::2, :], t[..., 1::2, :], t, block))
+            if w > 1:
+                self.inverse.append((block[..., :, : w // 2], block[..., :, w // 2 :],
+                                     t[..., :, 0::2], t[..., :, 1::2], t, block))
+
+
+# Plans by array shape, least recently used first.  A call takes its plan
+# out of the cache while it runs, so a concurrent or re-entrant call on the
+# same shape builds its own and no two calls share a buffer.
+_HAAR_PLANS: collections.OrderedDict[tuple[int, ...], _HaarPlan] = collections.OrderedDict()
+_HAAR_PLAN_LIMIT = 8
+
+
+def _haar(a: np.ndarray, inverse: bool) -> np.ndarray:
+    """One Haar transform of `a` through the plan for its shape."""
+    a = np.asarray(a, dtype=np.float64)
+    _check_haar_shape(a)
+    plan = _HAAR_PLANS.pop(a.shape, None)
+    if plan is None:
+        plan = _HaarPlan(a.shape)
+    out = plan.out
+    np.copyto(out, a)
+    for x, y, sums, diffs, t, block in plan.inverse if inverse else plan.forward:
+        np.add(x, y, out=sums)
+        np.subtract(x, y, out=diffs)
+        np.divide(t, _SQRT2, out=block)
+    result = out.copy()
+    _HAAR_PLANS[a.shape] = plan
+    while len(_HAAR_PLANS) > _HAAR_PLAN_LIMIT:
+        # Other threads may check plans out between the test and the pop.
+        with contextlib.suppress(KeyError):
+            _HAAR_PLANS.popitem(last=False)
+    return result
 
 
 def haar_forward(a: np.ndarray) -> np.ndarray:
@@ -127,60 +201,24 @@ def haar_forward(a: np.ndarray) -> np.ndarray:
     energy is preserved exactly.
 
     Each pass is three ufunc calls: the pair sums and the pair differences
-    go into the two halves of a scratch buffer, allocated once per call,
-    and one division by sqrt(2) writes both halves back into the block.
+    go into the two halves of a scratch buffer, and one division by sqrt(2)
+    writes both halves back into the block.  The buffers and the views of
+    every pass are built once per input shape (a _HaarPlan, cached for the
+    last few shapes) and replayed on later calls; the result is a fresh
+    copy of the plan's output buffer, never the buffer itself.
     """
-    h, w = _check_haar_shape(a)
-    out = np.array(a, dtype=np.float64)
-    scratch = np.empty(out.size)
-    while h > 1 or w > 1:
-        block = out[..., :h, :w]
-        t = scratch[: block.size].reshape(block.shape)
-        if w > 1:
-            even, odd = block[..., :, 0::2], block[..., :, 1::2]
-            np.add(even, odd, out=t[..., :, : w // 2])
-            np.subtract(even, odd, out=t[..., :, w // 2 :])
-            np.divide(t, _SQRT2, out=block)
-        if h > 1:
-            even, odd = block[..., 0::2, :], block[..., 1::2, :]
-            np.add(even, odd, out=t[..., : h // 2, :])
-            np.subtract(even, odd, out=t[..., h // 2 :, :])
-            np.divide(t, _SQRT2, out=block)
-        h = max(h // 2, 1)
-        w = max(w // 2, 1)
-    return out
+    return _haar(a, inverse=False)
 
 
 def haar_inverse(c: np.ndarray) -> np.ndarray:
     """Inverse of haar_forward, also over the last two axes.
 
     Each pass interleaves the sums and differences of the two halves into
-    a scratch buffer and divides it back into the block, as haar_forward.
+    the scratch buffer and divides it back into the block, replaying the
+    forward levels from the coarsest.  It shares the shape's plan with
+    haar_forward and likewise returns a fresh copy.
     """
-    h, w = _check_haar_shape(c)
-    out = np.array(c, dtype=np.float64)
-    scratch = np.empty(out.size)
-    # Replay the forward level sizes in reverse order.
-    sizes = []
-    th, tw = h, w
-    while th > 1 or tw > 1:
-        sizes.append((th, tw))
-        th = max(th // 2, 1)
-        tw = max(tw // 2, 1)
-    for lh, lw in reversed(sizes):
-        block = out[..., :lh, :lw]
-        t = scratch[: block.size].reshape(block.shape)
-        if lh > 1:
-            lo, hi = block[..., : lh // 2, :], block[..., lh // 2 :, :]
-            np.add(lo, hi, out=t[..., 0::2, :])
-            np.subtract(lo, hi, out=t[..., 1::2, :])
-            np.divide(t, _SQRT2, out=block)
-        if lw > 1:
-            lo, hi = block[..., :, : lw // 2], block[..., :, lw // 2 :]
-            np.add(lo, hi, out=t[..., :, 0::2])
-            np.subtract(lo, hi, out=t[..., :, 1::2])
-            np.divide(t, _SQRT2, out=block)
-    return out
+    return _haar(c, inverse=True)
 
 
 def _soft_threshold(c: np.ndarray, tau: float) -> np.ndarray:
@@ -477,13 +515,14 @@ class GmmMmseDenoiser(Denoiser):
         return Image.from_flat(self.posterior_mean(x.flat), x.height, x.width)
 
 
-class BernoulliMmseDenoiser(Denoiser):
+class BernoulliMmseDenoiser(_StackKernelDenoiser):
     """Exact posterior mean for i.i.d. equiprobable {0, 1} pixels.
 
     Under r_n = x_n + N(0, nu), Bayes' rule gives
     E[x_n | r_n] = N(r_n; 1, nu) / (N(r_n; 1, nu) + N(r_n; 0, nu)),
     evaluated here in the numerically stable logistic form
-    1 / (1 + exp((1 - 2 r_n) / (2 nu))).
+    1 / (1 + exp((1 - 2 r_n) / (2 nu))).  The map is elementwise, so its
+    stack kernel is the posterior mean of the whole stack.
     """
 
     def __init__(self, noise_variance: float):
@@ -499,5 +538,5 @@ class BernoulliMmseDenoiser(Denoiser):
         out[~pos] = ez / (1.0 + ez)
         return out
 
-    def apply(self, x: Image) -> Image:
-        return Image(self.posterior_mean(x.pixels))
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
+        return self.posterior_mean(xs)

@@ -184,12 +184,16 @@ def load_pgm(path: str) -> Image:
     if magic not in (b"P2", b"P5"):
         raise PgmParseError(f"unsupported magic number {magic!r}", 0)
     sc.skip_comment_line()
+    # Header errors name the first byte of the offending token.
+    sc.skip_whitespace()
+    width_at = sc.pos
     width = sc.integer("width")
     height = sc.integer("height")
+    sc.skip_whitespace()
     maxval_at = sc.pos
     maxval = sc.integer("maxval")
     if width < 1 or height < 1:
-        raise PgmParseError(f"invalid dimensions {width}x{height}", maxval_at)
+        raise PgmParseError(f"invalid dimensions {width}x{height}", width_at)
     if maxval > 255:
         raise UnsupportedFormatError(
             f"maxval {maxval} exceeds 255; only 8-bit PGM is supported"

@@ -1,6 +1,8 @@
 """Denoiser behavior against independent per-pixel and transform oracles."""
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -156,6 +158,87 @@ class TestHaarTable:
         haar_forward(a)
         haar_inverse(a)
         assert a.tobytes() == kept.tobytes()
+
+
+class TestHaarPlans:
+    """The passes built once per shape replay bitwise, and no caller sees
+    or shares a cached buffer."""
+
+    def assert_both_match(self, a):
+        assert haar_forward(a).tobytes() == reference_haar_forward(a).tobytes()
+        assert haar_inverse(a).tobytes() == reference_haar_inverse(a).tobytes()
+
+    def test_repeated_and_alternating_shapes(self):
+        shapes = [(64, 64), (1, 64, 64), (32, 16, 16), (1, 8), (8, 1), (64, 64)]
+        for shape in shapes:
+            for a in haar_inputs(shape):
+                self.assert_both_match(a)
+                self.assert_both_match(a)
+
+    @pytest.mark.parametrize("transform", [haar_forward, haar_inverse])
+    def test_results_are_fresh_arrays(self, transform):
+        a, b = haar_inputs((16, 8))[:2]
+        first = transform(a)
+        kept = first.copy()
+        second = transform(b)
+        expected = second.copy()
+        # A held result survives a later call on the same shape, and
+        # writing into one does not change the next.
+        assert first.tobytes() == kept.tobytes()
+        second[...] = 7.0
+        assert transform(b).tobytes() == expected.tobytes()
+
+    def test_bad_shapes_fail_as_before_and_build_no_plan(self):
+        message = re.escape("Haar transform requires power-of-two extents, got (12, 16)")
+        for transform in (haar_forward, haar_inverse):
+            with pytest.raises(ShapeError, match=message):
+                transform(np.zeros((12, 16)))
+            with pytest.raises(ValueError, match="not enough values to unpack"):
+                transform(np.zeros(8))
+        assert (12, 16) not in denoisers._HAAR_PLANS
+        assert (8,) not in denoisers._HAAR_PLANS
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_other_dtypes_are_converted_to_float64_first(self, dtype):
+        a = np.random.default_rng(47).integers(-255, 256, size=(8, 16)).astype(dtype)
+        if dtype == np.float32:
+            a = a / np.float32(3.0)
+        self.assert_both_match(a)
+
+    def test_two_threads_on_one_shape(self):
+        images = haar_inputs((2, 16, 16))[0]
+        expected = [(reference_haar_forward(x), reference_haar_inverse(x)) for x in images]
+        start = threading.Barrier(2)
+        mismatches = []
+
+        def work(i):
+            start.wait()
+            for _ in range(200):
+                if (haar_forward(images[i]).tobytes() != expected[i][0].tobytes()
+                        or haar_inverse(images[i]).tobytes() != expected[i][1].tobytes()):
+                    mismatches.append(i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_the_cache_stays_within_its_bound(self):
+        limit = denoisers._HAAR_PLAN_LIMIT
+        shapes = [(2, 1 << k) for k in range(limit + 3)]
+        for shape in shapes:
+            haar_forward(np.ones(shape))
+        assert len(denoisers._HAAR_PLANS) == limit
+        # The least recently used shapes are the ones evicted.
+        assert list(denoisers._HAAR_PLANS) == shapes[-limit:]
 
 
 class TestSoftThresholdTable:

@@ -199,6 +199,23 @@ class TestPgm:
             load_pgm(str(path))
         assert err.value.offset == data.index(token)
 
+    @pytest.mark.parametrize("data, message, offset", [
+        (b"P2\n0 1\n100\n", "invalid dimensions 0x1", 3),
+        (b"P2\n# c\n 2  0\n100\n1 2\n", "invalid dimensions 2x0", 8),
+        (b"P5\n2 1\n0\n..", "invalid maxval 0", 7),
+        (b"P2\n2 1 \n\t0\n1 2\n", "invalid maxval 0", 9),
+    ], ids=["p2-width", "p2-height-after-comment", "p5-maxval", "p2-maxval-after-tab"])
+    def test_invalid_header_value_names_its_first_byte(self, tmp_path, data,
+                                                       message, offset):
+        """Dimension errors name the width token and maxval errors the
+        maxval token, not the whitespace before them."""
+        path = tmp_path / "header.pgm"
+        path.write_bytes(data)
+        with pytest.raises(PgmParseError) as err:
+            load_pgm(str(path))
+        assert err.value.offset == offset
+        assert f"{message} (byte offset {offset})" in str(err.value)
+
     def test_binary_sample_above_maxval_names_its_offset(self, tmp_path):
         """A binary sample above maxval used to load as its byte value; it
         now fails as an ASCII one does, at the first such byte."""

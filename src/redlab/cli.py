@@ -15,7 +15,10 @@ for the same reason.
 
 Exit codes: 0 success, 2 validation or input error (nothing is written),
 3 numerical divergence.  The ``REDLAB_OUT`` environment variable
-overrides the configured output directory.
+overrides the configured output directory.  Independent parts of an
+experiment (the seven `deblur` solvers, the cells of a report) run in
+forked worker processes, one per usable CPU; ``REDLAB_WORKERS`` lowers
+that count.  Outputs do not depend on it.
 """
 
 from __future__ import annotations
@@ -25,11 +28,15 @@ import configparser
 import functools
 import math
 import os
+import pickle
 import re
+import signal
 import sys
-from collections.abc import Callable
+import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -413,6 +420,169 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Independent tasks in forked workers
+
+_T = TypeVar("_T")
+# All of a round's task indices go into the claim pipe in one write before
+# any worker starts.  1024 four-byte indices fill one 4 KiB page, the
+# smallest capacity Linux gives a pipe, so that write never blocks.
+_ROUND = 1024
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        return os.cpu_count() or 1
+
+
+def _worker_limit() -> int | None:
+    """The ``REDLAB_WORKERS`` cap on worker processes; None when unset."""
+    raw = os.environ.get("REDLAB_WORKERS")
+    if not raw:
+        return None
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ConfigError(f"REDLAB_WORKERS: expected an integer >= 1, got {raw!r}")
+    return limit
+
+
+def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
+    """Call every task and return the results in task order.
+
+    The calling process is one worker and forks one more per usable CPU, up
+    to one per task and to ``REDLAB_WORKERS`` in all.  Forked children
+    inherit the tasks, closures and shared objects included, so only
+    results, errors and warnings are pickled.  Workers claim task indices
+    in order, so the schedule is dynamic, and the outcome is that of calling
+    the tasks one after another: the error of the earliest failing task is
+    raised, no task is claimed once a failure is known, and the warnings of
+    the tasks up to it are issued in task order.  Tasks must not print,
+    since what a child writes is lost.
+    """
+    workers = min(len(tasks), _usable_cpus(), _worker_limit() or len(tasks))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [task() for task in tasks]
+    results: list[_T] = []
+    for start in range(0, len(tasks), _ROUND):
+        results += _run_round(tasks[start:start + _ROUND], workers)
+    return results
+
+
+def _run_round(tasks: Sequence[Callable[[], _T]], workers: int) -> list[_T]:
+    claims, claims_in = os.pipe()
+    os.write(claims_in, b"".join(i.to_bytes(4, "little") for i in range(len(tasks))))
+    os.close(claims_in)
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(min(workers, len(tasks)) - 1):
+            results_out, results_in = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory: go on with fewer
+                os.close(results_out)
+                os.close(results_in)
+                break
+            if pid == 0:
+                _child(tasks, claims, results_in)
+            os.close(results_in)
+            children[pid] = results_out
+        records = _work(tasks, claims)
+        exit_code = None
+        for pid in list(children):
+            data = _read_to_end(children[pid])
+            os.close(children.pop(pid))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code == 0:
+                records += pickle.loads(data)
+            else:
+                exit_code = code
+    finally:
+        os.close(claims)
+        for pid, results_out in children.items():
+            os.close(results_out)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    by_index = {record[0]: record for record in records}
+    for index in range(len(tasks)):
+        if index not in by_index:
+            raise ChildProcessError(
+                f"a worker process exited with code {exit_code} before it "
+                f"reported task {index}"
+            )
+        _, ok, value, caught = by_index[index]
+        _reissue(caught)
+        if not ok:
+            raise value
+    return [by_index[index][2] for index in range(len(tasks))]
+
+
+def _work(tasks: Sequence[Callable[[], _T]], claims: int) -> list[tuple]:
+    """Run claimed tasks until none is left or one fails.
+
+    Each record is (index, ok, value or exception, warnings), a warning as
+    (message, category, filename, lineno).
+    """
+    records = []
+    while len(claim := os.read(claims, 4)) == 4:
+        index = int.from_bytes(claim, "little")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                ok, value = True, tasks[index]()
+            except Exception as exc:  # sent back and raised in task order
+                ok, value = False, exc
+        records.append((index, ok, value,
+                        [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+        if not ok:
+            # Indices are claimed in order, so every unclaimed task comes later.
+            while os.read(claims, 4096):
+                pass
+            break
+    return records
+
+
+def _child(tasks: Sequence[Callable[[], _T]], claims: int, results_in: int) -> None:
+    """Work in a forked child, send the pickled records and exit at once,
+    skipping the parent's cleanup and buffered output.  A record that does
+    not pickle ends the child with code 1, which the parent reports."""
+    code = 1
+    try:
+        view = memoryview(pickle.dumps(_work(tasks, claims)))
+        while view:
+            view = view[os.write(results_in, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _reissue(caught: list[tuple]) -> None:
+    """Issue recorded warnings as `warnings.warn` would have where they were
+    raised, so this process's filters and once-only registries apply."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        namespace = vars(modules[filename]) if filename in modules else None
+        warnings.warn_explicit(
+            message, category, filename, lineno,
+            module=namespace and namespace["__name__"],
+            registry=namespace and namespace.setdefault("__warningregistry__", {}),
+            module_globals=namespace,
+        )
+
+
+# ---------------------------------------------------------------------------
 # Experiment planners: validate eagerly, return a deferred execute()
 
 
@@ -478,16 +648,24 @@ def _plan_report(which: str) -> Callable:
             files = []
             summary_rows = []
             denoisers = [build((patch_size, patch_size)) for _, build in specs]
-            # Patch 0 of every denoiser runs first, so a denoiser whose metrics
-            # raise (say, an identically zero Jacobian) fails before the rest.
-            first = [_report_metrics(which, f, points[0][1], epsilon) for f in denoisers]
-            for label, f, first_values in zip(labels, denoisers, first):
+            # One task per (denoiser, patch) cell.  Patch 0 of every denoiser
+            # comes first in task order: the earliest failure in that order
+            # is raised and no task is claimed after it, so a denoiser whose
+            # metrics raise (say, an identically zero Jacobian) fails before
+            # second patches run.
+            order = [(d, 0) for d in range(len(denoisers))] + [
+                (d, i) for d in range(len(denoisers)) for i in range(1, len(points))
+            ]
+            metrics = dict(zip(order, _run_tasks([
+                functools.partial(_report_metrics, which, denoisers[d], points[i][1],
+                                  epsilon)
+                for d, i in order
+            ])))
+            for d, label in enumerate(labels):
                 rows = []
                 sums: dict[str, float] = {}
-                for i, (name, x) in enumerate(points):
-                    values = first_values if i == 0 else _report_metrics(
-                        which, f, x, epsilon
-                    )
+                for i, (name, _) in enumerate(points):
+                    values = metrics[d, i]
                     cells = [name, label]
                     for column in _REPORT_HEADER[2:]:
                         cells.append(
@@ -652,13 +830,13 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
         x_star = _deblur_oracle(problem)
         star_norm = float(np.linalg.norm(x_star))
 
-        files = []
-        summary_rows = []
         header = Trajectory.CSV_HEADER + ["oracle_gap"]
-        for name, solve in SOLVERS.items():
+
+        def run_solver(name: str, solve: Callable) -> tuple[tuple[str, str], list[str]]:
+            """One solver's CSV file and summary row."""
             gaps: list[float] = []
 
-            def observer(k: int, x: Image, gaps: list[float] = gaps) -> None:
+            def observer(k: int, x: Image) -> None:
                 gaps.append(float(np.linalg.norm(x.flat - x_star)) / star_norm)
 
             cfg = replace(base, step_scale=l_apg) if name == "apg" else base
@@ -667,17 +845,20 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
                 cells + [repr(gap)]
                 for cells, gap in zip(trajectory.csv_rows(), gaps)
             ]
-            files.append((f"deblur_linear_{name}.csv", format_csv(header, rows)))
             last = trajectory.records[-1]
-            summary_rows.append(
-                [
-                    name,
-                    str(last.iteration),
-                    f"{last.psnr_db:.4f}",
-                    f"{last.fp_residual:.6e}",
-                    f"{gaps[-1]:.6e}",
-                ]
-            )
+            return (f"deblur_linear_{name}.csv", format_csv(header, rows)), [
+                name,
+                str(last.iteration),
+                f"{last.psnr_db:.4f}",
+                f"{last.fp_residual:.6e}",
+                f"{gaps[-1]:.6e}",
+            ]
+
+        solved = _run_tasks([
+            functools.partial(run_solver, name, solve) for name, solve in SOLVERS.items()
+        ])
+        files = [file for file, _ in solved]
+        summary_rows = [row for _, row in solved]
         head = (
             f"deblur: {shape[0]}x{shape[1]}, {problem_spec.blur}x{problem_spec.blur} "
             f"uniform blur, noise variance {sigma2}, weight {problem.weight}, "
@@ -826,6 +1007,7 @@ def _load_plan(config_path: str) -> _Plan:
 
 def _cmd_run(config_path: str) -> int:
     plan = _load_plan(config_path)
+    _worker_limit()  # a bad REDLAB_WORKERS fails before any work, in every experiment
     files, summary = plan.execute()
     files = list(files) + [(f"{plan.name}_summary.txt", summary + "\n")]
     outdir = os.environ.get("REDLAB_OUT") or plan.output

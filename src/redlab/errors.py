@@ -2,7 +2,22 @@
 
 
 class RedlabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Errors pickle, so a worker process can send one back: subclasses format
+    their message in ``__init__``, so unpickling restores `args` and the
+    attributes without calling it again.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls: type, args: tuple, state: dict) -> RedlabError:
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
 
 
 class ShapeError(RedlabError):

@@ -273,6 +273,27 @@ def test_benchmark_workload_matches_its_reference(tmp_path, monkeypatch,
     assert digests == pinned["workloads"][workload]
 
 
+@pytest.mark.parametrize("workload", ["deblur", "probes"])
+def test_benchmark_outputs_do_not_depend_on_the_worker_count(
+        tmp_path, monkeypatch, capsys, bench_modules, workload):
+    """Forked workers (two CPUs) and one process give the same bytes.  The
+    trajectory workload is one task, which never forks."""
+    run, _ = bench_modules
+    config = write_config(tmp_path, run.WORKLOADS[workload][1].format(
+        seed=run.REFERENCE_SEED))
+    monkeypatch.setattr("redlab.cli._usable_cpus", lambda: 2)
+    outcomes = []
+    for workers in ("2", "1"):
+        out_dir = tmp_path / f"out{workers}"
+        monkeypatch.setenv("REDLAB_WORKERS", workers)
+        monkeypatch.setenv("REDLAB_OUT", str(out_dir))
+        code = main(["run", config])
+        out, err = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        outcomes.append((code, out.replace(str(out_dir), "<out>"), err, files))
+    assert outcomes[0] == outcomes[1]
+
+
 class TestJacobianReport:
     def run_report(self, tmp_path, out_name):
         out_dir = tmp_path / out_name
@@ -319,7 +340,9 @@ class TestJacobianReport:
             self, tmp_path, capsys, monkeypatch):
         """gmm's Jacobian at 8x8 is identically zero, so the report exits 2;
         the other denoisers have then spent one Jacobian (2 N images) each,
-        on patch 0, and none on patch 1."""
+        on patch 0, and none on patch 1.  Calls are counted in this process,
+        so the cells run here, one after another."""
+        monkeypatch.setenv("REDLAB_WORKERS", "1")
         calls = dict.fromkeys(["TdtDenoiser", "MedianFilterDenoiser"], 0)
         for cls in (TdtDenoiser, MedianFilterDenoiser):
             def counted(self, x, _apply=cls.apply, _name=cls.__name__):
@@ -386,7 +409,9 @@ class TestOtherReports:
     def test_gradient_report_makes_2n_plus_2_denoiser_calls(self, tmp_path,
                                                             monkeypatch):
         """J and grad rho share the 2 N probe images; the residual and product
-        rules add one f(x) each.  Counts apply calls plus apply_stack rows."""
+        rules add one f(x) each.  Counts apply calls plus apply_stack rows,
+        in this process, so the cells run here."""
+        monkeypatch.setenv("REDLAB_WORKERS", "1")
         calls = dict.fromkeys(["TdtDenoiser", "MedianFilterDenoiser"], 0)
         for cls in (TdtDenoiser, MedianFilterDenoiser):
             def counted(self, x, _apply=cls.apply, _name=cls.__name__):

@@ -10,7 +10,8 @@ re-records them in the same commit, from the repository root, with
 
     PYTHONPATH=src python tests/test_corpus.py
 
-and names the files that changed, and why, in CHANGES.md.
+which runs every config in one process (REDLAB_WORKERS=1), and names the
+files that changed, and why, in CHANGES.md.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from redlab import Image, save_pgm
+from redlab import Image, cli, save_pgm
 from redlab.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
@@ -67,17 +68,31 @@ def test_config_outputs_match_their_digests(tmp_path, name):
     assert run_config(name, tmp_path) == pinned["configs"][name]
 
 
+@pytest.mark.parametrize("name", CONFIGS)
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, name):
+    """Forked workers (two CPUs) give the bytes and exit code of one process."""
+    for mode in ("forked", "sequential"):
+        (tmp_path / mode).mkdir()
+    monkeypatch.delenv("REDLAB_WORKERS", raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    forked = run_config(name, tmp_path / "forked")
+    monkeypatch.setenv("REDLAB_WORKERS", "1")
+    assert run_config(name, tmp_path / "sequential") == forked
+
+
 def test_every_config_has_a_record():
     assert CONFIGS
     assert sorted(json.loads(DIGESTS.read_text())["configs"]) == CONFIGS
 
 
 def record(work: Path) -> None:
-    """Rewrite DIGESTS from runs of every config, each in its own directory."""
+    """Rewrite DIGESTS from runs of every config, each in its own directory,
+    in one process (REDLAB_WORKERS=1)."""
     configs = {}
-    for name in CONFIGS:
-        (work / name).mkdir()
-        configs[name] = run_config(name, work / name)
+    with mock.patch.dict(os.environ, {"REDLAB_WORKERS": "1"}):
+        for name in CONFIGS:
+            (work / name).mkdir()
+            configs[name] = run_config(name, work / name)
     pinned = {"numpy": np.__version__, "configs": configs}
     DIGESTS.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
 

@@ -18,7 +18,9 @@ Exit codes: 0 success, 2 validation or input error (nothing is written),
 overrides the configured output directory.  Independent parts of an
 experiment (the seven `deblur` solvers, the cells of a report) run in
 forked worker processes, one per usable CPU; ``REDLAB_WORKERS`` lowers
-that count.  Outputs do not depend on it.
+that count.  When a CPU is spare, a solver run's per-iteration log is
+computed in a second forked process while it iterates.  Outputs do not
+depend on either.
 """
 
 from __future__ import annotations
@@ -28,15 +30,11 @@ import configparser
 import functools
 import math
 import os
-import pickle
 import re
-import signal
 import sys
-import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TypeVar
 
 import numpy as np
 
@@ -81,6 +79,7 @@ from .operators import IdentityOperator, operator_matrix  # noqa: F401
 from .scenes import diagnostic_patches, solver_scene
 from .smd import KdePrior, TweedieRegularizer
 from .solvers import SOLVERS, SolverConfig, Trajectory, format_csv, red_pg
+from .workers import _run_tasks, _worker_limit
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -417,169 +416,6 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
     for r in rows:
         lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(r))).rstrip())
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Independent tasks in forked workers
-
-_T = TypeVar("_T")
-# All of a round's task indices go into the claim pipe in one write before
-# any worker starts.  1024 four-byte indices fill one 4 KiB page, the
-# smallest capacity Linux gives a pipe, so that write never blocks.
-_ROUND = 1024
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not available on every platform
-        return os.cpu_count() or 1
-
-
-def _worker_limit() -> int | None:
-    """The ``REDLAB_WORKERS`` cap on worker processes; None when unset."""
-    raw = os.environ.get("REDLAB_WORKERS")
-    if not raw:
-        return None
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ConfigError(f"REDLAB_WORKERS: expected an integer >= 1, got {raw!r}")
-    return limit
-
-
-def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
-    """Call every task and return the results in task order.
-
-    The calling process is one worker and forks one more per usable CPU, up
-    to one per task and to ``REDLAB_WORKERS`` in all.  Forked children
-    inherit the tasks, closures and shared objects included, so only
-    results, errors and warnings are pickled.  Workers claim task indices
-    in order, so the schedule is dynamic, and the outcome is that of calling
-    the tasks one after another: the error of the earliest failing task is
-    raised, no task is claimed once a failure is known, and the warnings of
-    the tasks up to it are issued in task order.  Tasks must not print,
-    since what a child writes is lost.
-    """
-    workers = min(len(tasks), _usable_cpus(), _worker_limit() or len(tasks))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [task() for task in tasks]
-    results: list[_T] = []
-    for start in range(0, len(tasks), _ROUND):
-        results += _run_round(tasks[start:start + _ROUND], workers)
-    return results
-
-
-def _run_round(tasks: Sequence[Callable[[], _T]], workers: int) -> list[_T]:
-    claims, claims_in = os.pipe()
-    os.write(claims_in, b"".join(i.to_bytes(4, "little") for i in range(len(tasks))))
-    os.close(claims_in)
-    children: dict[int, int] = {}  # pid -> read end of its result pipe
-    try:
-        for _ in range(min(workers, len(tasks)) - 1):
-            results_out, results_in = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes or memory: go on with fewer
-                os.close(results_out)
-                os.close(results_in)
-                break
-            if pid == 0:
-                _child(tasks, claims, results_in)
-            os.close(results_in)
-            children[pid] = results_out
-        records = _work(tasks, claims)
-        exit_code = None
-        for pid in list(children):
-            data = _read_to_end(children[pid])
-            os.close(children.pop(pid))
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code == 0:
-                records += pickle.loads(data)
-            else:
-                exit_code = code
-    finally:
-        os.close(claims)
-        for pid, results_out in children.items():
-            os.close(results_out)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    by_index = {record[0]: record for record in records}
-    for index in range(len(tasks)):
-        if index not in by_index:
-            raise ChildProcessError(
-                f"a worker process exited with code {exit_code} before it "
-                f"reported task {index}"
-            )
-        _, ok, value, caught = by_index[index]
-        _reissue(caught)
-        if not ok:
-            raise value
-    return [by_index[index][2] for index in range(len(tasks))]
-
-
-def _work(tasks: Sequence[Callable[[], _T]], claims: int) -> list[tuple]:
-    """Run claimed tasks until none is left or one fails.
-
-    Each record is (index, ok, value or exception, warnings), a warning as
-    (message, category, filename, lineno).
-    """
-    records = []
-    while len(claim := os.read(claims, 4)) == 4:
-        index = int.from_bytes(claim, "little")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                ok, value = True, tasks[index]()
-            except Exception as exc:  # sent back and raised in task order
-                ok, value = False, exc
-        records.append((index, ok, value,
-                        [(w.message, w.category, w.filename, w.lineno) for w in caught]))
-        if not ok:
-            # Indices are claimed in order, so every unclaimed task comes later.
-            while os.read(claims, 4096):
-                pass
-            break
-    return records
-
-
-def _child(tasks: Sequence[Callable[[], _T]], claims: int, results_in: int) -> None:
-    """Work in a forked child, send the pickled records and exit at once,
-    skipping the parent's cleanup and buffered output.  A record that does
-    not pickle ends the child with code 1, which the parent reports."""
-    code = 1
-    try:
-        view = memoryview(pickle.dumps(_work(tasks, claims)))
-        while view:
-            view = view[os.write(results_in, view):]
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _reissue(caught: list[tuple]) -> None:
-    """Issue recorded warnings as `warnings.warn` would have where they were
-    raised, so this process's filters and once-only registries apply."""
-    if not caught:
-        return
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        namespace = vars(modules[filename]) if filename in modules else None
-        warnings.warn_explicit(
-            message, category, filename, lineno,
-            module=namespace and namespace["__name__"],
-            registry=namespace and namespace.setdefault("__warningregistry__", {}),
-            module_globals=namespace,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,20 @@ class QuadraticLoss:
         residual = self.operator.apply(x).pixels - self.y.pixels
         return float(np.sum(residual**2)) / (2.0 * self.noise_variance)
 
-    def data_terms(self, x: Image) -> tuple[np.ndarray, np.ndarray]:
+    def prox_spectrum(self, x: Image) -> np.ndarray | None:
+        """The half spectrum the last prox kept, when x is the Image it
+        returned and the operator's solve keeps one; otherwise None."""
+        return self._solver.spectrum(x)
+
+    def data_terms(self, x: Image,
+                   x_hat: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(A x - y, A^T (A x - y) / sigma^2) as pixel arrays.
 
-        When x is the Image the last prox returned, a circular solver forms
-        both from the spectrum it kept; otherwise A and A^T are applied.
+        A circular solver forms both from x_hat, the `prox_spectrum` of x
+        (by default the one it kept, when x is the Image the last prox
+        returned); otherwise A and A^T are applied.
         """
-        return self._solver.data_terms(x)
+        return self._solver.data_terms(x, x_hat)
 
     def gradient(self, x: Image) -> Image:
         """A^T (A x - y) / sigma^2, same shape as x."""

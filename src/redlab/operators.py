@@ -58,9 +58,10 @@ class LinearOperator:
 class NormalSolver:
     """(v, w) -> (A^T A / sigma^2 + w I)^{-1} (A^T y / sigma^2 + w v) for one A, y.
 
-    The anchor v has the shape of y.  This base class has no solve, and its
-    `data_terms(x)`, the pair (A x - y, A^T (A x - y) / sigma^2), applies A
-    and A^T.  Operators with a closed form subclass it.
+    The anchor v has the shape of y.  This base class has no solve and keeps
+    no spectrum, and its `data_terms(x)`, the pair (A x - y,
+    A^T (A x - y) / sigma^2), applies A and A^T.  Operators with a closed
+    form subclass it.
     """
 
     def __init__(self, operator: LinearOperator, y: Image, noise_variance: float):
@@ -69,7 +70,12 @@ class NormalSolver:
     def __call__(self, v: Image, weight: float) -> Image:
         raise ConfigError(f"no prox rule for operator type {type(self.operator).__name__}")
 
-    def data_terms(self, x: Image) -> tuple[np.ndarray, np.ndarray]:
+    def spectrum(self, x: Image) -> np.ndarray | None:
+        """The half spectrum the last solve kept, when x is the Image it returned."""
+        return None
+
+    def data_terms(self, x: Image,
+                   x_hat: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         residual = self.operator.apply(x).pixels - self.y.pixels
         return residual, self.operator.adjoint(Image(residual)).pixels / self.noise_variance
 
@@ -99,9 +105,10 @@ class _SpectralSolver(NormalSolver):
     """Pointwise division on the half spectrum H of a circulant A.
 
     Each solve keeps the half spectrum X^ of the image it returns.  The data
-    terms at that very Image (an identity check; images are immutable) cost
-    one inverse transform of the stack [R^, conj(H) R^], with R^ = H X^ - Y^,
-    and no forward one; any other x falls back to applying A and A^T.
+    terms at that very Image (an identity check; images are immutable), or
+    at an x passed with the X^ that `spectrum` gave for it, cost one inverse
+    transform of the stack [R^, conj(H) R^], with R^ = H X^ - Y^, and no
+    forward one; any other x falls back to applying A and A^T.
     """
 
     def __init__(self, operator: CircularConvolution, y: Image, noise_variance: float):
@@ -119,12 +126,18 @@ class _SpectralSolver(NormalSolver):
         self._last = (x, x_hat)
         return x
 
-    def data_terms(self, x: Image) -> tuple[np.ndarray, np.ndarray]:
-        if self._last is None or x is not self._last[0]:
+    def spectrum(self, x: Image) -> np.ndarray | None:
+        return self._last[1] if self._last is not None and x is self._last[0] else None
+
+    def data_terms(self, x: Image,
+                   x_hat: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        if x_hat is None:
+            x_hat = self.spectrum(x)
+        if x_hat is None:
             return super().data_terms(x)
         spectra = np.empty((2,) + self.h.shape, dtype=self.h.dtype)
         r_hat, g_hat = spectra
-        np.multiply(self.h, self._last[1], out=r_hat)
+        np.multiply(self.h, x_hat, out=r_hat)
         r_hat -= self.y_hat
         np.multiply(self.h_conj, r_hat, out=g_hat)
         residual, gradient = _irfft2(spectra, x.width)

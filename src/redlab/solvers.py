@@ -18,15 +18,24 @@ is byte-stable for fixed inputs (wall-clock timing is off by default for
 that reason).  Every solver proxes through the problem's own loss,
 RedProblem.loss, and the log takes A x - y and A^T (A x - y) / sigma^2
 from its data_terms, which reuses the spectrum of the last circular prox
-output instead of applying A and A^T again.
+output instead of applying A and A^T again.  When a CPU is spare, a forked
+logger process computes the log of a long run while the iterations go on;
+the log, its errors and its warnings are those of logging inline.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
+import mmap
+import os
+import pickle
+import signal
+import struct
 import time
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -36,6 +45,13 @@ from .denoisers import Denoiser
 from .diagnostics import _STACK_BYTES, RedProblem, cost_red, fp_residual
 from .errors import ConfigError, DivergenceError, DomainError
 from .image import Image, psnr
+from .workers import (
+    _read_to_end,
+    _reissue,
+    _report_and_exit,
+    _spare_cpu,
+    _warning_records,
+)
 
 __all__ = [
     "SOLVERS",
@@ -143,11 +159,41 @@ class Trajectory:
             fh.write(self.csv_text())
 
 
+def _log_entry(p: RedProblem, truth: Image | None, k: int, x: Image, fx: Image,
+               x_prev: Image, x_hat: np.ndarray | None,
+               elapsed: float) -> tuple[TrajectoryRecord, np.ndarray]:
+    """The record of iterate k and g(x_k), flat.  x_hat is x's prox spectrum,
+    from which a circular loss forms its data terms, or None."""
+    n = x.size
+    data_residual, data_gradient = p.loss.data_terms(x, x_hat)
+    g = fp_residual(p, x, fx, data_gradient=data_gradient)
+    residual = float(g @ g) / n
+    delta = x.flat - x_prev.flat
+    update = float(delta @ delta) / n
+    cost = cost_red(p, x, fx, data_residual=data_residual)
+    quality = None if truth is None else psnr(x, truth)
+    return TrajectoryRecord(k, quality, cost, residual, update, elapsed), g
+
+
+# Starting and ending a logger costs about 4 ms, which logging inline
+# takes about this many iterations to spend at 16x16 (half as many at 64x64).
+_FORK_ITERATIONS = 100
+
+
 class _Run:
-    """Shared solver plumbing: instrumentation, guards, stopping."""
+    """Shared solver plumbing: instrumentation, guards, stopping.
+
+    A kernel iterates inside `with _Run(...) as run`.  When a CPU is spare,
+    a forked `_Logger` computes the log while the kernel goes on.  `record`
+    computes it inline instead for a kernel that steps along the logged
+    residual, when early stopping needs the residual at once, for runs of
+    fewer than _FORK_ITERATIONS iterations, and when no CPU is spare.  Both
+    run `_log_entry` on the same arrays, so the log is bitwise the same.
+    """
 
     def __init__(self, p: RedProblem, cfg: SolverConfig, x0: Image | None,
-                 truth: Image | None, observer: Observer | None):
+                 truth: Image | None, observer: Observer | None,
+                 steps_on_residual: bool = False):
         self.p, self.cfg, self.truth, self.observer = p, cfg, truth, observer
         self.trajectory = Trajectory()
         self.start = time.perf_counter()
@@ -155,28 +201,193 @@ class _Run:
         # An all-zero start and data carry no scale; fall back to unit scale.
         scale = max(float(np.linalg.norm(self.x0.flat)), float(np.linalg.norm(p.y.flat)))
         self.guard = DIVERGENCE_FACTOR * (scale if scale > 0.0 else 1.0)
-        # g(x_k) of the last logged iterate, flat; red_sd steps along it.
+        # g(x_k) of the last logged iterate, flat, when logged inline.
         self.residual: np.ndarray | None = None
+        self.inline = (steps_on_residual or cfg.stop_fp_residual is not None
+                       or cfg.iterations < _FORK_ITERATIONS)
+        self.logger: _Logger | None = None
+
+    def __enter__(self) -> _Run:
+        if not self.inline and _spare_cpu():
+            self.logger = _Logger.start(self)
+        return self
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if self.logger is not None:
+            self.logger.finish(self.trajectory, error)
 
     def record(self, k: int, x: Image, fx: Image, x_prev: Image) -> bool:
-        """Log iterate k; returns True when the run should stop early."""
+        """Log iterate k; returns True when the run should stop early.
+
+        x_prev is the iterate logged before, x_0 at k = 1.
+        """
         norm = float(np.linalg.norm(x.flat))
         if norm > self.guard:
             raise DivergenceError(k, norm, self.guard)
-        n = x.size
-        data_residual, data_gradient = self.p.loss.data_terms(x)
-        g = self.residual = fp_residual(self.p, x, fx, data_gradient=data_gradient)
-        residual = float(g @ g) / n
-        delta = x.flat - x_prev.flat
-        update = float(delta @ delta) / n
-        cost = cost_red(self.p, x, fx, data_residual=data_residual)
         elapsed = time.perf_counter() - self.start if self.cfg.record_timing else 0.0
-        quality = None if self.truth is None else psnr(x, self.truth)
-        self.trajectory.append(TrajectoryRecord(k, quality, cost, residual, update, elapsed))
+        x_hat = self.p.loss.prox_spectrum(x)
+        if self.logger is not None:
+            self.logger.send(k, x, fx, x_hat, elapsed)
+        else:
+            entry, self.residual = _log_entry(self.p, self.truth, k, x, fx, x_prev,
+                                              x_hat, elapsed)
+            self.trajectory.append(entry)
         if self.observer is not None:
             self.observer(k, x)
         tol = self.cfg.stop_fp_residual
-        return tol is not None and residual <= tol
+        return tol is not None and self.trajectory.records[-1].fp_residual <= tol
+
+
+# The shared ring through which iterates reach the logger: about 1 MB, ten
+# slots of a 64x64 run.  At most _MAX_SLOTS messages are in flight, which
+# fits the 4 KiB that Linux gives a pipe at least, so no write blocks.
+_RING_BYTES = 1 << 20
+_MESSAGE = struct.Struct("<iid")  # iteration, has a prox spectrum, elapsed
+_MAX_SLOTS = 4096 // _MESSAGE.size
+
+
+class _Logger:
+    """A forked process that computes a run's log off the iterations' path.
+
+    `send` copies x_k, f(x_k) and the prox half spectrum into the next slot
+    of a shared ring and writes a message to a pipe; it waits for the logger
+    only when every slot is taken.  The logger copies each slot out, frees
+    it with a byte on the ack pipe, and computes the records in iteration
+    order, the previous slot's x_k serving as x_prev.  `finish` collects the
+    records and raises what an inline log would have raised first: an error
+    of the log at iteration k beats an error this process met later.
+    Warnings of both processes are re-issued in the order an inline run
+    raises them.
+    """
+
+    def __init__(self, pid: int, slots: list[tuple[np.ndarray, ...]],
+                 work: int, acks: int, results: int):
+        self.pid, self.slots = pid, slots
+        self.work, self.acks, self.results = work, acks, results
+        self.sent = self.pending = 0
+        # This process's warnings, and how many came before each send.
+        self.catcher = warnings.catch_warnings(record=True)
+        self.caught = self.catcher.__enter__()
+        warnings.simplefilter("always")
+        self.marks: list[int] = []
+
+    @classmethod
+    def start(cls, run: _Run) -> _Logger | None:
+        """Fork the logger of `run`; None when the fork fails."""
+        h, w = run.x0.pixels.shape
+        n, half = h * w, h * (w // 2 + 1)
+        size = 16 * (n + half)  # x and f(x) as float64, X^ as complex128
+        count = max(2, min(_RING_BYTES // size, _MAX_SLOTS))
+        ring = mmap.mmap(-1, count * size)
+        slots = [(np.ndarray((h, w), np.float64, ring, i * size),
+                  np.ndarray((h, w), np.float64, ring, i * size + 8 * n),
+                  np.ndarray((h, w // 2 + 1), np.complex128, ring, i * size + 16 * n))
+                 for i in range(count)]
+        (work_out, work_in), (acks_out, acks_in), (results_out, results_in) = (
+            os.pipe(), os.pipe(), os.pipe())
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes or memory: log inline
+            pid = None
+        if pid == 0:
+            os.close(work_in)
+            os.close(acks_out)
+            os.close(results_out)
+            _report_and_exit(results_in,
+                             functools.partial(_serve, run, slots, work_out, acks_in))
+        for fd in (work_out, acks_in, results_in):
+            os.close(fd)
+        if pid is None:
+            for fd in (work_in, acks_out, results_out):
+                os.close(fd)
+            return None
+        return cls(pid, slots, work_in, acks_out, results_out)
+
+    def send(self, k: int, x: Image, fx: Image, x_hat: np.ndarray | None,
+             elapsed: float) -> None:
+        # A logger that has ended makes the write below raise BrokenPipeError,
+        # and `finish` reports why it ended.
+        if self.pending == len(self.slots):
+            self.pending -= len(os.read(self.acks, len(self.slots)))
+        slot_x, slot_fx, slot_hat = self.slots[self.sent % len(self.slots)]
+        np.copyto(slot_x, x.pixels)
+        np.copyto(slot_fx, fx.pixels)
+        if x_hat is not None:
+            np.copyto(slot_hat, x_hat)
+        self.marks.append(len(self.caught))
+        os.write(self.work, _MESSAGE.pack(k, x_hat is not None, elapsed))
+        self.sent += 1
+        self.pending += 1
+
+    def finish(self, trajectory: Trajectory, error: BaseException | None) -> None:
+        """Append the logged records to `trajectory`, reap the logger, and
+        re-issue the warnings; raise the log's error if it came first."""
+        self.catcher.__exit__(None, None, None)
+        interrupted = error is not None and not isinstance(error, Exception)
+        try:
+            if interrupted:
+                os.kill(self.pid, signal.SIGKILL)
+            os.close(self.work)
+            data = _read_to_end(self.results)
+        finally:
+            os.close(self.acks)
+            os.close(self.results)
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if interrupted:
+            return
+        if code != 0:
+            raise ChildProcessError(
+                f"the logger process exited with code {code} before it reported"
+            )
+        records, logged, marks, log_error = pickle.loads(data)
+        trajectory.records += records
+        caught = _warning_records(self.caught)
+        # Inline, the warnings of logging iterate i come after this process's
+        # warnings up to its send and before the ones that follow.
+        ordered, shown, start = [], 0, 0
+        for sent, logged_end in zip(self.marks, marks):
+            ordered += caught[shown:sent] + logged[start:logged_end]
+            shown, start = sent, logged_end
+        _reissue(ordered if log_error is not None else ordered + caught[shown:])
+        if log_error is not None:
+            raise log_error
+
+
+def _serve(run: _Run, slots: list[tuple[np.ndarray, ...]], work: int,
+           acks: int) -> tuple:
+    """The logger's loop: log each sent slot until the pipe closes or a
+    record fails.  Returns the records, the warnings, the warning count
+    after each record, and the error or None."""
+    records: list[TrajectoryRecord] = []
+    marks: list[int] = []
+    log_error = None
+    x_prev, received, buffer = run.x0, 0, b""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        while log_error is None and (data := os.read(work, 4096)):
+            buffer += data
+            whole = len(buffer) - len(buffer) % _MESSAGE.size
+            batch = []
+            for k, has_hat, elapsed in _MESSAGE.iter_unpack(buffer[:whole]):
+                slot_x, slot_fx, slot_hat = slots[received % len(slots)]
+                batch.append((k, Image(slot_x), Image(slot_fx),
+                              slot_hat.copy() if has_hat else None, elapsed))
+                received += 1
+            buffer = buffer[whole:]
+            if batch:
+                os.write(acks, bytes(len(batch)))
+            for k, x, fx, x_hat, elapsed in batch:
+                try:
+                    entry, _ = _log_entry(run.p, run.truth, k, x, fx, x_prev, x_hat,
+                                          elapsed)
+                except Exception as exc:  # sent back and raised in order
+                    log_error = exc
+                marks.append(len(caught))
+                if log_error is not None:
+                    break
+                records.append(entry)
+                x_prev = x
+    return records, _warning_records(caught), marks, log_error
 
 
 def default_initialization(p: RedProblem) -> Image:
@@ -207,17 +418,17 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
     """
     sigma2 = p.noise_variance
     mu = sigma2 / (1.0 + p.weight * sigma2) if cfg.sd_step is None else cfg.sd_step
-    run = _Run(p, cfg, x0, truth, observer)
-    x = run.x0
-    fx = p.denoiser.apply(x)
-    g = fp_residual(p, x, fx)
-    h, w = x.pixels.shape
-    for k in range(1, cfg.iterations + 1):
-        x_prev, x = x, Image.from_flat(x.flat - mu * g, h, w)
+    with _Run(p, cfg, x0, truth, observer, steps_on_residual=True) as run:
+        x = run.x0
         fx = p.denoiser.apply(x)
-        if run.record(k, x, fx, x_prev):
-            break
-        g = run.residual
+        g = fp_residual(p, x, fx)
+        h, w = x.pixels.shape
+        for k in range(1, cfg.iterations + 1):
+            x_prev, x = x, Image.from_flat(x.flat - mu * g, h, w)
+            fx = p.denoiser.apply(x)
+            if run.record(k, x, fx, x_prev):
+                break
+            g = run.residual
     return x, run.trajectory
 
 
@@ -236,27 +447,27 @@ def _proximal_gradient(p: RedProblem, cfg: SolverConfig, x0: Image | None,
     z_k = x_k + ((t_{k-1} - 1) / t_k) (x_k - x_{k-1}), which costs a second
     denoiser call per step.
     """
-    run = _Run(p, cfg, x0, truth, observer)
-    x = run.x0
-    l_scale = schedule(0)
-    v = _pg_direction(p.denoiser.apply(x), x, l_scale)
-    t_prev = 1.0
-    h, w = x.pixels.shape
-    for k in range(1, cfg.iterations + 1):
-        x_prev, x = x, p.loss.prox(v, p.weight * l_scale)
-        l_scale = schedule(k)
-        if momentum:
-            t_k = (1.0 + math.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
-            push = (t_prev - 1.0) / t_k
-            z = Image.from_flat(x.flat + push * (x.flat - x_prev.flat), h, w)
-            v = _pg_direction(p.denoiser.apply(z), z, l_scale)
-            fx = p.denoiser.apply(x)
-            t_prev = t_k
-        else:
-            fx = p.denoiser.apply(x)
-            v = _pg_direction(fx, x, l_scale)
-        if run.record(k, x, fx, x_prev):
-            break
+    with _Run(p, cfg, x0, truth, observer) as run:
+        x = run.x0
+        l_scale = schedule(0)
+        v = _pg_direction(p.denoiser.apply(x), x, l_scale)
+        t_prev = 1.0
+        h, w = x.pixels.shape
+        for k in range(1, cfg.iterations + 1):
+            x_prev, x = x, p.loss.prox(v, p.weight * l_scale)
+            l_scale = schedule(k)
+            if momentum:
+                t_k = (1.0 + math.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
+                push = (t_prev - 1.0) / t_k
+                z = Image.from_flat(x.flat + push * (x.flat - x_prev.flat), h, w)
+                v = _pg_direction(p.denoiser.apply(z), z, l_scale)
+                fx = p.denoiser.apply(x)
+                t_prev = t_k
+            else:
+                fx = p.denoiser.apply(x)
+                v = _pg_direction(fx, x, l_scale)
+            if run.record(k, x, fx, x_prev):
+                break
     return x, run.trajectory
 
 
@@ -314,18 +525,18 @@ def _admm(p: RedProblem, cfg: SolverConfig, x0: Image | None, truth: Image | Non
           observer: Observer | None, inner: int) -> Result:
     lam, beta = p.weight, cfg.beta
     c_f, c_x = lam / (lam + beta), beta / (lam + beta)
-    run = _Run(p, cfg, x0, truth, observer)
-    x = v = run.x0
-    u = Image(np.zeros_like(x.pixels))
-    h, w = x.pixels.shape
-    for k in range(1, cfg.iterations + 1):
-        x_prev, x = x, p.loss.prox(Image(v.pixels - u.pixels), beta)
-        pull = c_x * (x.flat + u.flat)
-        for _ in range(inner):
-            v = Image.from_flat(c_f * p.denoiser.apply(v).flat + pull, h, w)
-        u = Image(u.pixels + x.pixels - v.pixels)
-        if run.record(k, x, p.denoiser.apply(x), x_prev):
-            break
+    with _Run(p, cfg, x0, truth, observer) as run:
+        x = v = run.x0
+        u = Image(np.zeros_like(x.pixels))
+        h, w = x.pixels.shape
+        for k in range(1, cfg.iterations + 1):
+            x_prev, x = x, p.loss.prox(Image(v.pixels - u.pixels), beta)
+            pull = c_x * (x.flat + u.flat)
+            for _ in range(inner):
+                v = Image.from_flat(c_f * p.denoiser.apply(v).flat + pull, h, w)
+            u = Image(u.pixels + x.pixels - v.pixels)
+            if run.record(k, x, p.denoiser.apply(x), x_prev):
+                break
     return x, run.trajectory
 
 

@@ -273,15 +273,15 @@ def test_benchmark_workload_matches_its_reference(tmp_path, monkeypatch,
     assert digests == pinned["workloads"][workload]
 
 
-@pytest.mark.parametrize("workload", ["deblur", "probes"])
+@pytest.mark.parametrize("workload", ["deblur", "trajectory", "probes"])
 def test_benchmark_outputs_do_not_depend_on_the_worker_count(
         tmp_path, monkeypatch, capsys, bench_modules, workload):
     """Forked workers (two CPUs) and one process give the same bytes.  The
-    trajectory workload is one task, which never forks."""
+    trajectory workload is one task, whose log a forked logger computes."""
     run, _ = bench_modules
     config = write_config(tmp_path, run.WORKLOADS[workload][1].format(
         seed=run.REFERENCE_SEED))
-    monkeypatch.setattr("redlab.cli._usable_cpus", lambda: 2)
+    monkeypatch.setattr("redlab.workers._usable_cpus", lambda: 2)
     outcomes = []
     for workers in ("2", "1"):
         out_dir = tmp_path / f"out{workers}"

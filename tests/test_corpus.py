@@ -26,7 +26,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from redlab import Image, cli, save_pgm
+from redlab import Image, save_pgm, solvers, workers
 from redlab.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
@@ -70,11 +70,13 @@ def test_config_outputs_match_their_digests(tmp_path, name):
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, name):
-    """Forked workers (two CPUs) give the bytes and exit code of one process."""
+    """Forked workers (two CPUs) give the bytes and exit code of one process.
+    The forked run also logs solver runs of any length in a forked logger."""
     for mode in ("forked", "sequential"):
         (tmp_path / mode).mkdir()
     monkeypatch.delenv("REDLAB_WORKERS", raising=False)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solvers, "_FORK_ITERATIONS", 1)
     forked = run_config(name, tmp_path / "forked")
     monkeypatch.setenv("REDLAB_WORKERS", "1")
     assert run_config(name, tmp_path / "sequential") == forked

@@ -1,5 +1,5 @@
-"""`cli._run_tasks`: independent tasks in forked workers, with the outcome of
-calling them one after another."""
+"""`workers._run_tasks`: independent tasks in forked workers, with the
+outcome of calling them one after another."""
 
 import functools
 import os
@@ -12,33 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from redlab import cli
+from redlab import cli, workers
 from redlab.errors import ConfigError, DivergenceError
 
 REPO = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.delenv("REDLAB_WORKERS", raising=False)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-
-
-@pytest.fixture
-def fork_calls(monkeypatch):
-    """Counts os.fork calls; only the first starts a process, so a wrong
-    worker count fails the test instead of starting that many processes."""
-    calls = []
-    real_fork = os.fork
-
-    def guarded_fork():
-        calls.append(1)
-        if len(calls) > 1:
-            raise AssertionError("a second fork")
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", guarded_fork)
-    return calls
 
 
 def run_with_timeout(tasks, timeout=60.0):
@@ -47,7 +24,7 @@ def run_with_timeout(tasks, timeout=60.0):
 
     def target():
         try:
-            outcome.append(("ok", cli._run_tasks(tasks)))
+            outcome.append(("ok", workers._run_tasks(tasks)))
         except BaseException as exc:  # handed to the test thread
             outcome.append(("raised", exc))
 
@@ -72,7 +49,7 @@ def test_results_come_back_in_task_order_from_two_processes(two_cpus):
 
 
 def test_long_task_lists_run_in_rounds(two_cpus, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "_ROUND", 2)
+    monkeypatch.setattr(workers, "_ROUND", 2)
     kind, results = run_with_timeout(
         [functools.partial(sleep_then, i, 0.01) for i in range(5)])
     assert kind == "ok"
@@ -166,9 +143,9 @@ def test_warnings_from_tasks_reach_stderr_as_without_workers(tmp_path):
         import functools
         import warnings
 
-        from redlab import cli
+        from redlab import workers
 
-        cli._usable_cpus = lambda: 2
+        workers._usable_cpus = lambda: 2
 
 
         def task(index):
@@ -177,11 +154,11 @@ def test_warnings_from_tasks_reach_stderr_as_without_workers(tmp_path):
             return index
 
 
-        print(cli._run_tasks([functools.partial(task, i) for i in range(3)]))
+        print(workers._run_tasks([functools.partial(task, i) for i in range(3)]))
     """))
     runs = []
-    for workers in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), REDLAB_WORKERS=workers)
+    for count in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), REDLAB_WORKERS=count)
         runs.append(subprocess.run([sys.executable, str(script)], env=env,
                                    capture_output=True, text=True, timeout=60))
     sequential, forked = runs
@@ -219,7 +196,7 @@ def test_bad_worker_counts_exit_2_naming_the_variable(tmp_path, monkeypatch, cap
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("workers, cpus, tasks, forks", [
+@pytest.mark.parametrize("limit, cpus, tasks, forks", [
     ("1000", 2, 2, 1),
     ("1000", 1000, 2, 1),
     ("1", 1000, 5, 0),
@@ -227,12 +204,12 @@ def test_bad_worker_counts_exit_2_naming_the_variable(tmp_path, monkeypatch, cap
     (None, 1, 5, 0),
 ])
 def test_worker_count_is_the_least_of_tasks_cpus_and_the_variable(
-        monkeypatch, fork_calls, workers, cpus, tasks, forks):
-    if workers is None:
+        monkeypatch, fork_calls, limit, cpus, tasks, forks):
+    if limit is None:
         monkeypatch.delenv("REDLAB_WORKERS", raising=False)
     else:
-        monkeypatch.setenv("REDLAB_WORKERS", workers)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setenv("REDLAB_WORKERS", limit)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
     kind, results = run_with_timeout([functools.partial(int, i) for i in range(tasks)])
     assert (kind, results) == ("ok", list(range(tasks)))
     assert len(fork_calls) == forks

@@ -22,6 +22,7 @@ from redlab import (
     make_uniform_blur,
     solver_scene,
     solvers,
+    workers,
 )
 from redlab.errors import ConfigError, DomainError
 from redlab.solvers import SOLVERS, SolverConfig
@@ -141,6 +142,25 @@ def test_a_trajectory_forks_one_logger_when_it_may(two_cpus, fork_calls, monkeyp
     monkeypatch.setenv("REDLAB_OUT", str(tmp_path / "out"))
     assert cli.main(["run", write_trajectory(tmp_path, method, extra=extra)]) == 0
     assert len(fork_calls) == loggers
+
+
+@pytest.mark.parametrize("cpus, limit, busy, spare", [
+    (1, None, 1, False),
+    (2, None, 1, True),
+    (2, "1", 1, False),
+    (4, None, 2, True),
+    (4, None, 3, False),
+    (1000, "3", 2, False),
+])
+def test_a_cpu_is_spare_when_each_busy_worker_could_fork_one_more(
+        monkeypatch, cpus, limit, busy, spare):
+    if limit is None:
+        monkeypatch.delenv("REDLAB_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("REDLAB_WORKERS", limit)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "_busy", busy)
+    assert workers._spare_cpu() is spare
 
 
 def test_short_runs_log_inline(two_cpus, fork_calls, monkeypatch, tmp_path):

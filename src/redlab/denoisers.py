@@ -1,11 +1,10 @@
 """Image denoisers used as regularization engines.
 
-Each denoiser is a deterministic map f: image -> image of the same shape.
-`apply` maps one Image; `apply_stack` maps a (B, h, w) stack, row by row
-bitwise equal to `apply`.  Every denoiser but GmmMmseDenoiser is one array
-kernel over a leading batch axis, which both methods run; the mixture loops
-over `apply`.  The collection spans the structural properties the
-diagnostics probe:
+Each denoiser is a deterministic map f: image -> image of the same shape,
+defined by one array kernel over a leading batch axis.  `apply` maps one
+Image and `apply_stack` a (B, h, w) stack; both run the kernel, so row b of
+a stack is bitwise `apply` of image b.  The collection spans the structural
+properties the diagnostics probe:
 
 * TdtDenoiser      - wavelet soft thresholding; symmetric Jacobian but not
                      locally homogeneous.
@@ -48,30 +47,13 @@ __all__ = [
 
 
 class Denoiser:
-    """Base class: a shape-preserving deterministic image map."""
+    """Base class: a shape-preserving deterministic image map.
 
-    def apply(self, x: Image) -> Image:
-        raise NotImplementedError
-
-    def apply_stack(self, xs: np.ndarray) -> np.ndarray:
-        """f on each image of a float64 (B, h, w) stack, as a (B, h, w) array.
-
-        Row b is bitwise apply(Image(xs[b])).pixels.  This default loops
-        over apply; array-kernel denoisers evaluate the stack in one call.
-        """
-        return np.stack([self.apply(Image(x)).pixels for x in xs])
-
-    def __call__(self, x: Image) -> Image:
-        return self.apply(x)
-
-
-class _StackKernelDenoiser(Denoiser):
-    """A denoiser defined by one array kernel on (B, h, w) stacks.
-
-    `apply` runs the kernel on a stack of one, so single images and stacks
-    share one code path.  `apply_stack` rejects non-finite pixels as Image
-    does, so a stack raises DomainError where `apply` would, and kernels
-    may assume finite input.
+    A subclass defines only `_kernel`, f on a float64 (B, h, w) stack of
+    finite pixels.  `apply` runs the kernel on a stack of one, so single
+    images and stacks share one code path.  `apply_stack` rejects
+    non-finite pixels as Image does, so a stack raises DomainError where
+    `apply` would, and kernels may assume finite input.
     """
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
@@ -81,12 +63,16 @@ class _StackKernelDenoiser(Denoiser):
         return Image(self._kernel(x.pixels[None])[0])
 
     def apply_stack(self, xs: np.ndarray) -> np.ndarray:
+        """f on each image of a float64 (B, h, w) stack, as a (B, h, w) array."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 3:
             raise ShapeError(f"expected a (B, h, w) stack, got shape {xs.shape}")
         if not np.isfinite(xs).all():
             raise DomainError("image pixels must be finite")
         return self._kernel(xs)
+
+    def __call__(self, x: Image) -> Image:
+        return self.apply(x)
 
 
 def _finite(name: str, value: float) -> float:
@@ -229,7 +215,7 @@ def _soft_threshold(c: np.ndarray, tau: float) -> np.ndarray:
     return np.multiply(np.sign(c), out, out=out)
 
 
-class TdtDenoiser(_StackKernelDenoiser):
+class TdtDenoiser(Denoiser):
     """Transform-domain soft thresholding in an orthonormal Haar basis.
 
     All coefficients are thresholded, the coarsest scaling coefficient
@@ -248,7 +234,7 @@ class TdtDenoiser(_StackKernelDenoiser):
         return haar_inverse(_soft_threshold(haar_forward(xs), self.threshold))
 
 
-class MedianFilterDenoiser(_StackKernelDenoiser):
+class MedianFilterDenoiser(Denoiser):
     """Moving-window median with replicate (edge) padding.
 
     Each window's middle value is selected by one np.partition, bitwise
@@ -316,7 +302,7 @@ def _box_sum(sq: np.ndarray, k: int) -> np.ndarray:
 _MIRROR_BYTES = 4 << 20
 
 
-class NlmDenoiser(_StackKernelDenoiser):
+class NlmDenoiser(Denoiser):
     """Non-local means with Gaussian patch-distance weights.
 
     Every output pixel is a convex combination of input pixels inside its
@@ -408,7 +394,7 @@ class NlmDenoiser(_StackKernelDenoiser):
         return numer / denom
 
 
-class LinearSymmetricDenoiser(_StackKernelDenoiser):
+class LinearSymmetricDenoiser(Denoiser):
     """Periodic convolution W with an even kernel and spectral radius <= 1.
 
     W is the circulant matrix of `kernel` on images of `shape`, acting on
@@ -497,25 +483,38 @@ class GmmMmseDenoiser(Denoiser):
 
     def log_kernels(self, r: np.ndarray) -> np.ndarray:
         """-||r - c_t||^2 / (2 nu) for each center c_t, r a flat vector."""
-        r = np.asarray(r, dtype=np.float64).reshape(-1)
-        if r.size != self.centers.shape[1]:
-            raise ShapeError(
-                f"input dimension {r.size} != center dimension {self.centers.shape[1]}"
-            )
-        return -np.sum((r[None, :] - self.centers) ** 2, axis=1) / (2.0 * self.noise_variance)
+        return self._log_kernels(np.asarray(r, dtype=np.float64).reshape(1, -1))[0]
 
     def posterior_mean(self, r: np.ndarray) -> np.ndarray:
-        log_w = self.log_kernels(r)
-        log_w -= log_w.max()
+        return self._posterior_means(np.asarray(r, dtype=np.float64).reshape(1, -1))[0]
+
+    def _log_kernels(self, rs: np.ndarray) -> np.ndarray:
+        """log_kernels of each row of a (B, N) array, as a (B, T) array."""
+        n = self.centers.shape[1]
+        if rs.shape[1] != n:
+            raise ShapeError(f"input dimension {rs.shape[1]} != center dimension {n}")
+        sq = (rs[:, None, :] - self.centers) ** 2
+        return -np.sum(sq, axis=2) / (2.0 * self.noise_variance)
+
+    def _posterior_means(self, rs: np.ndarray) -> np.ndarray:
+        """posterior_mean of each row of a (B, N) array, as a (B, N) array.
+
+        The weights of all rows are formed and normalized as one array; the
+        weighted sum of the centers stays one product per row, because a
+        (B, T) @ (T, N) matmul does not add in the per-row product's order.
+        """
+        log_w = self._log_kernels(rs)
+        log_w -= log_w.max(axis=1, keepdims=True)
         weights = np.exp(log_w)
-        weights /= weights.sum()
-        return weights @ self.centers
+        weights /= weights.sum(axis=1, keepdims=True)
+        return np.stack([w @ self.centers for w in weights])
 
-    def apply(self, x: Image) -> Image:
-        return Image.from_flat(self.posterior_mean(x.flat), x.height, x.width)
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
+        b, h, w = xs.shape
+        return self._posterior_means(xs.reshape(b, h * w)).reshape(xs.shape)
 
 
-class BernoulliMmseDenoiser(_StackKernelDenoiser):
+class BernoulliMmseDenoiser(Denoiser):
     """Exact posterior mean for i.i.d. equiprobable {0, 1} pixels.
 
     Under r_n = x_n + N(0, nu), Bayes' rule gives

@@ -706,6 +706,11 @@ STACK_CASES = {
 }
 
 
+# One STACK_CASES row per denoiser kind.
+KIND_CASES = {"tdt": "tdt-16x16", "median": "median3-9x14", "nlm": "nlm-p1-16x16",
+              "linear": "linear", "gmm": "gmm", "bernoulli": "bernoulli"}
+
+
 class TestApplyStack:
     @pytest.mark.parametrize("case", list(STACK_CASES))
     def test_each_row_is_bitwise_apply(self, case):
@@ -718,21 +723,61 @@ class TestApplyStack:
             assert np.array_equal(row, f.apply(Image(x)).pixels)
 
     def test_rejects_a_single_image(self):
-        with pytest.raises(ShapeError, match="expected a"):
-            NlmDenoiser(1, 2, noise_variance=1.0).apply_stack(np.zeros((4, 4)))
+        for case in KIND_CASES.values():
+            build, shape = STACK_CASES[case]
+            with pytest.raises(ShapeError, match="expected a"):
+                build().apply_stack(np.zeros(shape))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("build", [
-        lambda: TdtDenoiser(25.0), lambda: MedianFilterDenoiser(3),
-        lambda: NlmDenoiser(1, 5, noise_variance=625.0),
-    ], ids=["tdt", "median", "nlm"])
-    def test_rejects_non_finite_stacks_as_image_does(self, build, value):
-        xs = np.random.default_rng(49).uniform(0.0, 255.0, size=(3, 8, 8))
-        xs[1, 2, 5] = value
+    @pytest.mark.parametrize("kind", list(KIND_CASES))
+    def test_rejects_non_finite_stacks_as_image_does(self, kind, value):
+        build, shape = STACK_CASES[KIND_CASES[kind]]
+        xs = np.random.default_rng(49).uniform(0.0, 255.0, size=(3,) + shape)
+        xs[1, 2, 3] = value
         with pytest.raises(DomainError, match="image pixels must be finite"):
             Image(xs[1])
         with pytest.raises(DomainError, match="image pixels must be finite"):
             build().apply_stack(xs)
+
+    def test_every_denoiser_is_one_stack_kernel(self):
+        """Each exported denoiser has a STACK_CASES row and defines only its
+        kernel: apply and apply_stack are Denoiser's."""
+        exported = [getattr(denoisers, name) for name in denoisers.__all__]
+        kinds = {cls for cls in exported if isinstance(cls, type)
+                 and issubclass(cls, Denoiser) and cls is not Denoiser}
+        assert len(kinds) == len(KIND_CASES)
+        assert {type(STACK_CASES[case][0]()) for case in KIND_CASES.values()} == kinds
+        for cls in kinds:
+            assert "apply" not in vars(cls) and "apply_stack" not in vars(cls)
+
+
+def reference_gmm(centers, nu, x):
+    """posterior_mean of one flat image as it was before the stack kernel."""
+    r = x.reshape(-1)
+    log_w = -np.sum((r[None, :] - centers) ** 2, axis=1) / (2.0 * nu)
+    log_w -= log_w.max()
+    weights = np.exp(log_w)
+    weights /= weights.sum()
+    return (weights @ centers).reshape(x.shape)
+
+
+class TestGmmStack:
+    @pytest.mark.parametrize("centers, shape", [
+        (1, (8, 8)), (5, (4, 4)), (7, (1, 7)), (64, (8, 8)), (5, (64, 64)), (64, (64, 64)),
+    ])
+    def test_rows_are_bitwise_the_per_image_formula(self, centers, shape):
+        rng = np.random.default_rng(50)
+        n = shape[0] * shape[1]
+        # A spread of centers and a variance that keep several weights
+        # unsaturated, so the normalization and the product both matter.
+        f = GmmMmseDenoiser(rng.normal(128.0, 60.0, size=(centers, n)), 400.0 * n)
+        xs = rng.uniform(0.0, 255.0, size=(5,) + shape)
+        out = f.apply_stack(xs)
+        for x, row in zip(xs, out):
+            expected = reference_gmm(f.centers, f.noise_variance, x)
+            assert row.tobytes() == expected.tobytes()
+            assert f.apply(Image(x)).pixels.tobytes() == expected.tobytes()
+            assert f.posterior_mean(x.reshape(-1)).tobytes() == expected.tobytes()
 
 
 def reference_probe(f, trials, seed, shape):

@@ -41,15 +41,15 @@ from redlab import (
 
 
 class CountingDenoiser(Denoiser):
-    """Wraps a denoiser and counts applications."""
+    """Wraps a denoiser and counts denoised images: the rows of each stack."""
 
     def __init__(self, inner: Denoiser):
         self.inner = inner
         self.calls = 0
 
-    def apply(self, x: Image) -> Image:
-        self.calls += 1
-        return self.inner.apply(x)
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
+        self.calls += len(xs)
+        return self.inner.apply_stack(xs)
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,9 @@ is byte-stable for fixed inputs (wall-clock timing is off by default for
 that reason).  Every solver proxes through the problem's own loss,
 RedProblem.loss, and the log takes A x - y and A^T (A x - y) / sigma^2
 from its data_terms, which reuses the spectrum of the last circular prox
-output instead of applying A and A^T again.  When a CPU is spare, a forked
-logger process computes the log of a long run while the iterations go on;
-the log, its errors and its warnings are those of logging inline.
+output instead of applying A and A^T again.  When a CPU is spare, a logger
+that `redlab.workers` forks computes a long run's log beside the iterations,
+with the records, errors and warnings of logging inline.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ import csv
 import functools
 import io
 import math
-import mmap
-import os
-import pickle
-import signal
-import struct
 import time
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -45,13 +39,7 @@ from .denoisers import Denoiser
 from .diagnostics import _STACK_BYTES, RedProblem, cost_red, fp_residual
 from .errors import ConfigError, DivergenceError, DomainError
 from .image import Image, psnr
-from .workers import (
-    _read_to_end,
-    _reissue,
-    _report_and_exit,
-    _spare_cpu,
-    _warning_records,
-)
+from .workers import _spare_cpu, _Stream
 
 __all__ = [
     "SOLVERS",
@@ -184,7 +172,7 @@ class _Run:
     """Shared solver plumbing: instrumentation, guards, stopping.
 
     A kernel iterates inside `with _Run(...) as run`.  When a CPU is spare,
-    a forked `_Logger` computes the log while the kernel goes on.  `record`
+    `_Logger` computes the log in a forked `workers._Stream`.  `record`
     computes it inline instead for a kernel that steps along the logged
     residual, when early stopping needs the residual at once, for runs of
     fewer than _FORK_ITERATIONS iterations, and when no CPU is spare.  Both
@@ -205,16 +193,17 @@ class _Run:
         self.residual: np.ndarray | None = None
         self.inline = (steps_on_residual or cfg.stop_fp_residual is not None
                        or cfg.iterations < _FORK_ITERATIONS)
-        self.logger: _Logger | None = None
+        self.logger: _Stream | None = None
 
     def __enter__(self) -> _Run:
         if not self.inline and _spare_cpu():
-            self.logger = _Logger.start(self)
+            task = _Logger(self)
+            self.logger = _Stream.start(task, task.slot, _RING_BYTES)
         return self
 
     def __exit__(self, kind, error, traceback) -> None:
         if self.logger is not None:
-            self.logger.finish(self.trajectory, error)
+            self.trajectory.records += self.logger.finish(error)
 
     def record(self, k: int, x: Image, fx: Image, x_prev: Image) -> bool:
         """Log iterate k; returns True when the run should stop early.
@@ -227,7 +216,7 @@ class _Run:
         elapsed = time.perf_counter() - self.start if self.cfg.record_timing else 0.0
         x_hat = self.p.loss.prox_spectrum(x)
         if self.logger is not None:
-            self.logger.send(k, x, fx, x_hat, elapsed)
+            self.logger.send(k, elapsed, x_hat is not None, x.pixels, fx.pixels, x_hat)
         else:
             entry, self.residual = _log_entry(self.p, self.truth, k, x, fx, x_prev,
                                               x_hat, elapsed)
@@ -239,155 +228,39 @@ class _Run:
 
 
 # The shared ring through which iterates reach the logger: about 1 MB, ten
-# slots of a 64x64 run.  At most _MAX_SLOTS messages are in flight, which
-# fits the 4 KiB that Linux gives a pipe at least, so no write blocks.
+# slots of a 64x64 run.
 _RING_BYTES = 1 << 20
-_MESSAGE = struct.Struct("<iid")  # iteration, has a prox spectrum, elapsed
-_MAX_SLOTS = 4096 // _MESSAGE.size
 
 
 class _Logger:
-    """A forked process that computes a run's log off the iterations' path.
+    """The task of a run's forked logger, a `workers._Stream`.
 
-    `send` copies x_k, f(x_k) and the prox half spectrum into the next slot
-    of a shared ring and writes a message to a pipe; it waits for the logger
-    only when every slot is taken.  The logger copies each slot out, frees
-    it with a byte on the ack pipe, and computes the records in iteration
-    order, the previous slot's x_k serving as x_prev.  `finish` collects the
-    records and raises what an inline log would have raised first: an error
-    of the log at iteration k beats an error this process met later.
-    Warnings of both processes are re-issued in the order an inline run
-    raises them.
+    A slot of the logger's ring holds the header k, elapsed and whether x_k
+    has a prox spectrum, then x_k, f(x_k) and the prox half spectrum.  The
+    logger logs the slots in iteration order, each x_k the next x_prev, so
+    the log, its errors and its warnings are those of logging inline.
     """
 
-    def __init__(self, pid: int, slots: list[tuple[np.ndarray, ...]],
-                 work: int, acks: int, results: int):
-        self.pid, self.slots = pid, slots
-        self.work, self.acks, self.results = work, acks, results
-        self.sent = self.pending = 0
-        # This process's warnings, and how many came before each send.
-        self.catcher = warnings.catch_warnings(record=True)
-        self.caught = self.catcher.__enter__()
-        warnings.simplefilter("always")
-        self.marks: list[int] = []
-
-    @classmethod
-    def start(cls, run: _Run) -> _Logger | None:
-        """Fork the logger of `run`; None when the fork fails."""
+    def __init__(self, run: _Run):
+        self.p, self.truth, self.x_prev = run.p, run.truth, run.x0
         h, w = run.x0.pixels.shape
-        n, half = h * w, h * (w // 2 + 1)
-        size = 16 * (n + half)  # x and f(x) as float64, X^ as complex128
-        count = max(2, min(_RING_BYTES // size, _MAX_SLOTS))
-        ring = mmap.mmap(-1, count * size)
-        slots = [(np.ndarray((h, w), np.float64, ring, i * size),
-                  np.ndarray((h, w), np.float64, ring, i * size + 8 * n),
-                  np.ndarray((h, w // 2 + 1), np.complex128, ring, i * size + 16 * n))
-                 for i in range(count)]
-        (work_out, work_in), (acks_out, acks_in), (results_out, results_in) = (
-            os.pipe(), os.pipe(), os.pipe())
-        try:
-            pid = os.fork()
-        except OSError:  # out of processes or memory: log inline
-            pid = None
-        if pid == 0:
-            os.close(work_in)
-            os.close(acks_out)
-            os.close(results_out)
-            _report_and_exit(results_in,
-                             functools.partial(_serve, run, slots, work_out, acks_in))
-        for fd in (work_out, acks_in, results_in):
-            os.close(fd)
-        if pid is None:
-            for fd in (work_in, acks_out, results_out):
-                os.close(fd)
-            return None
-        return cls(pid, slots, work_in, acks_out, results_out)
+        self.slot = np.dtype([("k", np.int64), ("elapsed", np.float64),
+                              ("has_hat", np.bool_), ("x", np.float64, (h, w)),
+                              ("fx", np.float64, (h, w)),
+                              ("x_hat", np.complex128, (h, w // 2 + 1))], align=True)
 
-    def send(self, k: int, x: Image, fx: Image, x_hat: np.ndarray | None,
-             elapsed: float) -> None:
-        # A logger that has ended makes the write below raise BrokenPipeError,
-        # and `finish` reports why it ended.
-        if self.pending == len(self.slots):
-            self.pending -= len(os.read(self.acks, len(self.slots)))
-        slot_x, slot_fx, slot_hat = self.slots[self.sent % len(self.slots)]
-        np.copyto(slot_x, x.pixels)
-        np.copyto(slot_fx, fx.pixels)
-        if x_hat is not None:
-            np.copyto(slot_hat, x_hat)
-        self.marks.append(len(self.caught))
-        os.write(self.work, _MESSAGE.pack(k, x_hat is not None, elapsed))
-        self.sent += 1
-        self.pending += 1
+    def __call__(self, k: np.int64, elapsed: np.float64, has_hat: np.bool_,
+                 x: np.ndarray, fx: np.ndarray,
+                 x_hat: np.ndarray) -> Callable[[], TrajectoryRecord]:
+        """Copy one slot out; returns the work of logging it."""
+        return functools.partial(self.log, int(k), Image(x), Image(fx),
+                                 x_hat.copy() if has_hat else None, float(elapsed))
 
-    def finish(self, trajectory: Trajectory, error: BaseException | None) -> None:
-        """Append the logged records to `trajectory`, reap the logger, and
-        re-issue the warnings; raise the log's error if it came first."""
-        self.catcher.__exit__(None, None, None)
-        interrupted = error is not None and not isinstance(error, Exception)
-        try:
-            if interrupted:
-                os.kill(self.pid, signal.SIGKILL)
-            os.close(self.work)
-            data = _read_to_end(self.results)
-        finally:
-            os.close(self.acks)
-            os.close(self.results)
-            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        if interrupted:
-            return
-        if code != 0:
-            raise ChildProcessError(
-                f"the logger process exited with code {code} before it reported"
-            )
-        records, logged, marks, log_error = pickle.loads(data)
-        trajectory.records += records
-        caught = _warning_records(self.caught)
-        # Inline, the warnings of logging iterate i come after this process's
-        # warnings up to its send and before the ones that follow.
-        ordered, shown, start = [], 0, 0
-        for sent, logged_end in zip(self.marks, marks):
-            ordered += caught[shown:sent] + logged[start:logged_end]
-            shown, start = sent, logged_end
-        _reissue(ordered if log_error is not None else ordered + caught[shown:])
-        if log_error is not None:
-            raise log_error
-
-
-def _serve(run: _Run, slots: list[tuple[np.ndarray, ...]], work: int,
-           acks: int) -> tuple:
-    """The logger's loop: log each sent slot until the pipe closes or a
-    record fails.  Returns the records, the warnings, the warning count
-    after each record, and the error or None."""
-    records: list[TrajectoryRecord] = []
-    marks: list[int] = []
-    log_error = None
-    x_prev, received, buffer = run.x0, 0, b""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        while log_error is None and (data := os.read(work, 4096)):
-            buffer += data
-            whole = len(buffer) - len(buffer) % _MESSAGE.size
-            batch = []
-            for k, has_hat, elapsed in _MESSAGE.iter_unpack(buffer[:whole]):
-                slot_x, slot_fx, slot_hat = slots[received % len(slots)]
-                batch.append((k, Image(slot_x), Image(slot_fx),
-                              slot_hat.copy() if has_hat else None, elapsed))
-                received += 1
-            buffer = buffer[whole:]
-            if batch:
-                os.write(acks, bytes(len(batch)))
-            for k, x, fx, x_hat, elapsed in batch:
-                try:
-                    entry, _ = _log_entry(run.p, run.truth, k, x, fx, x_prev, x_hat,
-                                          elapsed)
-                except Exception as exc:  # sent back and raised in order
-                    log_error = exc
-                marks.append(len(caught))
-                if log_error is not None:
-                    break
-                records.append(entry)
-                x_prev = x
-    return records, _warning_records(caught), marks, log_error
+    def log(self, k: int, x: Image, fx: Image, x_hat: np.ndarray | None,
+            elapsed: float) -> TrajectoryRecord:
+        entry, _ = _log_entry(self.p, self.truth, k, x, fx, self.x_prev, x_hat, elapsed)
+        self.x_prev = x
+        return entry
 
 
 def default_initialization(p: RedProblem) -> Image:

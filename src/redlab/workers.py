@@ -1,14 +1,18 @@
-"""The process budget of a run: forked workers for independent tasks.
+"""The process budget of a run, and the only code that forks.
 
 `_run_tasks` runs an experiment's independent tasks in the calling process
 plus forked children, one per usable CPU and at most ``REDLAB_WORKERS`` in
-all.  `_spare_cpu` tells a solver whether the budget leaves room for one
-more busy process, the forked logger of `solvers._Run`.
+all.  A `_Stream` is one forked worker whose tasks arrive one at a time: the
+logger of `solvers._Run`, when `_spare_cpu` finds room for it in the budget.
+Every child is started by `_fork`, runs `_work`, the one child loop, on
+4-byte task claims from a pipe, and is collected by `_reap`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import mmap
 import os
 import pickle
 import signal
@@ -16,6 +20,8 @@ import sys
 import warnings
 from collections.abc import Callable, Sequence
 from typing import TypeVar
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -88,36 +94,25 @@ def _run_round(tasks: Sequence[Callable[[], _T]], workers: int) -> list[_T]:
     claims, claims_in = os.pipe()
     os.write(claims_in, b"".join(i.to_bytes(4, "little") for i in range(len(tasks))))
     os.close(claims_in)
-    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    children: list[tuple[int, int]] = []
     try:
         for _ in range(min(workers, len(tasks)) - 1):
-            results_out, results_in = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes or memory: go on with fewer
-                os.close(results_out)
-                os.close(results_in)
+            child = _fork(functools.partial(_work, tasks, claims))
+            if child is None:  # out of processes or memory: go on with fewer
                 break
-            if pid == 0:
-                _report_and_exit(results_in, functools.partial(_work, tasks, claims))
-            os.close(results_in)
-            children[pid] = results_out
+            children.append(child)
         records = _work(tasks, claims)
         exit_code = None
-        for pid in list(children):
-            data = _read_to_end(children[pid])
-            os.close(children.pop(pid))
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        while children:
+            code, reported = _reap(*children.pop(0))
             if code == 0:
-                records += pickle.loads(data)
+                records += reported
             else:
                 exit_code = code
     finally:
         os.close(claims)
-        for pid, results_out in children.items():
-            os.close(results_out)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for child in children:
+            _reap(*child, kill=True)
     by_index = {record[0]: record for record in records}
     for index in range(len(tasks)):
         if index not in by_index:
@@ -132,54 +127,185 @@ def _run_round(tasks: Sequence[Callable[[], _T]], workers: int) -> list[_T]:
     return [by_index[index][2] for index in range(len(tasks))]
 
 
+class _Stream:
+    """A solver run's forked logger: a worker fed tasks through a shared ring.
+
+    The ring holds as many slots of the structured dtype `slot` as fit in
+    `ring_bytes`, at least 2 and at most _ROUND, so the claims in flight fit
+    one pipe page and no claim write blocks.  `send` fills the next slot and
+    claims its index as a pool claims a task; it waits only when every slot
+    is taken.  The worker calls `task` on the claimed slot's fields, which
+    copies them out and returns the work to do, frees the slot with a byte
+    on the ack pipe and does the work.  `finish` returns the results in send
+    order and raises what running each task at its `send` would have raised
+    first, after the warnings of both processes in that order.
+    """
+
+    def __init__(self, child: tuple[int, int], fields: list[np.ndarray], claims: int,
+                 acks: int):
+        self.child, self.fields, self.claims, self.acks = child, fields, claims, acks
+        self.slots, self.sent, self.pending = len(fields[0]), 0, 0
+        # This process's warnings, and how many came before each send.
+        self.catcher = warnings.catch_warnings(record=True)
+        self.caught = self.catcher.__enter__()
+        warnings.simplefilter("always")
+        self.marks: list[int] = []
+
+    @classmethod
+    def start(cls, task: Callable[..., Callable[[], _T]], slot: np.dtype,
+              ring_bytes: int) -> _Stream | None:
+        """Fork the worker; None when the fork fails."""
+        count = max(2, min(ring_bytes // slot.itemsize, _ROUND))
+        ring = np.ndarray(count, slot, mmap.mmap(-1, count * slot.itemsize))
+        fields = [ring[field] for field in slot.names]
+        (claims, claims_in), (acks, acks_in) = os.pipe(), os.pipe()
+
+        def take(index: int) -> _T:
+            work = task(*[field[index] for field in fields])
+            os.write(acks_in, b"\0")
+            return work()
+
+        def work() -> list[tuple]:
+            records = _work([functools.partial(take, i) for i in range(count)], claims)
+            # A report larger than the pipe holds waits for `finish`, so a `send`
+            # that waits on a full ring must see that no ack will come.
+            os.close(acks_in)
+            return records
+
+        child = _fork(work, close=(claims_in, acks))
+        os.close(claims)
+        os.close(acks_in)
+        if child is None:
+            os.close(claims_in)
+            os.close(acks)
+            return None
+        return cls(child, fields, claims_in, acks)
+
+    def send(self, *values: object) -> None:
+        """Fill the fields of the next slot with `values`, leaving those
+        whose value is None, and claim the slot for the worker."""
+        # A worker that has ended sends no ack and takes no claim, which
+        # raises BrokenPipeError here; `finish` reports why it ended.
+        if self.pending == self.slots:
+            if not (acked := os.read(self.acks, self.slots)):
+                raise BrokenPipeError("the logger process takes no more tasks")
+            self.pending -= len(acked)
+        index = self.sent % self.slots
+        for field, value in zip(self.fields, values):
+            if value is not None:
+                field[index] = value
+        self.marks.append(len(self.caught))
+        os.write(self.claims, index.to_bytes(4, "little"))
+        self.sent += 1
+        self.pending += 1
+
+    def finish(self, error: BaseException | None) -> list:
+        """Reap the worker, issue the warnings and return the results; raise
+        the first task's error.  When `error`, which ends the caller's run,
+        is not an Exception (an interrupt), kill the worker and return []."""
+        self.catcher.__exit__(None, None, None)
+        interrupted = error is not None and not isinstance(error, Exception)
+        try:
+            os.close(self.claims)
+            code, records = _reap(*self.child, kill=interrupted)
+        finally:
+            os.close(self.acks)
+        if interrupted:
+            return []
+        if code != 0:
+            raise ChildProcessError(
+                f"the logger process exited with code {code} before it reported"
+            )
+        caught = _warning_records(self.caught)
+        # Run at its send, a task's warnings come after this process's
+        # warnings up to that send and before the ones that follow.
+        values, ordered, shown = [], [], 0
+        for sent, (_, ok, value, logged) in zip(self.marks, records):
+            ordered += caught[shown:sent] + logged
+            shown = sent
+            if not ok:
+                _reissue(ordered)
+                raise value
+            values.append(value)
+        _reissue(ordered + caught[shown:])
+        return values
+
+
 def _work(tasks: Sequence[Callable[[], _T]], claims: int) -> list[tuple]:
-    """Run claimed tasks until none is left or one fails.
+    """Run claimed tasks until the claims end or a task fails.
 
     Each record is (index, ok, value or exception, warnings), a warning as
     (message, category, filename, lineno).
     """
     records = []
-    while len(claim := os.read(claims, 4)) == 4:
-        index = int.from_bytes(claim, "little")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        while len(claim := os.read(claims, 4)) == 4:
+            index, start = int.from_bytes(claim, "little"), len(caught)
             try:
                 ok, value = True, tasks[index]()
             except Exception as exc:  # sent back and raised in task order
                 ok, value = False, exc
-        records.append((index, ok, value, _warning_records(caught)))
-        if not ok:
-            # Indices are claimed in order, so every unclaimed task comes later.
-            while os.read(claims, 4096):
-                pass
-            break
+            records.append((index, ok, value, _warning_records(caught[start:])))
+            if not ok:
+                # Indices are claimed in order, so every unclaimed task comes
+                # later.  Take the queued claims, at most _ROUND, but wait for
+                # no more: a stream's sender may be waiting for an ack.
+                os.set_blocking(claims, False)
+                with contextlib.suppress(BlockingIOError):
+                    os.read(claims, 4 * _ROUND)
+                break
     return records
 
 
-def _report_and_exit(results_in: int, work: Callable[[], object]) -> None:
-    """In a forked child: send what `work` returns, pickled, and exit at
-    once, skipping the parent's cleanup and buffered output.  A result that
-    does not pickle ends the child with code 1, which the parent reports."""
-    code = 1
+def _fork(work: Callable[[], object], close: Sequence[int] = ()) -> tuple[int, int] | None:
+    """Fork a child that closes the descriptors `close`, sends what `work`
+    returns, pickled, and exits at once, skipping the parent's cleanup and
+    buffered output.  Returns the child's pid and the read end of its report
+    pipe, or None when the fork fails (out of processes or memory).  A
+    report that does not pickle ends the child with code 1."""
+    results, results_in = os.pipe()
     try:
-        view = memoryview(pickle.dumps(work()))
-        while view:
-            view = view[os.write(results_in, view):]
-        code = 0
+        pid = os.fork()
+    except OSError:
+        os.close(results)
+        os.close(results_in)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (results, *close):
+                os.close(fd)
+            with os.fdopen(results_in, "wb") as report:
+                pickle.dump(work(), report)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(results_in)
+    return pid, results
+
+
+def _reap(pid: int, results: int, kill: bool = False) -> tuple[int, object]:
+    """Read a forked child's report to its end and wait for the child.
+
+    Returns the exit code and the report unpickled, or None when the code is
+    not 0.  The child is killed first with `kill`, or when reading fails.
+    """
+    data = None
+    try:
+        if not kill:
+            data = b"".join(iter(functools.partial(os.read, results, 1 << 20), b""))
     finally:
-        os._exit(code)
+        os.close(results)
+        if data is None:
+            os.kill(pid, signal.SIGKILL)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return code, None if data is None or code else pickle.loads(data)
 
 
 def _warning_records(caught: list[warnings.WarningMessage]) -> list[tuple]:
     """Caught warnings as (message, category, filename, lineno) for `_reissue`."""
     return [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def _reissue(caught: list[tuple]) -> None:

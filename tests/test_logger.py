@@ -307,3 +307,90 @@ def test_warnings_of_the_log_reach_stderr_in_inline_order(tmp_path):
     # Inline, the observer of iteration 3 runs before the log of iteration 4.
     assert shown == ["the same text each time", "log 2", "observer 2", "observer 3",
                      "log 4"]
+
+
+def test_a_log_error_while_the_ring_is_full_ends_the_run_with_it(two_cpus,
+                                                                 monkeypatch):
+    """The logger fails while the solver waits on a full two-slot ring: it
+    takes only the claims already sent, so both processes move on."""
+    parent = os.getpid()
+    entry = solvers._log_entry
+
+    def slow_failure(p, truth, k, *args):
+        if os.getpid() != parent and k == 1:
+            time.sleep(0.3)
+            raise DomainError("log fails at 1")
+        return entry(p, truth, k, *args)
+
+    monkeypatch.setattr(solvers, "_log_entry", slow_failure)
+    monkeypatch.setattr(solvers, "_RING_BYTES", 0)
+    p, truth = problem(blur=True)
+    kind, error = solve_in_thread(
+        lambda: solvers.red_pg(p, SolverConfig(iterations=200), truth=truth))
+    assert kind == "raised"
+    assert type(error) is DomainError and str(error) == "log fails at 1"
+
+
+def test_a_log_error_larger_than_a_pipe_ends_a_run_on_a_full_ring(short_runs_fork,
+                                                                 monkeypatch):
+    """The logger's report outgrows the pipe and waits for the solver, which
+    waits on a full ring until it sees that no slot will be freed.  The
+    logger frees only the slot of iteration 1, so the solver stops at 4."""
+    parent = os.getpid()
+    entry = solvers._log_entry
+    message = "log fails at 1: " + "x" * (1 << 20)
+
+    def large_failure(p, truth, k, *args):
+        if os.getpid() != parent and k == 1:
+            raise DomainError(message)
+        return entry(p, truth, k, *args)
+
+    monkeypatch.setattr(solvers, "_log_entry", large_failure)
+    monkeypatch.setattr(solvers, "_RING_BYTES", 0)
+    p, truth = problem(blur=True)
+    observed = []
+    kind, error = solve_in_thread(lambda: solvers.red_pg(
+        p, SolverConfig(iterations=30), truth=truth,
+        observer=lambda k, x: observed.append(k)))
+    assert kind == "raised"
+    assert type(error) is DomainError and str(error) == message
+    assert observed == [1, 2, 3]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_logger_fork_logs_inline(short_runs_fork, monkeypatch):
+    attempts = []
+
+    def no_fork():
+        attempts.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    p, truth = problem(blur=True)
+    cfg = SolverConfig(iterations=12)
+    before = set(os.listdir("/proc/self/fd"))
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        x_unforked, unforked = solvers.red_pg(p, cfg, truth=truth)
+    assert attempts == [1]
+    assert set(os.listdir("/proc/self/fd")) == before
+    monkeypatch.setenv("REDLAB_WORKERS", "1")
+    x_inline, inline = solvers.red_pg(p, cfg, truth=truth)
+    assert len(unforked) == 12
+    assert bits(unforked) == bits(inline)
+    assert x_unforked.pixels.tobytes() == x_inline.pixels.tobytes()
+
+
+def test_an_interrupt_propagates_and_the_logger_is_reaped(short_runs_fork, forks):
+    """The autouse check that no child is left shows that the logger was
+    killed and reaped."""
+    interrupt = KeyboardInterrupt("stop at 20")
+
+    def observer(k, x):
+        if k == 20:
+            raise interrupt
+
+    p, truth = problem(blur=True)
+    kind, error = solve_in_thread(lambda: solvers.red_pg(
+        p, SolverConfig(iterations=40), truth=truth, observer=observer))
+    assert len(forks) == 1
+    assert kind == "raised" and error is interrupt

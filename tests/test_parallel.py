@@ -1,8 +1,11 @@
 """`workers._run_tasks`: independent tasks in forked workers, with the
-outcome of calling them one after another."""
+outcome of calling them one after another; and the rule that only
+`redlab.workers` forks."""
 
+import ast
 import functools
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -213,3 +216,16 @@ def test_worker_count_is_the_least_of_tasks_cpus_and_the_variable(
     kind, results = run_with_timeout([functools.partial(int, i) for i in range(tasks)])
     assert (kind, results) == ("ok", list(range(tasks)))
     assert len(fork_calls) == forks
+
+
+def test_only_the_workers_module_forks():
+    """Forking, killing, reaping and shared memory stay in redlab.workers;
+    the solvers keep only the numerics of their log."""
+    src = REPO / "src" / "redlab"
+    pattern = re.compile(r"\bos\.(fork|waitpid|kill)\b|\bmmap\b")
+    assert [path.name for path in sorted(src.glob("*.py"))
+            if path.name != "workers.py" and pattern.search(path.read_text())] == []
+    imported = {alias.name.split(".")[0]
+                for node in ast.walk(ast.parse((src / "solvers.py").read_text()))
+                if isinstance(node, ast.Import) for alias in node.names}
+    assert imported.isdisjoint({"os", "mmap", "pickle", "signal", "struct"})

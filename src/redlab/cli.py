@@ -16,11 +16,11 @@ for the same reason.
 Exit codes: 0 success, 2 validation or input error (nothing is written),
 3 numerical divergence.  The ``REDLAB_OUT`` environment variable
 overrides the configured output directory.  Independent parts of an
-experiment (the seven `deblur` solvers, the cells of a report) run in
-forked worker processes, one per usable CPU; ``REDLAB_WORKERS`` lowers
-that count.  When a CPU is spare, a solver run's per-iteration log is
-computed in a second forked process while it iterates.  Outputs do not
-depend on either.
+experiment (the seven `deblur` solvers; the probe chunks of a report's
+Jacobians, then its cells' metrics) run in forked worker processes, one
+per usable CPU; ``REDLAB_WORKERS`` lowers that count.  When a CPU is
+spare, a solver run's per-iteration log is computed in a second forked
+process while it iterates.  Outputs do not depend on either.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ from .denoisers import (
 )
 from .diagnostics import (
     DEFAULT_EPSILON,
+    JacobianEstimate,
     RedProblem,
+    _jacobian_chunks,
+    _jacobian_from_chunks,
     central_differences,
     cost_red,
     cost_slice,
@@ -61,9 +64,9 @@ from .diagnostics import (
     js_error,
     lh_error_1,
     lh_error_2,
-    # numerical_gradient_rho is not called here; bench/traced.py wraps it on this module.
+    # Neither probe is called here; bench/traced.py wraps both on this module.
     numerical_gradient_rho,  # noqa: F401
-    numerical_jacobian,
+    numerical_jacobian,  # noqa: F401
 )
 from .equilibrium import consensus_residual, denoising_equilibria, red_pg_pair
 from .errors import (
@@ -79,7 +82,7 @@ from .operators import IdentityOperator, operator_matrix  # noqa: F401
 from .scenes import diagnostic_patches, solver_scene
 from .smd import KdePrior, TweedieRegularizer
 from .solvers import SOLVERS, SolverConfig, Trajectory, format_csv, red_pg
-from .workers import _run_tasks, _worker_limit
+from .workers import _run_tasks, _run_until_failure, _worker_limit
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -484,19 +487,18 @@ def _plan_report(which: str) -> Callable:
             files = []
             summary_rows = []
             denoisers = [build((patch_size, patch_size)) for _, build in specs]
-            # One task per (denoiser, patch) cell.  Patch 0 of every denoiser
-            # comes first in task order: the earliest failure in that order
-            # is raised and no task is claimed after it, so a denoiser whose
-            # metrics raise (say, an identically zero Jacobian) fails before
-            # second patches run.
+            # Cells are (denoiser, patch) pairs; the unit of parallel work is
+            # one probe chunk of a cell's Jacobian (see _report_cells).  Patch
+            # 0 of every denoiser comes first in cell order and forms the
+            # first wave: the earliest failure in cell order is raised and no
+            # later wave starts, so a denoiser whose metrics raise (say, an
+            # identically zero Jacobian) fails before second patches run.
             order = [(d, 0) for d in range(len(denoisers))] + [
                 (d, i) for d in range(len(denoisers)) for i in range(1, len(points))
             ]
-            metrics = dict(zip(order, _run_tasks([
-                functools.partial(_report_metrics, which, denoisers[d], points[i][1],
-                                  epsilon)
-                for d, i in order
-            ])))
+            cells = [(denoisers[d], points[i][1]) for d, i in order]
+            metrics = dict(zip(order, _report_cells(which, cells, epsilon,
+                                                    lead=len(denoisers))))
             for d, label in enumerate(labels):
                 rows = []
                 sums: dict[str, float] = {}
@@ -530,21 +532,71 @@ def _plan_report(which: str) -> Callable:
     return planner
 
 
-def _report_metrics(which: str, f: Denoiser, x: Image, epsilon: float) -> dict:
-    """The report's metrics, in CSV column order, for one patch."""
-    estimate = numerical_jacobian(f, x, epsilon)
+# Bytes of Jacobian estimates a report holds at once: 30 estimates at 16x16
+# (0.5 MB each) fit, two at 32x32 (8.4 MB each) do not.
+_WAVE_BYTES = 16 << 20
+
+
+def _report_cells(which: str, cells: list[tuple[Denoiser, Image]], epsilon: float,
+                  lead: int) -> list[dict]:
+    """`_report_metrics` of each (denoiser, image) cell, in cell order.
+
+    The first `lead` cells and the rest are cut into waves of as many cells
+    as have Jacobians that fit in _WAVE_BYTES (at least one).  A wave is two
+    rounds of workers (`_run_until_failure`).  The first evaluates the
+    probe chunks of its cells' Jacobians, cell after cell; this process
+    assembles each cell's estimate from them as numerical_jacobian does,
+    freeing each chunk once copied.  The second computes the cells'
+    metrics, in workers that inherit the estimates.  When a chunk of cell c
+    fails, the metrics of the wave's cells before c still run, and the
+    first of their errors is raised, or else the chunk's: the error that
+    computing the cells one after another raises.
+    """
+    n = cells[0][1].size
+    per_wave = max(1, _WAVE_BYTES // ((n + 1) * n * 8))
+    starts = [*range(0, lead, per_wave), *range(lead, len(cells), per_wave)]
+    results: list[dict] = []
+    for start, stop in zip(starts, starts[1:] + [len(cells)]):
+        wave = cells[start:stop]
+        chunks = [_jacobian_chunks(f, x, epsilon) for f, x in wave]
+        diffs, error = _run_until_failure([task for tasks in chunks for task in tasks])
+        # The cells whose every chunk came back, in cell order.
+        diffs.reverse()
+        estimates = []
+        for (_, x), tasks in zip(wave, chunks):
+            if len(diffs) < len(tasks):
+                break
+            estimates.append(_jacobian_from_chunks(x, (diffs.pop() for _ in tasks),
+                                                   epsilon))
+        values, failure = _run_until_failure([
+            functools.partial(_report_metrics, which, f, x, estimate, epsilon)
+            for (f, x), estimate in zip(wave, estimates)
+        ])
+        results += values
+        if failure is not None:
+            raise failure
+        if error is not None:
+            raise error
+    return results
+
+
+def _report_metrics(which: str, f: Denoiser, x: Image, estimate: JacobianEstimate,
+                    epsilon: float) -> dict:
+    """The report's metrics, in CSV column order, for one patch and its
+    Jacobian estimate.  f(x) is denoised once, and not for e_J."""
     if which == "jacobian-report":
         return {"e_J": js_error(estimate)}
+    fx = f.apply(x)
     if which == "gradient-report":
         numeric = estimate.rho_gradient
         return {
-            "e_grad_romano": grad_error(grad_red_romano(f, x), numeric),
+            "e_grad_romano": grad_error(grad_red_romano(f, x, fx), numeric),
             "e_grad_lh": grad_error(grad_red_lh(f, x, estimate), numeric),
-            "e_grad_true": grad_error(grad_red_true(f, x, estimate), numeric),
+            "e_grad_true": grad_error(grad_red_true(f, x, estimate, fx), numeric),
         }
     return {
-        "e_LH1": lh_error_1(f, x, epsilon),
-        "e_LH2": lh_error_2(f, x, epsilon, jacobian=estimate),
+        "e_LH1": lh_error_1(f, x, epsilon, fx=fx),
+        "e_LH2": lh_error_2(f, x, epsilon, jacobian=estimate, fx=fx),
     }
 
 

@@ -262,8 +262,14 @@ class MedianFilterDenoiser(Denoiser):
         return np.partition(windows, mid, axis=-1)[..., mid] + 0.0
 
 
-def _box_sum(sq: np.ndarray, k: int) -> np.ndarray:
+def _box_sum(sq: np.ndarray, k: int, row_buffer: np.ndarray,
+             out_buffer: np.ndarray) -> np.ndarray:
     """Sums of a C-ordered (B, rows, cols) array over every k x k window.
+
+    The row sums and the result are written into C-ordered prefixes of the
+    flat buffers `row_buffer` and `out_buffer`, which must hold at least
+    B * rows * (cols - k + 1) and B * (rows - k + 1) * (cols - k + 1)
+    values; the result is a view of `out_buffer`.
 
     The additions run in the order numpy's np.sum(..., axis=(2, 3)) uses on
     an array of k x k patches, so the result is bitwise that sum: row sums
@@ -281,17 +287,20 @@ def _box_sum(sq: np.ndarray, k: int) -> np.ndarray:
     out_rows, out_cols = rows - k + 1, cols - k + 1
     sb, sr, sc = sq.strides
     as_strided = np.lib.stride_tricks.as_strided
+    out = out_buffer[: b * out_rows * out_cols].reshape(b, out_rows, out_cols)
     if out_cols == 1:
         patches = as_strided(sq, (b, out_rows, k * k), (sb, sr, sc), writeable=False)
-        return np.add.reduce(patches, axis=2)[:, :, None]
+        np.add.reduce(patches, axis=2, out=out[:, :, 0])
+        return out
+    row_sums = row_buffer[: b * rows * out_cols].reshape(b, rows, out_cols)
     if k <= 7:
-        row_sums = sq[:, :, :out_cols].copy()
+        np.copyto(row_sums, sq[:, :, :out_cols])
         for j in range(1, k):
             row_sums += sq[:, :, j : j + out_cols]
     else:
         windows = as_strided(sq, (b, rows, out_cols, k), (sb, sr, sc, sc), writeable=False)
-        row_sums = np.add.reduce(windows, axis=3)
-    out = row_sums[:, :out_rows].copy()
+        np.add.reduce(windows, axis=3, out=row_sums)
+    np.copyto(out, row_sums[:, :out_rows])
     for i in range(1, k):
         out += row_sums[:, i : i + out_rows]
     return out
@@ -327,7 +336,8 @@ class NlmDenoiser(Denoiser):
     pair keeps its weights for the mirror while the kept arrays fit in
     _MIRROR_BYTES; a mirror past that budget recomputes them, with the same
     bits.  The squared differences and numerator terms of every offset are
-    formed in one scratch buffer.
+    formed in one scratch buffer, its box sums and weights in two more and
+    the kept weights in a fourth, all allocated once per call.
     """
 
     def __init__(self, patch_radius: int = 1, search_radius: int = 5,
@@ -359,10 +369,16 @@ class NlmDenoiser(Denoiser):
         # One buffer for the squared differences and the numerator terms of
         # every offset; prefixes of it are C-ordered, as _box_sum needs.
         scratch = np.empty(padded.size)
+        # The box sums' row sums and results, then the weights, of every
+        # offset that keeps none for its mirror.
+        row_buffer = np.empty(padded.shape[0] * padded.shape[1] * w)
+        dist_buffer = np.empty(xs.size)
         # Weights of offsets d that come before -d in the loop, kept for
-        # their mirror while they fit in the byte budget.
+        # their mirror in consecutive slices of one buffer while they fit
+        # in the byte budget; at most half of the other offsets keep any.
         kept: dict[tuple[int, int], np.ndarray] = {}
-        budget = _MIRROR_BYTES
+        kept_buffer = np.empty(min(_MIRROR_BYTES // 8, xs.size * ((2 * s + 1) ** 2 // 2)))
+        used = 0
         for dy in range(-s, s + 1):
             r_lo, r_hi = max(0, -dy), min(h, h - dy)
             if r_lo >= r_hi:
@@ -381,12 +397,15 @@ class NlmDenoiser(Denoiser):
                                    c_lo + dx : c_hi + dx + 2 * p]
                     sq = scratch[: here.size].reshape(here.shape)
                     np.subtract(here, there, out=sq)
-                    dist = _box_sum(np.square(sq, out=sq), k)
+                    size = xs.shape[0] * (r_hi - r_lo) * (c_hi - c_lo)
+                    keep = (dy, dx) < (0, 0) and used + size <= kept_buffer.size
+                    dist = _box_sum(np.square(sq, out=sq), k, row_buffer,
+                                    kept_buffer[used:] if keep else dist_buffer)
                     # exp(-dist / h^2); IEEE division is sign-symmetric.
                     weight = np.exp(np.divide(dist, -h2, out=dist), out=dist)
-                    if (dy, dx) < (0, 0) and weight.nbytes <= budget:
+                    if keep:
                         kept[(-dy, -dx)] = weight
-                        budget -= weight.nbytes
+                        used += size
                 vals = xs[:, r_lo + dy : r_hi + dy, c_lo + dx : c_hi + dx]
                 terms = scratch[: weight.size].reshape(weight.shape)
                 numer[:, r_lo:r_hi, c_lo:c_hi] += np.multiply(weight, vals, out=terms)

@@ -14,17 +14,19 @@ Three candidate gradient expressions for rho are provided:
   valid whenever f is differentiable at x.
 
 The error metrics quantify how far a given denoiser is from satisfying
-each expression.  All probes share one perturbation loop,
+each expression.  All probes share the chunks of one perturbation loop,
 `central_differences`, which evaluates the perturbed images in chunks,
 each chunk as one stack through Denoiser.apply_stack; numerical_jacobian
-takes J and grad rho from the same 2 N denoised images, and the Hessian
-differences grad rho once more.  The cost and residual take their data
+takes J and grad rho from the same 2 N denoised images, one task per
+chunk that a caller may also run apart (the CLI reports do, in parallel),
+and the Hessian differences grad rho once more.  The cost and residual take their data
 terms from the problem's own QuadraticLoss.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import functools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +81,45 @@ def _check_epsilon(eps: float):
 _STACK_BYTES = 64 * 1024
 
 
+def _chunk_tasks(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
+                 eps: float) -> list[Callable[[], np.ndarray]]:
+    """central_differences(fn, a, eps) as one task per chunk, in column
+    order; _assemble joins their results."""
+    base = np.asarray(a, dtype=np.float64)
+    n = base.size
+    chunk = max(1, _STACK_BYTES // (2 * base.nbytes))
+    return [functools.partial(_difference_chunk, fn, base, eps, j0, min(chunk, n - j0))
+            for j0 in range(0, n, chunk)]
+
+
+def _difference_chunk(fn: Callable[[np.ndarray], np.ndarray], base: np.ndarray,
+                      eps: float, j0: int, count: int) -> np.ndarray:
+    """[fn(a + eps e_j) - fn(a - eps e_j)] / (2 eps) for `count` columns j
+    from j0, one row each, from one call of fn on the rows a + eps e_j,
+    a - eps e_j."""
+    flat = base.reshape(-1)
+    pick = np.arange(count)
+    cols = j0 + pick
+    rows = np.repeat(flat[None], 2 * count, axis=0)
+    rows[2 * pick, cols] = flat[cols] + eps
+    rows[2 * pick + 1, cols] = flat[cols] - eps
+    values = np.asarray(fn(rows.reshape((-1,) + base.shape)))
+    return (values[0::2] - values[1::2]) / (2.0 * eps)
+
+
+def _assemble(n: int, diffs: Iterable[np.ndarray]) -> np.ndarray:
+    """The result of central_differences on n values from its chunk tasks'
+    results, in order; each is copied in as it is drawn."""
+    out = None
+    j0 = 0
+    for diff in diffs:
+        if out is None:
+            out = np.empty(diff.shape[1:] + (n,))
+        out[..., j0 : j0 + len(diff)] = diff.T
+        j0 += len(diff)
+    return out
+
+
 def central_differences(fn: Callable[[np.ndarray], np.ndarray],
                         a: np.ndarray, eps: float) -> np.ndarray:
     """Column j is [fn(a + eps e_j) - fn(a - eps e_j)] / (2 eps), j over a.flat.
@@ -91,23 +132,7 @@ def central_differences(fn: Callable[[np.ndarray], np.ndarray],
     (M, a.size) array; 2 a.size rows are evaluated in all.
     """
     _check_epsilon(eps)
-    base = np.asarray(a, dtype=np.float64)
-    flat = base.reshape(-1)
-    n = flat.size
-    chunk = max(1, _STACK_BYTES // (2 * flat.nbytes))
-    out = None
-    for j0 in range(0, n, chunk):
-        pick = np.arange(min(chunk, n - j0))
-        cols = j0 + pick
-        rows = np.repeat(flat[None], 2 * pick.size, axis=0)
-        rows[2 * pick, cols] = flat[cols] + eps
-        rows[2 * pick + 1, cols] = flat[cols] - eps
-        values = np.asarray(fn(rows.reshape((-1,) + base.shape)))
-        diff = (values[0::2] - values[1::2]) / (2.0 * eps)
-        if out is None:
-            out = np.empty(diff.shape[1:] + (n,))
-        out[..., j0 : j0 + pick.size] = diff.T
-    return out
+    return _assemble(np.size(a), (task() for task in _chunk_tasks(fn, a, eps)))
 
 
 def _rho_rows(stack: np.ndarray, denoised: np.ndarray) -> np.ndarray:
@@ -117,22 +142,39 @@ def _rho_rows(stack: np.ndarray, denoised: np.ndarray) -> np.ndarray:
     return np.array([0.5 * float(x @ (x - fx)) for x, fx in zip(xs, fxs)])
 
 
+def _jacobian_rows(f: Denoiser, stack: np.ndarray) -> np.ndarray:
+    """Each image of a stack denoised and flattened, then its rho_red."""
+    fxs = f.apply_stack(stack)
+    return np.column_stack([fxs.reshape(len(stack), -1), _rho_rows(stack, fxs)])
+
+
+def _jacobian_chunks(f: Denoiser, x: Image, eps: float) -> list[Callable[[], np.ndarray]]:
+    """numerical_jacobian(f, x, eps) as the chunk tasks of its central
+    differences; _jacobian_from_chunks joins their results."""
+    return _chunk_tasks(functools.partial(_jacobian_rows, f), x.pixels, eps)
+
+
+def _jacobian_from_chunks(x: Image, diffs: Iterable[np.ndarray],
+                          eps: float) -> JacobianEstimate:
+    """The estimate from the results of _jacobian_chunks(f, x, eps), in order.
+
+    One (N + 1, N) buffer: J is its C-contiguous top N rows, grad rho the
+    last.
+    """
+    out = _assemble(x.size, diffs)
+    return JacobianEstimate(out[:-1], eps, rho_gradient=out[-1])
+
+
 def numerical_jacobian(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> JacobianEstimate:
     """Central-difference Jacobian of f at x, plus the gradient of rho_red.
 
     Costs exactly 2 N denoised images for an N-pixel image, evaluated
-    through f.apply_stack; rho_red is taken from the same outputs, so
-    `rho_gradient` is bitwise equal to numerical_gradient_rho(f, x, eps)
-    for a deterministic f.
+    through f.apply_stack in the chunks of central_differences; rho_red is
+    taken from the same outputs, so `rho_gradient` is bitwise equal to
+    numerical_gradient_rho(f, x, eps) for a deterministic f.
     """
-
-    def probe(stack: np.ndarray) -> np.ndarray:
-        fxs = f.apply_stack(stack)
-        return np.column_stack([fxs.reshape(len(stack), -1), _rho_rows(stack, fxs)])
-
-    # One (N + 1, N) buffer: J is the C-contiguous top N rows, grad rho the last.
-    out = central_differences(probe, x.pixels, eps)
-    return JacobianEstimate(out[:-1], eps, rho_gradient=out[-1])
+    _check_epsilon(eps)
+    return _jacobian_from_chunks(x, (chunk() for chunk in _jacobian_chunks(f, x, eps)), eps)
 
 
 def js_error(estimate: JacobianEstimate) -> float:
@@ -150,14 +192,19 @@ def rho_red(f: Denoiser, x: Image) -> float:
     return 0.5 * float(x.flat @ (x.flat - fx.flat))
 
 
-def grad_red_romano(f: Denoiser, x: Image) -> np.ndarray:
-    """The denoising-residual rule x - f(x)."""
-    return x.flat - f.apply(x).flat
+def grad_red_romano(f: Denoiser, x: Image, fx: Image | None = None) -> np.ndarray:
+    """The denoising-residual rule x - f(x); `fx` may carry f(x)."""
+    if fx is None:
+        fx = f.apply(x)
+    return x.flat - fx.flat
 
 
-def grad_red_true(f: Denoiser, x: Image, jacobian: JacobianEstimate) -> np.ndarray:
-    """Product-rule gradient x - f(x)/2 - J^T x / 2."""
-    return x.flat - 0.5 * f.apply(x).flat - 0.5 * (jacobian.matrix.T @ x.flat)
+def grad_red_true(f: Denoiser, x: Image, jacobian: JacobianEstimate,
+                  fx: Image | None = None) -> np.ndarray:
+    """Product-rule gradient x - f(x)/2 - J^T x / 2; `fx` may carry f(x)."""
+    if fx is None:
+        fx = f.apply(x)
+    return x.flat - 0.5 * fx.flat - 0.5 * (jacobian.matrix.T @ x.flat)
 
 
 def grad_red_lh(f: Denoiser, x: Image, jacobian: JacobianEstimate) -> np.ndarray:
@@ -185,11 +232,17 @@ def grad_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(diff @ diff) / denom
 
 
-def lh_error_1(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> float:
-    """Scale-equivariance defect ||f((1+e)x) - (1+e)f(x)||^2 / ||(1+e)f(x)||^2."""
+def lh_error_1(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON,
+               fx: Image | None = None) -> float:
+    """Scale-equivariance defect ||f((1+e)x) - (1+e)f(x)||^2 / ||(1+e)f(x)||^2.
+
+    `fx` may carry a precomputed f(x).
+    """
     _check_epsilon(eps)
     scaled = f.apply(Image((1.0 + eps) * x.pixels)).flat
-    ref = (1.0 + eps) * f.apply(x).flat
+    if fx is None:
+        fx = f.apply(x)
+    ref = (1.0 + eps) * fx.flat
     denom = float(ref @ ref)
     if denom == 0.0:
         raise DegenerateInputError("denoiser output is identically zero")
@@ -198,19 +251,21 @@ def lh_error_1(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> float:
 
 
 def lh_error_2(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON,
-               jacobian: JacobianEstimate | None = None) -> float:
+               jacobian: JacobianEstimate | None = None,
+               fx: Image | None = None) -> float:
     """Jacobian-homogeneity defect ||J x - f(x)||^2 / ||f(x)||^2.
 
     Pass a precomputed estimate to avoid repeating the 2 N denoiser
-    applications of the central-difference Jacobian.
+    applications of the central-difference Jacobian, and `fx` for f(x).
     """
     if jacobian is None:
         jacobian = numerical_jacobian(f, x, eps)
-    fx = f.apply(x).flat
-    denom = float(fx @ fx)
+    if fx is None:
+        fx = f.apply(x)
+    denom = float(fx.flat @ fx.flat)
     if denom == 0.0:
         raise DegenerateInputError("denoiser output is identically zero")
-    diff = jacobian.matrix @ x.flat - fx
+    diff = jacobian.matrix @ x.flat - fx.flat
     return float(diff @ diff) / denom
 
 

@@ -64,33 +64,55 @@ def _spare_cpu() -> bool:
 
 
 def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
-    """Call every task and return the results in task order.
+    """Call every task and return the results in task order; raise the
+    error of the earliest failing task (see `_run_until_failure`)."""
+    results, error = _run_until_failure(tasks)
+    if error is not None:
+        raise error
+    return results
+
+
+def _run_until_failure(tasks: Sequence[Callable[[], _T]]
+                       ) -> tuple[list[_T], Exception | None]:
+    """Call the tasks in order up to the first that fails.
+
+    Returns the results of the tasks before it, in task order, and its
+    error, or every result and None.
 
     The calling process is one worker and forks one more per usable CPU, up
     to one per task and to ``REDLAB_WORKERS`` in all.  Forked children
     inherit the tasks, closures and shared objects included, so only
     results, errors and warnings are pickled.  Workers claim task indices
     in order, so the schedule is dynamic, and the outcome is that of calling
-    the tasks one after another: the error of the earliest failing task is
-    raised, no task is claimed once a failure is known, and the warnings of
-    the tasks up to it are issued in task order.  Tasks must not print,
+    the tasks one after another: the earliest failing task is the one
+    reported, no task is claimed once a failure is known, and the warnings
+    of the tasks up to it are issued in task order.  Tasks must not print,
     since what a child writes is lost.
     """
     global _busy
     workers = min(len(tasks), _usable_cpus(), _worker_limit() or len(tasks))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [task() for task in tasks]
     results: list[_T] = []
+    if workers <= 1 or not hasattr(os, "fork"):
+        for task in tasks:
+            try:
+                results.append(task())
+            except Exception as exc:
+                return results, exc
+        return results, None
     busy, _busy = _busy, workers
     try:
         for start in range(0, len(tasks), _ROUND):
-            results += _run_round(tasks[start:start + _ROUND], workers)
+            done, error = _run_round(tasks[start:start + _ROUND], workers)
+            results += done
+            if error is not None:
+                return results, error
     finally:
         _busy = busy
-    return results
+    return results, None
 
 
-def _run_round(tasks: Sequence[Callable[[], _T]], workers: int) -> list[_T]:
+def _run_round(tasks: Sequence[Callable[[], _T]],
+               workers: int) -> tuple[list[_T], Exception | None]:
     claims, claims_in = os.pipe()
     os.write(claims_in, b"".join(i.to_bytes(4, "little") for i in range(len(tasks))))
     os.close(claims_in)
@@ -123,8 +145,8 @@ def _run_round(tasks: Sequence[Callable[[], _T]], workers: int) -> list[_T]:
         _, ok, value, caught = by_index[index]
         _reissue(caught)
         if not ok:
-            raise value
-    return [by_index[index][2] for index in range(len(tasks))]
+            return [by_index[i][2] for i in range(index)], value
+    return [by_index[index][2] for index in range(len(tasks))], None
 
 
 class _Stream:

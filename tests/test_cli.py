@@ -51,6 +51,26 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+@pytest.fixture
+def denoised_images(monkeypatch):
+    """Images denoised by tdt and median, counted as apply calls plus
+    apply_stack rows in this process, so the test runs its cells here."""
+    monkeypatch.setenv("REDLAB_WORKERS", "1")
+    calls = dict.fromkeys(["TdtDenoiser", "MedianFilterDenoiser"], 0)
+    for cls in (TdtDenoiser, MedianFilterDenoiser):
+        def counted(self, x, _apply=cls.apply, _name=cls.__name__):
+            calls[_name] += 1
+            return _apply(self, x)
+
+        def counted_stack(self, xs, _apply=cls.apply_stack, _name=cls.__name__):
+            calls[_name] += len(xs)
+            return _apply(self, xs)
+
+        monkeypatch.setattr(cls, "apply", counted)
+        monkeypatch.setattr(cls, "apply_stack", counted_stack)
+    return calls
+
+
 class TestListAndValidate:
     def test_list_experiments_prints_the_registry(self, capsys):
         assert main(["list-experiments"]) == 0
@@ -337,24 +357,10 @@ class TestJacobianReport:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_degenerate_denoiser_fails_before_any_second_patch(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, denoised_images):
         """gmm's Jacobian at 8x8 is identically zero, so the report exits 2;
         the other denoisers have then spent one Jacobian (2 N images) each,
-        on patch 0, and none on patch 1.  Calls are counted in this process,
-        so the cells run here, one after another."""
-        monkeypatch.setenv("REDLAB_WORKERS", "1")
-        calls = dict.fromkeys(["TdtDenoiser", "MedianFilterDenoiser"], 0)
-        for cls in (TdtDenoiser, MedianFilterDenoiser):
-            def counted(self, x, _apply=cls.apply, _name=cls.__name__):
-                calls[_name] += 1
-                return _apply(self, x)
-
-            def counted_stack(self, xs, _apply=cls.apply_stack, _name=cls.__name__):
-                calls[_name] += len(xs)
-                return _apply(self, xs)
-
-            monkeypatch.setattr(cls, "apply", counted)
-            monkeypatch.setattr(cls, "apply_stack", counted_stack)
+        on patch 0, and none on patch 1."""
         out_dir = tmp_path / "degenerate"
         config = write_config(tmp_path, f"""\
             [experiment]
@@ -367,7 +373,8 @@ class TestJacobianReport:
         """)
         assert main(["run", config]) == 2
         assert "identically zero" in capsys.readouterr().err
-        assert calls == {"TdtDenoiser": 2 * 8 * 8, "MedianFilterDenoiser": 2 * 8 * 8}
+        assert denoised_images == {"TdtDenoiser": 2 * 8 * 8,
+                                   "MedianFilterDenoiser": 2 * 8 * 8}
         assert not out_dir.exists()
 
     def test_pgm_input_uses_the_file_stem(self, tmp_path):
@@ -406,37 +413,24 @@ class TestOtherReports:
         assert float(row[5]) <= 1e-8   # product rule tracks the probe
         assert row[6] == row[7] == ""
 
-    def test_gradient_report_makes_2n_plus_2_denoiser_calls(self, tmp_path,
-                                                            monkeypatch):
-        """J and grad rho share the 2 N probe images; the residual and product
-        rules add one f(x) each.  Counts apply calls plus apply_stack rows,
-        in this process, so the cells run here."""
-        monkeypatch.setenv("REDLAB_WORKERS", "1")
-        calls = dict.fromkeys(["TdtDenoiser", "MedianFilterDenoiser"], 0)
-        for cls in (TdtDenoiser, MedianFilterDenoiser):
-            def counted(self, x, _apply=cls.apply, _name=cls.__name__):
-                calls[_name] += 1
-                return _apply(self, x)
-
-            def counted_stack(self, xs, _apply=cls.apply_stack, _name=cls.__name__):
-                calls[_name] += len(xs)
-                return _apply(self, xs)
-
-            monkeypatch.setattr(cls, "apply", counted)
-            monkeypatch.setattr(cls, "apply_stack", counted_stack)
+    @pytest.mark.parametrize("which, per_patch", [
+        ("gradient-report", 2 * 8 * 8 + 1), ("lh-report", 2 * 8 * 8 + 2)])
+    def test_reports_denoise_x_once_per_cell(self, tmp_path, denoised_images,
+                                             which, per_patch):
+        """J and grad rho share the 2 N probe images, and the metrics one
+        f(x); lh-report adds f((1 + eps) x)."""
         config = write_config(tmp_path, f"""\
             [experiment]
-            name = gradient-report
+            name = {which}
             seed = 5
             patches = 2
             patch_size = 8
             denoisers = tdt, median
-            output = {tmp_path / "grad"}
+            output = {tmp_path / "out"}
         """)
         assert main(["run", config]) == 0
-        per_patch = 2 * 8 * 8 + 2
-        assert calls == {"TdtDenoiser": 2 * per_patch,
-                         "MedianFilterDenoiser": 2 * per_patch}
+        assert denoised_images == {"TdtDenoiser": 2 * per_patch,
+                                   "MedianFilterDenoiser": 2 * per_patch}
 
     def test_lh_report_separates_median_from_tdt(self, tmp_path):
         out_dir = tmp_path / "lh"

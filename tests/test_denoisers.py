@@ -650,9 +650,9 @@ class TestNlmBoxSum:
         """Of 121 offsets (search radius 5 on 16x16), 60 pairs can share."""
         calls = []
 
-        def counted_box_sum(sq, k):
+        def counted_box_sum(sq, k, *buffers):
             calls.append(sq.shape)
-            return _box_sum(sq, k)
+            return _box_sum(sq, k, *buffers)
 
         monkeypatch.setattr(denoisers, "_MIRROR_BYTES", budget)
         monkeypatch.setattr(denoisers, "_box_sum", counted_box_sum)
@@ -682,7 +682,8 @@ class TestBoxSumTable:
         out_rows, out_cols = BOX_OUTPUTS[outputs]
         shape = (batch, out_rows + k - 1, out_cols + k - 1)
         sq = np.random.default_rng(45).uniform(0.0, 255.0, size=shape) ** 2
-        got = _box_sum(sq, k)
+        # NaN-filled buffers show any value read before it is written.
+        got = _box_sum(sq, k, np.full(sq.size, np.nan), np.full(sq.size, np.nan))
         assert got.shape == (batch, out_rows, out_cols)
         for image, sums in zip(sq, got):
             windows = np.lib.stride_tricks.sliding_window_view(image, (k, k))

@@ -1,9 +1,10 @@
 """`workers._run_tasks`: independent tasks in forked workers, with the
-outcome of calling them one after another; and the rule that only
-`redlab.workers` forks."""
+outcome of calling them one after another; the reports' schedule of probe
+chunks and metrics on it; and the rule that only `redlab.workers` forks."""
 
 import ast
 import functools
+import io
 import os
 import re
 import subprocess
@@ -11,11 +12,12 @@ import sys
 import textwrap
 import threading
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from redlab import cli, workers
+from redlab import MedianFilterDenoiser, NlmDenoiser, cli, workers
 from redlab.errors import ConfigError, DivergenceError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -216,6 +218,117 @@ def test_worker_count_is_the_least_of_tasks_cpus_and_the_variable(
     kind, results = run_with_timeout([functools.partial(int, i) for i in range(tasks)])
     assert (kind, results) == ("ok", list(range(tasks)))
     assert len(fork_calls) == forks
+
+
+def run_report(tmp_path, name, text, workers_env=None):
+    """`redlab run` on a report config: its exit code, stdout (with the
+    output directory as <out>), stderr and output files' bytes."""
+    out_dir = tmp_path / name
+    config = tmp_path / f"{name}.ini"
+    config.write_text(textwrap.dedent(text))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REDLAB_OUT", str(out_dir))
+        if workers_env is not None:
+            patch.setenv("REDLAB_WORKERS", workers_env)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.main(["run", str(config)])
+    files = ({path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+             if out_dir.exists() else {})
+    return code, stdout.getvalue().replace(str(out_dir), "<out>"), stderr.getvalue(), files
+
+
+PROBES = """\
+    [experiment]
+    name = gradient-report
+    seed = 0
+    patches = 1
+    noise_variance = 625
+    denoisers = tdt, median, nlm
+
+    [tdt]
+    threshold = 25
+
+    [nlm]
+    noise_variance = 625
+"""
+
+
+def test_both_processes_evaluate_one_cells_probe_chunks(two_cpus, monkeypatch,
+                                                       tmp_path):
+    """The NLM cell is the costliest of the report; its probe chunks (stacks
+    of 32 images at 16x16), not the whole cell, are the tasks, so both
+    workers denoise NLM chunks."""
+    calls = tmp_path / "calls"
+    kernel = NlmDenoiser._kernel
+
+    def recorded(self, xs):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()} {len(xs)}\n")
+        return kernel(self, xs)
+
+    monkeypatch.setattr(NlmDenoiser, "_kernel", recorded)
+    forked = run_report(tmp_path, "forked", PROBES)
+    chunks = [line.split() for line in calls.read_text().splitlines()
+              if line.endswith(" 32")]
+    assert len(chunks) == 16
+    assert len({pid for pid, _ in chunks}) == 2
+    assert str(os.getpid()) in {pid for pid, _ in chunks}
+    assert forked[0] == 0
+    assert forked == run_report(tmp_path, "sequential", PROBES, workers_env="1")
+
+
+@pytest.mark.parametrize("count", ["1", "2"])
+def test_a_cells_metrics_error_wins_over_a_later_cells_chunk_error(
+        two_cpus, monkeypatch, tmp_path, count):
+    """Cell 0 (gmm, patch 0) fails in its metrics: its Jacobian at 8x8 is
+    identically zero.  Cell 1 (median, patch 0) fails in a probe chunk, which
+    runs first; one cell after another, cell 0's error comes first."""
+
+    def diverging(self, xs):
+        raise DivergenceError(iteration=1, norm=1e9, bound=1e5)
+
+    monkeypatch.setattr(MedianFilterDenoiser, "_kernel", diverging)
+    code, _, err, files = run_report(tmp_path, "failing", """\
+        [experiment]
+        name = jacobian-report
+        seed = 7
+        patches = 2
+        patch_size = 8
+        denoisers = gmm, median
+    """, workers_env=count)
+    assert (code, err, files) == (
+        2, "error: Jacobian estimate is identically zero\n", {})
+
+
+def test_waves_under_a_small_byte_budget_give_the_same_bytes(two_cpus, monkeypatch,
+                                                            tmp_path):
+    """With room for one Jacobian, each of the six cells is its own wave of a
+    chunk round and a metrics round; the default budget takes the three
+    patch-0 cells, then the other three."""
+    text = """\
+        [experiment]
+        name = gradient-report
+        seed = 3
+        patches = 2
+        patch_size = 8
+        denoisers = tdt, median, nlm
+    """
+    rounds = []
+    run_until_failure = cli._run_until_failure
+
+    def counted(tasks):
+        rounds.append(len(tasks))
+        return run_until_failure(tasks)
+
+    monkeypatch.setattr(cli, "_run_until_failure", counted)
+    default = run_report(tmp_path, "default", text)
+    assert rounds == [3, 3, 3, 3]
+    rounds.clear()
+    monkeypatch.setattr(cli, "_WAVE_BYTES", 1)
+    assert run_report(tmp_path, "waves", text) == default
+    assert rounds == [1] * 12
+    assert default[0] == 0
 
 
 def test_only_the_workers_module_forks():

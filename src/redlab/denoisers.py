@@ -237,9 +237,9 @@ class TdtDenoiser(Denoiser):
 class MedianFilterDenoiser(Denoiser):
     """Moving-window median with replicate (edge) padding.
 
-    Each window's middle value is selected by one np.partition, bitwise
-    np.median over the window on finite input, which apply_stack enforces:
-    NaN would not propagate through the partition.
+    Each window's middle value is selected by one in-place partition,
+    bitwise np.median over the window on finite input, which apply_stack
+    enforces: NaN would not propagate through the partition.
     """
 
     def __init__(self, window: int = 3):
@@ -257,52 +257,61 @@ class MedianFilterDenoiser(Denoiser):
             padded, (self.window, self.window), axis=(1, 2)
         ).reshape(b, h, w, self.window**2)
         mid = self.window**2 // 2
+        # Window 1 reshapes to a read-only view, already partitioned.
+        if mid:
+            windows.partition(mid, axis=-1)
         # np.median adds its one selected value to 0.0, which turns -0.0
         # into 0.0 and leaves every other finite value as it is.
-        return np.partition(windows, mid, axis=-1)[..., mid] + 0.0
+        return windows[..., mid] + 0.0
 
 
 def _box_sum(sq: np.ndarray, k: int, row_buffer: np.ndarray,
              out_buffer: np.ndarray) -> np.ndarray:
-    """Sums of a C-ordered (B, rows, cols) array over every k x k window.
+    """Sums of a C-ordered batch-last (rows, cols, B) array over every k x k window.
 
     The row sums and the result are written into C-ordered prefixes of the
     flat buffers `row_buffer` and `out_buffer`, which must hold at least
-    B * rows * (cols - k + 1) and B * (rows - k + 1) * (cols - k + 1)
-    values; the result is a view of `out_buffer`.
+    rows * (cols - k + 1) * B and (rows - k + 1) * (cols - k + 1) * B
+    values; the result is a view of `out_buffer`.  With the batch last, a
+    row of a slice of sq is one run of (cols - k + 1) * B values, so the
+    adds over a stack of small images run long inner loops.
 
     The additions run in the order numpy's np.sum(..., axis=(2, 3)) uses on
-    an array of k x k patches, so the result is bitwise that sum: row sums
-    over k columns, then added down the k rows in order by k - 1 shifted
-    in-place adds of row slices.  numpy adds fewer than 8 values one after
-    another, so for k <= 7 the row sums are likewise the first column
-    slice plus k - 1 shifted in-place adds of the next ones.  From 8 values
-    on numpy sums pairwise, which shifted adds do not reproduce, so for
-    k >= 9 the row sums stay one np.add.reduce over a strided (..., k)
-    window view.  With one window per row numpy sums each patch's k * k
-    values as one vector instead, which here are k * k consecutive values
-    of sq, again by one np.add.reduce.
+    an array of k x k patches of one image, so the result is bitwise that
+    sum: row sums over k columns, then added down the k rows in order by
+    k - 1 shifted in-place adds of row slices.  numpy adds fewer than 8
+    values one after another, so for k <= 7 the row sums are likewise the
+    first column slice plus k - 1 shifted in-place adds of the next ones.
+    From 8 values on numpy sums pairwise, which shifted adds do not
+    reproduce, so for k >= 9 the row sums are one np.add.reduce over
+    strided (..., k) windows.  With one window per row numpy sums each
+    patch's k * k values as one vector instead, again by one np.add.reduce.
+    Both reductions read a (B, rows, cols) copy of sq (for B = 1 the same
+    memory): over batch-last windows numpy would loop over the batch
+    innermost and add the k values in sequence.
     """
-    b, rows, cols = sq.shape
+    rows, cols, b = sq.shape
     out_rows, out_cols = rows - k + 1, cols - k + 1
-    sb, sr, sc = sq.strides
     as_strided = np.lib.stride_tricks.as_strided
-    out = out_buffer[: b * out_rows * out_cols].reshape(b, out_rows, out_cols)
+    out = out_buffer[: out_rows * out_cols * b].reshape(out_rows, out_cols, b)
+    if out_cols == 1 or k >= 9:
+        images = np.ascontiguousarray(sq.transpose(2, 0, 1))
+        sb, sr, sc = images.strides
     if out_cols == 1:
-        patches = as_strided(sq, (b, out_rows, k * k), (sb, sr, sc), writeable=False)
-        np.add.reduce(patches, axis=2, out=out[:, :, 0])
+        patches = as_strided(images, (b, out_rows, k * k), (sb, sr, sc), writeable=False)
+        np.add.reduce(patches, axis=2, out=out[:, 0].T)
         return out
-    row_sums = row_buffer[: b * rows * out_cols].reshape(b, rows, out_cols)
+    row_sums = row_buffer[: rows * out_cols * b].reshape(rows, out_cols, b)
     if k <= 7:
-        np.copyto(row_sums, sq[:, :, :out_cols])
+        np.copyto(row_sums, sq[:, :out_cols])
         for j in range(1, k):
-            row_sums += sq[:, :, j : j + out_cols]
+            row_sums += sq[:, j : j + out_cols]
     else:
-        windows = as_strided(sq, (b, rows, out_cols, k), (sb, sr, sc, sc), writeable=False)
-        np.add.reduce(windows, axis=3, out=row_sums)
-    np.copyto(out, row_sums[:, :out_rows])
+        windows = as_strided(images, (b, rows, out_cols, k), (sb, sr, sc, sc), writeable=False)
+        np.add.reduce(windows, axis=3, out=row_sums.transpose(2, 0, 1))
+    np.copyto(out, row_sums[:out_rows])
     for i in range(1, k):
-        out += row_sums[:, i : i + out_rows]
+        out += row_sums[i : i + out_rows]
     return out
 
 
@@ -322,13 +331,15 @@ class NlmDenoiser(Denoiser):
 
     For each search offset the squared pixel differences are formed once
     per padded pixel and box-summed over the patches (Darbon et al., ISBI
-    2008), in an order that is bitwise the per-patch sum over (k, k): for
-    patches of up to 7 x 7 by shifted in-place adds of column slices and
-    then of row slices (see _box_sum).  The weight exp(-d / h^2) is formed
-    in place as exp(d / -h^2), which is bitwise the same because IEEE
-    division is sign-symmetric.  Offsets are visited in a fixed order and
-    each adds its terms to the numerator and denominator before the next,
-    so the result does not depend on the batch size.
+    2008), bitwise the per-patch sum over (k, k) (see _box_sum).  The
+    weight exp(-d / h^2) is formed in place as exp(d / -h^2), which is
+    bitwise the same because IEEE division is sign-symmetric.  Offsets are
+    visited in a fixed order and each adds its terms to the numerator and
+    denominator before the next, so the result does not depend on the
+    batch size.  All of this runs on a batch-last (h, w, B) copy of the
+    stack, so each row of a clipped window is one run of w_d * B values,
+    not B runs of w_d: every pass over a stack of small images runs long
+    inner loops.  For B = 1 the copy is the same memory.
 
     The patch distance from q to q + d is the one from q + d to q, summed
     in the same order over a region of the same shape, so the weight array
@@ -358,26 +369,27 @@ class NlmDenoiser(Denoiser):
         self.search_radius = search_radius
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
-        _, h, w = xs.shape
+        b, h, w = xs.shape
         p = self.patch_radius
         s = self.search_radius
         k = 2 * p + 1
-        padded = np.pad(xs, ((0, 0), (p, p), (p, p)), mode="edge")
+        x = np.ascontiguousarray(xs.transpose(1, 2, 0))
+        padded = np.pad(x, ((p, p), (p, p), (0, 0)), mode="edge")
         h2 = self.bandwidth**2
-        numer = np.zeros(xs.shape)
-        denom = np.zeros(xs.shape)
+        numer = np.zeros(x.shape)
+        denom = np.zeros(x.shape)
         # One buffer for the squared differences and the numerator terms of
         # every offset; prefixes of it are C-ordered, as _box_sum needs.
         scratch = np.empty(padded.size)
         # The box sums' row sums and results, then the weights, of every
         # offset that keeps none for its mirror.
-        row_buffer = np.empty(padded.shape[0] * padded.shape[1] * w)
-        dist_buffer = np.empty(xs.size)
+        row_buffer = np.empty(padded.shape[0] * w * b)
+        dist_buffer = np.empty(x.size)
         # Weights of offsets d that come before -d in the loop, kept for
         # their mirror in consecutive slices of one buffer while they fit
         # in the byte budget; at most half of the other offsets keep any.
         kept: dict[tuple[int, int], np.ndarray] = {}
-        kept_buffer = np.empty(min(_MIRROR_BYTES // 8, xs.size * ((2 * s + 1) ** 2 // 2)))
+        kept_buffer = np.empty(min(_MIRROR_BYTES // 8, x.size * ((2 * s + 1) ** 2 // 2)))
         used = 0
         for dy in range(-s, s + 1):
             r_lo, r_hi = max(0, -dy), min(h, h - dy)
@@ -392,12 +404,12 @@ class NlmDenoiser(Denoiser):
                     # Padded pixels under the patches centred at rows
                     # r_lo:r_hi and columns c_lo:c_hi, and under their
                     # shifted partners.
-                    here = padded[:, r_lo : r_hi + 2 * p, c_lo : c_hi + 2 * p]
-                    there = padded[:, r_lo + dy : r_hi + dy + 2 * p,
+                    here = padded[r_lo : r_hi + 2 * p, c_lo : c_hi + 2 * p]
+                    there = padded[r_lo + dy : r_hi + dy + 2 * p,
                                    c_lo + dx : c_hi + dx + 2 * p]
                     sq = scratch[: here.size].reshape(here.shape)
                     np.subtract(here, there, out=sq)
-                    size = xs.shape[0] * (r_hi - r_lo) * (c_hi - c_lo)
+                    size = (r_hi - r_lo) * (c_hi - c_lo) * b
                     keep = (dy, dx) < (0, 0) and used + size <= kept_buffer.size
                     dist = _box_sum(np.square(sq, out=sq), k, row_buffer,
                                     kept_buffer[used:] if keep else dist_buffer)
@@ -406,11 +418,11 @@ class NlmDenoiser(Denoiser):
                     if keep:
                         kept[(-dy, -dx)] = weight
                         used += size
-                vals = xs[:, r_lo + dy : r_hi + dy, c_lo + dx : c_hi + dx]
+                vals = x[r_lo + dy : r_hi + dy, c_lo + dx : c_hi + dx]
                 terms = scratch[: weight.size].reshape(weight.shape)
-                numer[:, r_lo:r_hi, c_lo:c_hi] += np.multiply(weight, vals, out=terms)
-                denom[:, r_lo:r_hi, c_lo:c_hi] += weight
-        return numer / denom
+                numer[r_lo:r_hi, c_lo:c_hi] += np.multiply(weight, vals, out=terms)
+                denom[r_lo:r_hi, c_lo:c_hi] += weight
+        return np.ascontiguousarray((numer / denom).transpose(2, 0, 1))
 
 
 class LinearSymmetricDenoiser(Denoiser):

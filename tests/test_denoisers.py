@@ -627,11 +627,12 @@ class TestNlmBoxSum:
 
     @pytest.mark.parametrize("batch, shape, patch_radius, search_radius", [
         (32, (16, 16), 1, 5),
+        (32, (16, 16), 4, 5),
         (3, (12, 20), 5, 3),
         (2, (16, 16), 5, 5),
         (3, (1, 23), 1, 5),
         (3, (19, 1), 2, 5),
-    ], ids=["probes", "p5-12x20", "p5-16x16", "1xw", "hx1"])
+    ], ids=["probes", "p4-probes", "p5-12x20", "p5-16x16", "1xw", "hx1"])
     def test_mirrored_weights_are_bitwise_the_reference(self, batch, shape,
                                                         patch_radius, search_radius):
         xs = np.random.default_rng(47).uniform(0.0, 255.0, size=(batch,) + shape)
@@ -675,15 +676,17 @@ BOX_OUTPUTS = {"general": (6, 9), "one-row": (1, 7), "one-column": (5, 1),
 class TestBoxSumTable:
     """_box_sum against np.sum over each k x k window of each image."""
 
-    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 5, 32])
     @pytest.mark.parametrize("outputs", list(BOX_OUTPUTS))
     @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
     def test_bitwise_the_per_window_sum(self, k, outputs, batch):
         out_rows, out_cols = BOX_OUTPUTS[outputs]
         shape = (batch, out_rows + k - 1, out_cols + k - 1)
         sq = np.random.default_rng(45).uniform(0.0, 255.0, size=shape) ** 2
+        # _box_sum takes and returns batch-last (rows, cols, B) arrays.
         # NaN-filled buffers show any value read before it is written.
-        got = _box_sum(sq, k, np.full(sq.size, np.nan), np.full(sq.size, np.nan))
+        got = _box_sum(np.ascontiguousarray(sq.transpose(1, 2, 0)), k,
+                       np.full(sq.size, np.nan), np.full(sq.size, np.nan)).transpose(2, 0, 1)
         assert got.shape == (batch, out_rows, out_cols)
         for image, sums in zip(sq, got):
             windows = np.lib.stride_tricks.sliding_window_view(image, (k, k))

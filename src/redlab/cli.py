@@ -17,10 +17,11 @@ Exit codes: 0 success, 2 validation or input error (nothing is written),
 3 numerical divergence.  The ``REDLAB_OUT`` environment variable
 overrides the configured output directory.  Independent parts of an
 experiment (the seven `deblur` solvers; the probe chunks of a report's
-Jacobians, then its cells' metrics) run in forked worker processes, one
-per usable CPU; ``REDLAB_WORKERS`` lowers that count.  When a CPU is
-spare, a solver run's per-iteration log is computed in a second forked
-process while it iterates.  Outputs do not depend on either.
+Jacobians, whose metrics this process computes cell by cell) run in
+forked worker processes, one per usable CPU; ``REDLAB_WORKERS`` lowers
+that count.  When a CPU is spare, a solver run's per-iteration log is
+computed in a second forked process while it iterates.  Outputs do not
+depend on either.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import itertools
 import math
 import os
 import re
@@ -82,7 +84,7 @@ from .operators import IdentityOperator, operator_matrix  # noqa: F401
 from .scenes import diagnostic_patches, solver_scene
 from .smd import KdePrior, TweedieRegularizer
 from .solvers import SOLVERS, SolverConfig, Trajectory, format_csv, red_pg
-from .workers import _run_tasks, _run_until_failure, _worker_limit
+from .workers import _run_tasks, _worker_limit
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -504,12 +506,12 @@ def _plan_report(which: str) -> Callable:
                 sums: dict[str, float] = {}
                 for i, (name, _) in enumerate(points):
                     values = metrics[d, i]
-                    cells = [name, label]
+                    row = [name, label]
                     for column in _REPORT_HEADER[2:]:
-                        cells.append(
+                        row.append(
                             repr(values[column]) if column in values else ""
                         )
-                    rows.append(cells)
+                    rows.append(row)
                     for metric, value in values.items():
                         sums[metric] = sums.get(metric, 0.0) + value
                 files.append(
@@ -542,15 +544,12 @@ def _report_cells(which: str, cells: list[tuple[Denoiser, Image]], epsilon: floa
     """`_report_metrics` of each (denoiser, image) cell, in cell order.
 
     The first `lead` cells and the rest are cut into waves of as many cells
-    as have Jacobians that fit in _WAVE_BYTES (at least one).  A wave is two
-    rounds of workers (`_run_until_failure`).  The first evaluates the
-    probe chunks of its cells' Jacobians, cell after cell; this process
-    assembles each cell's estimate from them as numerical_jacobian does,
-    freeing each chunk once copied.  The second computes the cells'
-    metrics, in workers that inherit the estimates.  When a chunk of cell c
-    fails, the metrics of the wave's cells before c still run, and the
-    first of their errors is raised, or else the chunk's: the error that
-    computing the cells one after another raises.
+    as have Jacobians that fit in _WAVE_BYTES (at least one).  The probe
+    chunks of a wave's cells, cell after cell, are one `_run_tasks`.  For
+    each cell in turn, this process draws its chunks, assembles its
+    estimate from them as numerical_jacobian does, freeing each chunk once
+    copied, and computes its metrics, so results, warnings and the error
+    raised are those of computing the cells one after another.
     """
     n = cells[0][1].size
     per_wave = max(1, _WAVE_BYTES // ((n + 1) * n * 8))
@@ -559,24 +558,11 @@ def _report_cells(which: str, cells: list[tuple[Denoiser, Image]], epsilon: floa
     for start, stop in zip(starts, starts[1:] + [len(cells)]):
         wave = cells[start:stop]
         chunks = [_jacobian_chunks(f, x, epsilon) for f, x in wave]
-        diffs, error = _run_until_failure([task for tasks in chunks for task in tasks])
-        # The cells whose every chunk came back, in cell order.
-        diffs.reverse()
-        estimates = []
-        for (_, x), tasks in zip(wave, chunks):
-            if len(diffs) < len(tasks):
-                break
-            estimates.append(_jacobian_from_chunks(x, (diffs.pop() for _ in tasks),
-                                                   epsilon))
-        values, failure = _run_until_failure([
-            functools.partial(_report_metrics, which, f, x, estimate, epsilon)
-            for (f, x), estimate in zip(wave, estimates)
-        ])
-        results += values
-        if failure is not None:
-            raise failure
-        if error is not None:
-            raise error
+        diffs = _run_tasks([task for tasks in chunks for task in tasks])
+        for (f, x), tasks in zip(wave, chunks):
+            estimate = _jacobian_from_chunks(x, itertools.islice(diffs, len(tasks)),
+                                             epsilon)
+            results.append(_report_metrics(which, f, x, estimate, epsilon))
     return results
 
 
@@ -742,9 +728,9 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
                 f"{gaps[-1]:.6e}",
             ]
 
-        solved = _run_tasks([
+        solved = list(_run_tasks([
             functools.partial(run_solver, name, solve) for name, solve in SOLVERS.items()
-        ])
+        ]))
         files = [file for file, _ in solved]
         summary_rows = [row for _, row in solved]
         head = (

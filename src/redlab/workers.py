@@ -1,11 +1,13 @@
 """The process budget of a run, and the only code that forks.
 
-`_run_tasks` runs an experiment's independent tasks in the calling process
-plus forked children, one per usable CPU and at most ``REDLAB_WORKERS`` in
-all.  A `_Stream` is one forked worker whose tasks arrive one at a time: the
-logger of `solvers._Run`, when `_spare_cpu` finds room for it in the budget.
-Every child is started by `_fork`, runs `_work`, the one child loop, on
-4-byte task claims from a pipe, and is collected by `_reap`.
+`_run_tasks` yields the results of an experiment's independent tasks in
+task order, as calling them one after another would; it runs them in the
+calling process plus forked children, one per usable CPU and at most
+``REDLAB_WORKERS`` in all.  A `_Stream` is one forked worker whose tasks
+arrive one at a time: the logger of `solvers._Run`, when `_spare_cpu` finds
+room for it in the budget.  Every child is started by `_fork`, runs `_work`,
+the one child loop, on 4-byte task claims from a pipe, and is collected by
+`_reap`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pickle
 import signal
 import sys
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import TypeVar
 
 import numpy as np
@@ -63,56 +65,53 @@ def _spare_cpu() -> bool:
     return hasattr(os, "fork") and 2 * _busy <= min(cpus, _worker_limit() or cpus)
 
 
-def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
-    """Call every task and return the results in task order; raise the
-    error of the earliest failing task (see `_run_until_failure`)."""
-    results, error = _run_until_failure(tasks)
-    if error is not None:
-        raise error
-    return results
-
-
-def _run_until_failure(tasks: Sequence[Callable[[], _T]]
-                       ) -> tuple[list[_T], Exception | None]:
-    """Call the tasks in order up to the first that fails.
-
-    Returns the results of the tasks before it, in task order, and its
-    error, or every result and None.
+def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> Iterator[_T]:
+    """Drawn from, the same as ``(task() for task in tasks)``: results come
+    in task order, each task's warnings are issued when its result is
+    drawn, and the earliest failing task's error is raised in its place.
 
     The calling process is one worker and forks one more per usable CPU, up
     to one per task and to ``REDLAB_WORKERS`` in all.  Forked children
     inherit the tasks, closures and shared objects included, so only
-    results, errors and warnings are pickled.  Workers claim task indices
-    in order, so the schedule is dynamic, and the outcome is that of calling
-    the tasks one after another: the earliest failing task is the one
-    reported, no task is claimed once a failure is known, and the warnings
-    of the tasks up to it are issued in task order.  Tasks must not print,
+    results, errors and warnings are pickled.  The tasks run in rounds of
+    at most _ROUND, in which workers claim task indices in order, so the
+    schedule is dynamic and no task is claimed once a failure is known.  A
+    round finishes, its children reaped, before its first result is drawn,
+    so a caller that stops drawing leaves no process behind, and between
+    draws the caller has the budget it had before.  Tasks must not print,
     since what a child writes is lost.
     """
     global _busy
     workers = min(len(tasks), _usable_cpus(), _worker_limit() or len(tasks))
-    results: list[_T] = []
     if workers <= 1 or not hasattr(os, "fork"):
         for task in tasks:
-            try:
-                results.append(task())
-            except Exception as exc:
-                return results, exc
-        return results, None
-    busy, _busy = _busy, workers
-    try:
-        for start in range(0, len(tasks), _ROUND):
-            done, error = _run_round(tasks[start:start + _ROUND], workers)
-            results += done
-            if error is not None:
-                return results, error
-    finally:
-        _busy = busy
-    return results, None
+            yield task()
+        return
+    for start in range(0, len(tasks), _ROUND):
+        batch = tasks[start:start + _ROUND]
+        busy, _busy = _busy, workers
+        try:
+            records, exit_code = _run_round(batch, workers)
+        finally:
+            _busy = busy
+        by_index = {record[0]: record for record in records}
+        for index in range(len(batch)):
+            if index not in by_index:
+                raise ChildProcessError(
+                    f"a worker process exited with code {exit_code} before it "
+                    f"reported task {start + index}"
+                )
+            _, ok, value, caught = by_index.pop(index)
+            _reissue(caught)
+            if not ok:
+                raise value
+            yield value
 
 
 def _run_round(tasks: Sequence[Callable[[], _T]],
-               workers: int) -> tuple[list[_T], Exception | None]:
+               workers: int) -> tuple[list[tuple], int | None]:
+    """The `_work` records of one round, and the exit code of a child that
+    did not report (None when every child reported)."""
     claims, claims_in = os.pipe()
     os.write(claims_in, b"".join(i.to_bytes(4, "little") for i in range(len(tasks))))
     os.close(claims_in)
@@ -135,18 +134,7 @@ def _run_round(tasks: Sequence[Callable[[], _T]],
         os.close(claims)
         for child in children:
             _reap(*child, kill=True)
-    by_index = {record[0]: record for record in records}
-    for index in range(len(tasks)):
-        if index not in by_index:
-            raise ChildProcessError(
-                f"a worker process exited with code {exit_code} before it "
-                f"reported task {index}"
-            )
-        _, ok, value, caught = by_index[index]
-        _reissue(caught)
-        if not ok:
-            return [by_index[i][2] for i in range(index)], value
-    return [by_index[index][2] for index in range(len(tasks))], None
+    return records, exit_code
 
 
 class _Stream:

@@ -1,6 +1,7 @@
-"""`workers._run_tasks`: independent tasks in forked workers, with the
-outcome of calling them one after another; the reports' schedule of probe
-chunks and metrics on it; and the rule that only `redlab.workers` forks."""
+"""`workers._run_tasks`: independent tasks in forked workers, drawn with
+the outcome of calling them one after another; the reports' probe chunks
+on it, with each cell's metrics computed as its chunks are drawn; and the
+rule that only `redlab.workers` forks."""
 
 import ast
 import functools
@@ -24,12 +25,13 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def run_with_timeout(tasks, timeout=60.0):
-    """`_run_tasks(tasks)` in a thread: ("ok", results) or ("raised", error)."""
+    """`_run_tasks(tasks)` drawn to its end in a thread: ("ok", results) or
+    ("raised", error)."""
     outcome = []
 
     def target():
         try:
-            outcome.append(("ok", workers._run_tasks(tasks)))
+            outcome.append(("ok", list(workers._run_tasks(tasks))))
         except BaseException as exc:  # handed to the test thread
             outcome.append(("raised", exc))
 
@@ -38,6 +40,12 @@ def run_with_timeout(tasks, timeout=60.0):
     thread.join(timeout)
     assert not thread.is_alive(), "_run_tasks did not return"
     return outcome[0]
+
+
+def wait_for(path, seconds=30):
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def sleep_then(value, seconds):
@@ -88,9 +96,7 @@ def test_earliest_failure_wins_even_when_a_later_one_fails_first(two_cpus, tmp_p
     def gate():
         # Holds one worker until the other has claimed task 1, so the
         # worker that runs this claims task 2 next.
-        deadline = time.monotonic() + 30
-        while not started.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
+        wait_for(started)
 
     def slow_divergence():
         started.touch()
@@ -131,15 +137,65 @@ def test_a_worker_that_dies_without_reporting_makes_the_parent_raise(
             claimed.touch()
             os._exit(9)
         # The parent waits until the child has taken the other task.
-        deadline = time.monotonic() + 30
-        while not claimed.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
+        wait_for(claimed)
         return index
 
     kind, error = run_with_timeout([functools.partial(task, i) for i in range(2)])
     assert kind == "raised"
     assert isinstance(error, ChildProcessError)
     assert "exited with code 9" in str(error)
+
+
+def test_a_dead_worker_is_named_by_its_index_in_the_whole_task_list(
+        two_cpus, monkeypatch, tmp_path):
+    """Rounds of two: the parent claims the first task of each, so the child
+    claims task 3, the second of the second round, and dies with it."""
+    monkeypatch.setattr(workers, "_ROUND", 2)
+    parent = os.getpid()
+    work = workers._work
+
+    def parent_claims_first(tasks, claims):
+        if os.getpid() != parent:
+            wait_for(tmp_path / f"claimed{tasks[0].args[0]}")
+        return work(tasks, claims)
+
+    def task(index):
+        (tmp_path / f"claimed{index}").touch()
+        if index == 3 and os.getpid() != parent:
+            os._exit(9)
+        if index == 2:  # the parent takes no claim until the child has task 3
+            wait_for(tmp_path / "claimed3")
+        return index
+
+    monkeypatch.setattr(workers, "_work", parent_claims_first)
+    kind, error = run_with_timeout([functools.partial(task, i) for i in range(4)])
+    assert kind == "raised"
+    assert isinstance(error, ChildProcessError)
+    assert str(error) == "a worker process exited with code 9 before it reported task 3"
+
+
+def busy_after_marking(path):
+    path.touch()
+    return workers._busy
+
+
+def test_the_caller_has_its_own_budget_between_draws_and_may_stop_drawing(
+        two_cpus, monkeypatch, tmp_path):
+    """Forked, each round is done and reaped before its first result is
+    drawn, so a dropped generator leaves no child (see no_child_process_left);
+    with one worker, no task runs before its result is drawn."""
+    tasks = [functools.partial(busy_after_marking, tmp_path / f"ran{i}")
+             for i in range(4)]
+    results = workers._run_tasks(tasks)
+    assert next(results) == 2
+    assert workers._busy == 1
+    del results
+    for path in tmp_path.iterdir():
+        path.unlink()
+    monkeypatch.setenv("REDLAB_WORKERS", "1")
+    results = workers._run_tasks(tasks)
+    assert next(results) == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["ran0"]
 
 
 def test_warnings_from_tasks_reach_stderr_as_without_workers(tmp_path):
@@ -159,7 +215,7 @@ def test_warnings_from_tasks_reach_stderr_as_without_workers(tmp_path):
             return index
 
 
-        print(workers._run_tasks([functools.partial(task, i) for i in range(3)]))
+        print(list(workers._run_tasks([functools.partial(task, i) for i in range(3)])))
     """))
     runs = []
     for count in ("1", "2"):
@@ -301,10 +357,60 @@ def test_a_cells_metrics_error_wins_over_a_later_cells_chunk_error(
         2, "error: Jacobian estimate is identically zero\n", {})
 
 
+def test_report_warnings_come_cell_by_cell_as_without_workers(tmp_path):
+    """Two median cells per wave: the kernel warns with its row count, 32 in
+    a probe chunk and 1 in the metrics' apply.  Each cell's chunk warnings
+    and then its metric warnings come before the next cell's."""
+    script = tmp_path / "report.py"
+    script.write_text(textwrap.dedent("""\
+        import sys
+        import warnings
+
+        from redlab import MedianFilterDenoiser, cli, workers
+
+        workers._usable_cpus = lambda: 2
+        warnings.simplefilter("always")
+        kernel = MedianFilterDenoiser._kernel
+
+
+        def counted(self, xs):
+            warnings.warn(f"median on {len(xs)} rows", UserWarning)
+            return kernel(self, xs)
+
+
+        MedianFilterDenoiser._kernel = counted
+        sys.exit(cli.main(["run", sys.argv[1]]))
+    """))
+    config = tmp_path / "report.ini"
+    config.write_text(textwrap.dedent("""\
+        [experiment]
+        name = gradient-report
+        seed = 2
+        patches = 2
+        denoisers = median, wide
+
+        [wide]
+        kind = median
+        window = 5
+    """))
+    runs = []
+    for count in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), REDLAB_WORKERS=count,
+                   REDLAB_OUT=str(tmp_path / f"out{count}"))
+        runs.append(subprocess.run([sys.executable, str(script), str(config)], env=env,
+                                   capture_output=True, text=True, timeout=60))
+    sequential, forked = runs
+    assert forked.returncode == sequential.returncode == 0
+    assert forked.stderr == sequential.stderr
+    rows = [int(row) for row in re.findall(r"median on (\d+) rows", forked.stderr)]
+    # Four cells of 16 chunks of 32 rows each, then one apply of its metrics.
+    assert rows == ([32] * 16 + [1]) * 4
+
+
 def test_waves_under_a_small_byte_budget_give_the_same_bytes(two_cpus, monkeypatch,
                                                             tmp_path):
-    """With room for one Jacobian, each of the six cells is its own wave of a
-    chunk round and a metrics round; the default budget takes the three
+    """With room for one Jacobian, each of the six cells is its own wave,
+    one `_run_tasks` over its chunks; the default budget takes the three
     patch-0 cells, then the other three."""
     text = """\
         [experiment]
@@ -315,19 +421,19 @@ def test_waves_under_a_small_byte_budget_give_the_same_bytes(two_cpus, monkeypat
         denoisers = tdt, median, nlm
     """
     rounds = []
-    run_until_failure = cli._run_until_failure
+    run_tasks = cli._run_tasks
 
     def counted(tasks):
         rounds.append(len(tasks))
-        return run_until_failure(tasks)
+        return run_tasks(tasks)
 
-    monkeypatch.setattr(cli, "_run_until_failure", counted)
+    monkeypatch.setattr(cli, "_run_tasks", counted)
     default = run_report(tmp_path, "default", text)
-    assert rounds == [3, 3, 3, 3]
+    assert rounds == [3, 3]
     rounds.clear()
     monkeypatch.setattr(cli, "_WAVE_BYTES", 1)
     assert run_report(tmp_path, "waves", text) == default
-    assert rounds == [1] * 12
+    assert rounds == [1] * 6
     assert default[0] == 0
 
 

@@ -491,10 +491,11 @@ def _plan_report(which: str) -> Callable:
             denoisers = [build((patch_size, patch_size)) for _, build in specs]
             # Cells are (denoiser, patch) pairs; the unit of parallel work is
             # one probe chunk of a cell's Jacobian (see _report_cells).  Patch
-            # 0 of every denoiser comes first in cell order and forms the
-            # first wave: the earliest failure in cell order is raised and no
-            # later wave starts, so a denoiser whose metrics raise (say, an
-            # identically zero Jacobian) fails before second patches run.
+            # 0 of every denoiser comes first in cell order and its cells'
+            # chunks are the first `_run_tasks` call: the earliest failure in
+            # cell order is raised and the second call never starts, so a
+            # denoiser whose metrics raise (say, an identically zero
+            # Jacobian) fails before second patches run.
             order = [(d, 0) for d in range(len(denoisers))] + [
                 (d, i) for d in range(len(denoisers)) for i in range(1, len(points))
             ]
@@ -534,32 +535,23 @@ def _plan_report(which: str) -> Callable:
     return planner
 
 
-# Bytes of Jacobian estimates a report holds at once: 30 estimates at 16x16
-# (0.5 MB each) fit, two at 32x32 (8.4 MB each) do not.
-_WAVE_BYTES = 16 << 20
-
-
 def _report_cells(which: str, cells: list[tuple[Denoiser, Image]], epsilon: float,
                   lead: int) -> list[dict]:
     """`_report_metrics` of each (denoiser, image) cell, in cell order.
 
-    The first `lead` cells and the rest are cut into waves of as many cells
-    as have Jacobians that fit in _WAVE_BYTES (at least one).  The probe
-    chunks of a wave's cells, cell after cell, are one `_run_tasks`.  For
-    each cell in turn, this process draws its chunks, assembles its
-    estimate from them as numerical_jacobian does, freeing each chunk once
-    copied, and computes its metrics, so results, warnings and the error
-    raised are those of computing the cells one after another.
+    The probe chunks of the first `lead` cells, cell after cell, are one
+    `_run_tasks` call, and those of the rest a second; its rounds bound the
+    chunk results held at once.  For each cell in turn, this process draws
+    its chunks, assembles its estimate from them as numerical_jacobian
+    does, freeing each chunk once copied, and computes its metrics, so
+    results, warnings and the error raised are those of computing the cells
+    one after another.
     """
-    n = cells[0][1].size
-    per_wave = max(1, _WAVE_BYTES // ((n + 1) * n * 8))
-    starts = [*range(0, lead, per_wave), *range(lead, len(cells), per_wave)]
     results: list[dict] = []
-    for start, stop in zip(starts, starts[1:] + [len(cells)]):
-        wave = cells[start:stop]
-        chunks = [_jacobian_chunks(f, x, epsilon) for f, x in wave]
+    for group in (cells[:lead], cells[lead:]):
+        chunks = [_jacobian_chunks(f, x, epsilon) for f, x in group]
         diffs = _run_tasks([task for tasks in chunks for task in tasks])
-        for (f, x), tasks in zip(wave, chunks):
+        for (f, x), tasks in zip(group, chunks):
             estimate = _jacobian_from_chunks(x, itertools.islice(diffs, len(tasks)),
                                              epsilon)
             results.append(_report_metrics(which, f, x, estimate, epsilon))

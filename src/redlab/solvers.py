@@ -20,13 +20,13 @@ RedProblem.loss, and the log takes A x - y and A^T (A x - y) / sigma^2
 from its data_terms, which reuses the spectrum of the last circular prox
 output instead of applying A and A^T again.  When a CPU is spare, a logger
 that `redlab.workers` forks computes a long run's log beside the iterations,
-with the records, errors and warnings of logging inline.
+with the records, errors and warnings of logging inline; the run's `_Run`
+keeps the log's state in whichever process logs.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import time
@@ -172,11 +172,12 @@ class _Run:
     """Shared solver plumbing: instrumentation, guards, stopping.
 
     A kernel iterates inside `with _Run(...) as run`.  When a CPU is spare,
-    `_Logger` computes the log in a forked `workers._Stream`.  `record`
-    computes it inline instead for a kernel that steps along the logged
-    residual, when early stopping needs the residual at once, for runs of
-    fewer than _FORK_ITERATIONS iterations, and when no CPU is spare.  Both
-    run `_log_entry` on the same arrays, so the log is bitwise the same.
+    a forked `workers._Stream` whose task is `_log_slot` computes the log.
+    `record` computes it inline instead for a kernel that steps along the
+    logged residual, when early stopping needs the residual at once, for
+    runs of fewer than _FORK_ITERATIONS iterations, and when no CPU is
+    spare.  Either way `_log` runs `_log_entry` on the same arrays, in
+    iteration order, so the log is bitwise the same.
     """
 
     def __init__(self, p: RedProblem, cfg: SolverConfig, x0: Image | None,
@@ -189,7 +190,9 @@ class _Run:
         # An all-zero start and data carry no scale; fall back to unit scale.
         scale = max(float(np.linalg.norm(self.x0.flat)), float(np.linalg.norm(p.y.flat)))
         self.guard = DIVERGENCE_FACTOR * (scale if scale > 0.0 else 1.0)
-        # g(x_k) of the last logged iterate, flat, when logged inline.
+        # The iterate logged last (x_0 at first) and its g, flat, in the
+        # process that logs.
+        self.x_prev = self.x0
         self.residual: np.ndarray | None = None
         self.inline = (steps_on_residual or cfg.stop_fp_residual is not None
                        or cfg.iterations < _FORK_ITERATIONS)
@@ -197,19 +200,22 @@ class _Run:
 
     def __enter__(self) -> _Run:
         if not self.inline and _spare_cpu():
-            task = _Logger(self)
-            self.logger = _Stream.start(task, task.slot, _RING_BYTES)
+            # A slot holds the header k, elapsed and whether x_k has a prox
+            # spectrum, then x_k, f(x_k) and the prox half spectrum.
+            h, w = self.x0.pixels.shape
+            slot = np.dtype([("k", np.int64), ("elapsed", np.float64),
+                             ("has_hat", np.bool_), ("x", np.float64, (h, w)),
+                             ("fx", np.float64, (h, w)),
+                             ("x_hat", np.complex128, (h, w // 2 + 1))], align=True)
+            self.logger = _Stream.start(self._log_slot, slot, _RING_BYTES)
         return self
 
     def __exit__(self, kind, error, traceback) -> None:
         if self.logger is not None:
             self.trajectory.records += self.logger.finish(error)
 
-    def record(self, k: int, x: Image, fx: Image, x_prev: Image) -> bool:
-        """Log iterate k; returns True when the run should stop early.
-
-        x_prev is the iterate logged before, x_0 at k = 1.
-        """
+    def record(self, k: int, x: Image, fx: Image) -> bool:
+        """Log iterate k; returns True when the run should stop early."""
         norm = float(np.linalg.norm(x.flat))
         if norm > self.guard:
             raise DivergenceError(k, norm, self.guard)
@@ -218,49 +224,30 @@ class _Run:
         if self.logger is not None:
             self.logger.send(k, elapsed, x_hat is not None, x.pixels, fx.pixels, x_hat)
         else:
-            entry, self.residual = _log_entry(self.p, self.truth, k, x, fx, x_prev,
-                                              x_hat, elapsed)
-            self.trajectory.append(entry)
+            self.trajectory.append(self._log(k, x, fx, x_hat, elapsed))
         if self.observer is not None:
             self.observer(k, x)
         tol = self.cfg.stop_fp_residual
         return tol is not None and self.trajectory.records[-1].fp_residual <= tol
 
+    def _log(self, k: int, x: Image, fx: Image, x_hat: np.ndarray | None,
+             elapsed: float) -> TrajectoryRecord:
+        """The record of iterate k, logged after the one logged before."""
+        entry, self.residual = _log_entry(self.p, self.truth, k, x, fx, self.x_prev,
+                                          x_hat, elapsed)
+        self.x_prev = x
+        return entry
+
+    def _log_slot(self, k: np.int64, elapsed: np.float64, has_hat: np.bool_,
+                  x: np.ndarray, fx: np.ndarray, x_hat: np.ndarray) -> TrajectoryRecord:
+        """The forked logger's task: `_log` on the copies of one slot."""
+        return self._log(int(k), Image(x), Image(fx), x_hat if has_hat else None,
+                         float(elapsed))
+
 
 # The shared ring through which iterates reach the logger: about 1 MB, ten
 # slots of a 64x64 run.
 _RING_BYTES = 1 << 20
-
-
-class _Logger:
-    """The task of a run's forked logger, a `workers._Stream`.
-
-    A slot of the logger's ring holds the header k, elapsed and whether x_k
-    has a prox spectrum, then x_k, f(x_k) and the prox half spectrum.  The
-    logger logs the slots in iteration order, each x_k the next x_prev, so
-    the log, its errors and its warnings are those of logging inline.
-    """
-
-    def __init__(self, run: _Run):
-        self.p, self.truth, self.x_prev = run.p, run.truth, run.x0
-        h, w = run.x0.pixels.shape
-        self.slot = np.dtype([("k", np.int64), ("elapsed", np.float64),
-                              ("has_hat", np.bool_), ("x", np.float64, (h, w)),
-                              ("fx", np.float64, (h, w)),
-                              ("x_hat", np.complex128, (h, w // 2 + 1))], align=True)
-
-    def __call__(self, k: np.int64, elapsed: np.float64, has_hat: np.bool_,
-                 x: np.ndarray, fx: np.ndarray,
-                 x_hat: np.ndarray) -> Callable[[], TrajectoryRecord]:
-        """Copy one slot out; returns the work of logging it."""
-        return functools.partial(self.log, int(k), Image(x), Image(fx),
-                                 x_hat.copy() if has_hat else None, float(elapsed))
-
-    def log(self, k: int, x: Image, fx: Image, x_hat: np.ndarray | None,
-            elapsed: float) -> TrajectoryRecord:
-        entry, _ = _log_entry(self.p, self.truth, k, x, fx, self.x_prev, x_hat, elapsed)
-        self.x_prev = x
-        return entry
 
 
 def default_initialization(p: RedProblem) -> Image:
@@ -297,9 +284,9 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
         g = fp_residual(p, x, fx)
         h, w = x.pixels.shape
         for k in range(1, cfg.iterations + 1):
-            x_prev, x = x, Image.from_flat(x.flat - mu * g, h, w)
+            x = Image.from_flat(x.flat - mu * g, h, w)
             fx = p.denoiser.apply(x)
-            if run.record(k, x, fx, x_prev):
+            if run.record(k, x, fx):
                 break
             g = run.residual
     return x, run.trajectory
@@ -339,7 +326,7 @@ def _proximal_gradient(p: RedProblem, cfg: SolverConfig, x0: Image | None,
             else:
                 fx = p.denoiser.apply(x)
                 v = _pg_direction(fx, x, l_scale)
-            if run.record(k, x, fx, x_prev):
+            if run.record(k, x, fx):
                 break
     return x, run.trajectory
 
@@ -403,12 +390,12 @@ def _admm(p: RedProblem, cfg: SolverConfig, x0: Image | None, truth: Image | Non
         u = Image(np.zeros_like(x.pixels))
         h, w = x.pixels.shape
         for k in range(1, cfg.iterations + 1):
-            x_prev, x = x, p.loss.prox(Image(v.pixels - u.pixels), beta)
+            x = p.loss.prox(Image(v.pixels - u.pixels), beta)
             pull = c_x * (x.flat + u.flat)
             for _ in range(inner):
                 v = Image.from_flat(c_f * p.denoiser.apply(v).flat + pull, h, w)
             u = Image(u.pixels + x.pixels - v.pixels)
-            if run.record(k, x, p.denoiser.apply(x), x_prev):
+            if run.record(k, x, p.denoiser.apply(x)):
                 break
     return x, run.trajectory
 

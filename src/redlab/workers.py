@@ -3,11 +3,13 @@
 `_run_tasks` yields the results of an experiment's independent tasks in
 task order, as calling them one after another would; it runs them in the
 calling process plus forked children, one per usable CPU and at most
-``REDLAB_WORKERS`` in all.  A `_Stream` is one forked worker whose tasks
-arrive one at a time: the logger of `solvers._Run`, when `_spare_cpu` finds
-room for it in the budget.  Every child is started by `_fork`, runs `_work`,
-the one child loop, on 4-byte task claims from a pipe, and is collected by
-`_reap`.
+``REDLAB_WORKERS`` in all, in rounds of at most `_ROUND` tasks, which bound
+the results a call holds at once.  A `_Stream` is one forked worker whose
+tasks arrive one at a time through the slots of a shared ring: the logger
+of `solvers._Run`, when `_spare_cpu` finds room for it in the budget.  It
+copies a slot before it frees it, so its task is a plain function of
+arrays.  Every child is started by `_fork`, runs `_work`, the one child
+loop, on 4-byte task claims from a pipe, and is collected by `_reap`.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from .errors import ConfigError
 
 _T = TypeVar("_T")
 # All of a round's task indices go into the claim pipe in one write before
-# any worker starts.  1024 four-byte indices fill one 4 KiB page, the
-# smallest capacity Linux gives a pipe, so that write never blocks.
-_ROUND = 1024
+# any worker starts.  256 four-byte indices take 1 KiB, well inside one
+# 4 KiB page, the smallest capacity Linux gives a pipe, so that write never
+# blocks.  A round's results are held until drawn: 256 report probe chunks
+# of about 33 KB each (diagnostics._STACK_BYTES) hold about 8 MB.
+_ROUND = 256
 # Worker processes of the budget that are busy: this one, or all the
 # workers of a `_run_tasks` round, in the parent and in each child.
 _busy = 1
@@ -78,7 +82,9 @@ def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> Iterator[_T]:
     schedule is dynamic and no task is claimed once a failure is known.  A
     round finishes, its children reaped, before its first result is drawn,
     so a caller that stops drawing leaves no process behind, and between
-    draws the caller has the budget it had before.  Tasks must not print,
+    draws the caller has the budget it had before.  A drawn result is freed
+    once the caller drops it, so at most one round's results are held at
+    once, and those of a round only until drawn.  Tasks must not print,
     since what a child writes is lost.
     """
     global _busy
@@ -95,6 +101,9 @@ def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> Iterator[_T]:
         finally:
             _busy = busy
         by_index = {record[0]: record for record in records}
+        # by_index alone holds the records, so a drawn one is freed once
+        # the caller drops it.
+        del records
         for index in range(len(batch)):
             if index not in by_index:
                 raise ChildProcessError(
@@ -144,11 +153,11 @@ class _Stream:
     `ring_bytes`, at least 2 and at most _ROUND, so the claims in flight fit
     one pipe page and no claim write blocks.  `send` fills the next slot and
     claims its index as a pool claims a task; it waits only when every slot
-    is taken.  The worker calls `task` on the claimed slot's fields, which
-    copies them out and returns the work to do, frees the slot with a byte
-    on the ack pipe and does the work.  `finish` returns the results in send
-    order and raises what running each task at its `send` would have raised
-    first, after the warnings of both processes in that order.
+    is taken.  The worker copies the claimed slot's fields, frees the slot
+    with a byte on the ack pipe and calls `task` on the copies.  `finish`
+    returns the results in send order and raises what running each task at
+    its `send` would have raised first, after the warnings of both
+    processes in that order.
     """
 
     def __init__(self, child: tuple[int, int], fields: list[np.ndarray], claims: int,
@@ -162,7 +171,7 @@ class _Stream:
         self.marks: list[int] = []
 
     @classmethod
-    def start(cls, task: Callable[..., Callable[[], _T]], slot: np.dtype,
+    def start(cls, task: Callable[..., _T], slot: np.dtype,
               ring_bytes: int) -> _Stream | None:
         """Fork the worker; None when the fork fails."""
         count = max(2, min(ring_bytes // slot.itemsize, _ROUND))
@@ -171,9 +180,9 @@ class _Stream:
         (claims, claims_in), (acks, acks_in) = os.pipe(), os.pipe()
 
         def take(index: int) -> _T:
-            work = task(*[field[index] for field in fields])
+            copies = [field[index].copy() for field in fields]
             os.write(acks_in, b"\0")
-            return work()
+            return task(*copies)
 
         def work() -> list[tuple]:
             records = _work([functools.partial(take, i) for i in range(count)], claims)

@@ -8,7 +8,6 @@ import pytest
 
 from redlab import (
     Denoiser,
-    Image,
     LinearSymmetricDenoiser,
     RedProblem,
     TdtDenoiser,
@@ -57,8 +56,8 @@ def fork_calls(monkeypatch):
 class IdentityDenoiser(Denoiser):
     """f(x) = x, for closed-form checks where the prior term must vanish."""
 
-    def apply(self, x: Image) -> Image:
-        return x
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
+        return xs.copy()
 
 
 @pytest.fixture

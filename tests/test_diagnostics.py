@@ -78,6 +78,13 @@ class TestNumericalJacobian:
         with pytest.raises(ConfigError):
             numerical_jacobian(linear_den, probe_image, eps=0.0)
 
+    def test_the_identity_fixture_probes_to_the_identity(self, identity_denoiser,
+                                                         probe_image):
+        """The shared fixture defines the stack kernel, so stacked probes run."""
+        est = numerical_jacobian(identity_denoiser, probe_image)
+        np.testing.assert_allclose(est.matrix, np.eye(probe_image.size), atol=1e-9)
+        assert js_error(est) == 0.0
+
 
 def reference_jacobian(f, x, eps=1e-3):
     """The per-column loop numerical_jacobian ran before the shared core."""

@@ -10,6 +10,7 @@ import time
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from redlab import (
@@ -161,6 +162,30 @@ def test_a_cpu_is_spare_when_each_busy_worker_could_fork_one_more(
     monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(workers, "_busy", busy)
     assert workers._spare_cpu() is spare
+
+
+def test_a_stream_hands_its_task_copies_of_each_slot():
+    """Ten sends through a two-slot ring: each slot is written five times,
+    yet every argument the task kept still holds what its send wrote."""
+    kept = []
+
+    def keep(k, x):
+        kept.append((k, x))
+        return int(k), kept
+
+    def stream_ten():
+        slot = np.dtype([("k", np.int64), ("x", np.float64, (2, 3))])
+        stream = workers._Stream.start(keep, slot, 0)
+        assert stream is not None and stream.slots == 2
+        for k in range(10):
+            stream.send(k, np.full((2, 3), float(k)))
+        return stream.finish(None)
+
+    kind, results = solve_in_thread(stream_ten)
+    assert kind == "ok"
+    assert [k for k, _ in results] == list(range(10))
+    assert [(int(k), x.tolist()) for k, x in results[-1][1]] == [
+        (k, [[float(k)] * 3] * 2) for k in range(10)]
 
 
 def test_short_runs_log_inline(two_cpus, fork_calls, monkeypatch, tmp_path):

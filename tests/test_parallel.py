@@ -13,9 +13,11 @@ import sys
 import textwrap
 import threading
 import time
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from redlab import MedianFilterDenoiser, NlmDenoiser, cli, workers
@@ -77,6 +79,20 @@ def test_long_task_lists_run_in_rounds(two_cpus, monkeypatch, tmp_path):
     kind, error = run_with_timeout([int, int, fail, int, mark])
     assert kind == "raised" and str(error) == "task 2"
     assert not (tmp_path / "later-round").exists()
+
+
+@pytest.mark.parametrize("count", ["2", "1"])
+def test_a_drawn_result_is_freed_once_the_caller_drops_it(two_cpus, monkeypatch,
+                                                         count):
+    monkeypatch.setenv("REDLAB_WORKERS", count)
+    results = workers._run_tasks([functools.partial(np.full, 4, float(i))
+                                  for i in range(4)])
+    first = next(results)
+    freed = weakref.ref(first)
+    del first
+    assert next(results).tolist() == [1.0] * 4
+    assert freed() is None
+    results.close()
 
 
 def test_a_failed_fork_leaves_the_work_to_this_process(two_cpus, monkeypatch):
@@ -407,11 +423,10 @@ def test_report_warnings_come_cell_by_cell_as_without_workers(tmp_path):
     assert rows == ([32] * 16 + [1]) * 4
 
 
-def test_waves_under_a_small_byte_budget_give_the_same_bytes(two_cpus, monkeypatch,
-                                                            tmp_path):
-    """With room for one Jacobian, each of the six cells is its own wave,
-    one `_run_tasks` over its chunks; the default budget takes the three
-    patch-0 cells, then the other three."""
+def test_rounds_of_any_size_give_the_same_bytes(two_cpus, monkeypatch, tmp_path):
+    """The report makes one `_run_tasks` over the chunks of the three
+    patch-0 cells and one over the other three; the rounds of `_run_tasks`
+    are its only batching, so any round size gives the same bytes."""
     text = """\
         [experiment]
         name = gradient-report
@@ -420,21 +435,31 @@ def test_waves_under_a_small_byte_budget_give_the_same_bytes(two_cpus, monkeypat
         patch_size = 8
         denoisers = tdt, median, nlm
     """
-    rounds = []
-    run_tasks = cli._run_tasks
+    # All of a round's claims go into the claim pipe in one write, which
+    # fits one 4 KiB pipe page.
+    assert 4 * workers._ROUND <= 4096
+    calls, rounds = [], []
+    run_tasks, run_round = cli._run_tasks, workers._run_round
 
-    def counted(tasks):
-        rounds.append(len(tasks))
+    def counted_calls(tasks):
+        calls.append(len(tasks))
         return run_tasks(tasks)
 
-    monkeypatch.setattr(cli, "_run_tasks", counted)
+    def counted_rounds(tasks, count):
+        rounds.append(len(tasks))
+        return run_round(tasks, count)
+
+    monkeypatch.setattr(cli, "_run_tasks", counted_calls)
+    monkeypatch.setattr(workers, "_run_round", counted_rounds)
     default = run_report(tmp_path, "default", text)
-    assert rounds == [3, 3]
-    rounds.clear()
-    monkeypatch.setattr(cli, "_WAVE_BYTES", 1)
-    assert run_report(tmp_path, "waves", text) == default
-    assert rounds == [1] * 6
     assert default[0] == 0
+    assert (calls, rounds) == ([3, 3], [3, 3])
+    for size, sizes in ((1, [1] * 6), (2, [2, 1, 2, 1])):
+        calls.clear()
+        rounds.clear()
+        monkeypatch.setattr(workers, "_ROUND", size)
+        assert run_report(tmp_path, f"round{size}", text) == default
+        assert (calls, rounds) == ([3, 3], sizes)
 
 
 def test_only_the_workers_module_forks():

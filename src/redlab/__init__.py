@@ -54,7 +54,6 @@ from .equilibrium import (
     EquilibriumPair,
     consensus_residual,
     denoising_equilibria,
-    f_prox,
     g_red_inverse,
     pnp_pair,
     red_admm_pair,

@@ -88,17 +88,6 @@ from .workers import _run_tasks, _worker_limit
 
 __all__ = ["EXPERIMENTS", "main"]
 
-EXPERIMENTS = {
-    "jacobian-report": "Jacobian symmetry-error table over noisy patches",
-    "gradient-report": "error table for the three candidate gradient expressions",
-    "lh-report": "local-homogeneity error table",
-    "trajectory": "one solver run with a per-iteration CSV log",
-    "cost-slice": "2-D objective and slope slice around a solver fixed point",
-    "deblur": "all seven solvers on uniform-blur recovery with an exact linear oracle",
-    "tweedie-check": "analytic vs numeric gradient of the smoothed-prior regularizer",
-    "equilibrium-check": "consensus residuals at a fixed point plus the denoising mirror identity",
-}
-
 _REPORT_HEADER = [
     "image",
     "denoiser",
@@ -489,19 +478,7 @@ def _plan_report(which: str) -> Callable:
             files = []
             summary_rows = []
             denoisers = [build((patch_size, patch_size)) for _, build in specs]
-            # Cells are (denoiser, patch) pairs; the unit of parallel work is
-            # one probe chunk of a cell's Jacobian (see _report_cells).  Patch
-            # 0 of every denoiser comes first in cell order and its cells'
-            # chunks are the first `_run_tasks` call: the earliest failure in
-            # cell order is raised and the second call never starts, so a
-            # denoiser whose metrics raise (say, an identically zero
-            # Jacobian) fails before second patches run.
-            order = [(d, 0) for d in range(len(denoisers))] + [
-                (d, i) for d in range(len(denoisers)) for i in range(1, len(points))
-            ]
-            cells = [(denoisers[d], points[i][1]) for d, i in order]
-            metrics = dict(zip(order, _report_cells(which, cells, epsilon,
-                                                    lead=len(denoisers))))
+            metrics = _report_cells(which, denoisers, [x for _, x in points], epsilon)
             for d, label in enumerate(labels):
                 rows = []
                 sums: dict[str, float] = {}
@@ -535,27 +512,31 @@ def _plan_report(which: str) -> Callable:
     return planner
 
 
-def _report_cells(which: str, cells: list[tuple[Denoiser, Image]], epsilon: float,
-                  lead: int) -> list[dict]:
-    """`_report_metrics` of each (denoiser, image) cell, in cell order.
+def _report_cells(which: str, denoisers: list[Denoiser], images: list[Image],
+                  epsilon: float) -> dict[tuple[int, int], dict]:
+    """`_report_metrics` of each (denoiser, image) cell, by their indices.
 
-    The probe chunks of the first `lead` cells, cell after cell, are one
-    `_run_tasks` call, and those of the rest a second; its rounds bound the
-    chunk results held at once.  For each cell in turn, this process draws
-    its chunks, assembles its estimate from them as numerical_jacobian
-    does, freeing each chunk once copied, and computes its metrics, so
-    results, warnings and the error raised are those of computing the cells
-    one after another.
+    Cells run in this order: image 0 under every denoiser, then the other
+    images denoiser by denoiser.  The probe chunks of the image-0 cells are
+    one `_run_tasks` call and those of the rest a second; its rounds bound
+    the chunk results held at once.  The earliest failure in cell order is
+    raised and the second call never starts, so a denoiser whose metrics
+    raise (say, an identically zero Jacobian) fails before any second image
+    runs.  For each cell in turn, this process draws its chunks, assembles
+    its estimate from them as numerical_jacobian does, freeing each chunk
+    once copied, and computes its metrics, so results, warnings and the
+    error raised are those of computing the cells one after another.
     """
-    results: list[dict] = []
-    for group in (cells[:lead], cells[lead:]):
-        chunks = [_jacobian_chunks(f, x, epsilon) for f, x in group]
+    ds = range(len(denoisers))
+    metrics: dict[tuple[int, int], dict] = {}
+    for group in ([(d, 0) for d in ds], [(d, i) for d in ds for i in range(1, len(images))]):
+        chunks = [_jacobian_chunks(denoisers[d], images[i], epsilon) for d, i in group]
         diffs = _run_tasks([task for tasks in chunks for task in tasks])
-        for (f, x), tasks in zip(group, chunks):
-            estimate = _jacobian_from_chunks(x, itertools.islice(diffs, len(tasks)),
-                                             epsilon)
-            results.append(_report_metrics(which, f, x, estimate, epsilon))
-    return results
+        for (d, i), tasks in zip(group, chunks):
+            f, x = denoisers[d], images[i]
+            estimate = _jacobian_from_chunks(x, itertools.islice(diffs, len(tasks)), epsilon)
+            metrics[d, i] = _report_metrics(which, f, x, estimate, epsilon)
+    return metrics
 
 
 def _report_metrics(which: str, f: Denoiser, x: Image, estimate: JacobianEstimate,
@@ -569,7 +550,7 @@ def _report_metrics(which: str, f: Denoiser, x: Image, estimate: JacobianEstimat
         numeric = estimate.rho_gradient
         return {
             "e_grad_romano": grad_error(grad_red_romano(f, x, fx), numeric),
-            "e_grad_lh": grad_error(grad_red_lh(f, x, estimate), numeric),
+            "e_grad_lh": grad_error(grad_red_lh(x, estimate), numeric),
             "e_grad_true": grad_error(grad_red_true(f, x, estimate, fx), numeric),
         }
     return {
@@ -823,16 +804,24 @@ def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
     return execute
 
 
-_PLANNERS: dict[str, Callable] = {
-    "jacobian-report": _plan_report("jacobian-report"),
-    "gradient-report": _plan_report("gradient-report"),
-    "lh-report": _plan_report("lh-report"),
-    "trajectory": _plan_trajectory,
-    "cost-slice": _plan_cost_slice,
-    "deblur": _plan_deblur,
-    "tweedie-check": _plan_tweedie,
-    "equilibrium-check": _plan_equilibrium,
+# Name -> (description, planner), in `list-experiments` order.
+_EXPERIMENTS: dict[str, tuple[str, Callable]] = {
+    "jacobian-report": ("Jacobian symmetry-error table over noisy patches",
+                        _plan_report("jacobian-report")),
+    "gradient-report": ("error table for the three candidate gradient expressions",
+                        _plan_report("gradient-report")),
+    "lh-report": ("local-homogeneity error table", _plan_report("lh-report")),
+    "trajectory": ("one solver run with a per-iteration CSV log", _plan_trajectory),
+    "cost-slice": ("2-D objective and slope slice around a solver fixed point",
+                   _plan_cost_slice),
+    "deblur": ("all seven solvers on uniform-blur recovery with an exact linear oracle",
+               _plan_deblur),
+    "tweedie-check": ("analytic vs numeric gradient of the smoothed-prior regularizer",
+                      _plan_tweedie),
+    "equilibrium-check": ("consensus residuals at a fixed point plus the denoising "
+                          "mirror identity", _plan_equilibrium),
 }
+EXPERIMENTS = {name: description for name, (description, _) in _EXPERIMENTS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +855,7 @@ def _load_plan(config_path: str) -> _Plan:
         )
     seed = reader.get_int("experiment", "seed", required=True, minimum=0)
     output = reader.get_str("experiment", "output", default=".")
-    execute = _PLANNERS[name](reader, path.parent, seed)
+    execute = _EXPERIMENTS[name][1](reader, path.parent, seed)
     reader.finish(name)
     return _Plan(name=name, output=output, execute=execute)
 

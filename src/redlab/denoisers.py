@@ -71,9 +71,6 @@ class Denoiser:
             raise DomainError("image pixels must be finite")
         return self._kernel(xs)
 
-    def __call__(self, x: Image) -> Image:
-        return self.apply(x)
-
 
 def _finite(name: str, value: float) -> float:
     value = float(value)

@@ -207,7 +207,7 @@ def grad_red_true(f: Denoiser, x: Image, jacobian: JacobianEstimate,
     return x.flat - 0.5 * fx.flat - 0.5 * (jacobian.matrix.T @ x.flat)
 
 
-def grad_red_lh(f: Denoiser, x: Image, jacobian: JacobianEstimate) -> np.ndarray:
+def grad_red_lh(x: Image, jacobian: JacobianEstimate) -> np.ndarray:
     """Locally-homogeneous form x - J x / 2 - J^T x / 2."""
     j = jacobian.matrix
     return x.flat - 0.5 * (j @ x.flat) - 0.5 * (j.T @ x.flat)

@@ -31,7 +31,6 @@ __all__ = [
     "EquilibriumPair",
     "consensus_residual",
     "denoising_equilibria",
-    "f_prox",
     "g_red_inverse",
     "pnp_pair",
     "red_admm_pair",
@@ -40,11 +39,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAXITER = 10_000
-
-
-def f_prox(loss: QuadraticLoss, weight: float, v: Image) -> Image:
-    """Fidelity-side equilibrium map; delegates to the loss prox."""
-    return loss.prox(v, weight)
 
 
 def g_red_inverse(f: Denoiser, c: float, v: Image, tol: float = DEFAULT_TOL,
@@ -59,12 +53,9 @@ def g_red_inverse(f: Denoiser, c: float, v: Image, tol: float = DEFAULT_TOL,
     if tol <= 0:
         raise ConfigError(f"tolerance must be > 0, got {tol}")
     x = v
-    fx = f.apply(x)
-    residual = float(np.linalg.norm((1.0 + c) * x.flat - c * fx.flat - v.flat))
-    if residual <= tol:
-        return x
-    for _ in range(maxiter):
-        x = Image((v.pixels + c * fx.pixels) / (1.0 + c))
+    for step in range(maxiter + 1):
+        if step:
+            x = Image((v.pixels + c * fx.pixels) / (1.0 + c))
         fx = f.apply(x)
         residual = float(np.linalg.norm((1.0 + c) * x.flat - c * fx.flat - v.flat))
         if residual <= tol:
@@ -84,7 +75,7 @@ class EquilibriumPair:
 def pnp_pair(loss: QuadraticLoss, f: Denoiser, beta: float) -> EquilibriumPair:
     """Plug-and-play pair: fidelity prox against the raw denoiser."""
     return EquilibriumPair(
-        F=lambda v: f_prox(loss, beta, v),
+        F=lambda v: loss.prox(v, beta),
         G=f.apply,
         params={"beta": beta},
     )
@@ -95,7 +86,7 @@ def red_admm_pair(loss: QuadraticLoss, f: Denoiser, weight: float, beta: float,
     """Splitting-solver pair: prox at beta against the c = lambda/beta inverse."""
     c = weight / beta
     return EquilibriumPair(
-        F=lambda v: f_prox(loss, beta, v),
+        F=lambda v: loss.prox(v, beta),
         G=lambda v: g_red_inverse(f, c, v, tol, maxiter),
         params={"weight": weight, "beta": beta, "c": c},
     )
@@ -106,7 +97,7 @@ def red_pg_pair(loss: QuadraticLoss, f: Denoiser, weight: float, l_scale: float,
     """Proximal-gradient pair: prox at lambda L against the c = 1/L inverse."""
     c = 1.0 / l_scale
     return EquilibriumPair(
-        F=lambda v: f_prox(loss, weight * l_scale, v),
+        F=lambda v: loss.prox(v, weight * l_scale),
         G=lambda v: g_red_inverse(f, c, v, tol, maxiter),
         params={"weight": weight, "l_scale": l_scale, "c": c},
     )

@@ -59,9 +59,9 @@ class QuadraticLoss:
                    x_hat: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(A x - y, A^T (A x - y) / sigma^2) as pixel arrays.
 
-        A circular solver forms both from x_hat, the `prox_spectrum` of x
-        (by default the one it kept, when x is the Image the last prox
-        returned); otherwise A and A^T are applied.
+        A circular solver forms both from x_hat when one is passed, the
+        `prox_spectrum` of x; without it A and A^T are applied, so the
+        terms depend only on x's pixels.
         """
         return self._solver.data_terms(x, x_hat)
 

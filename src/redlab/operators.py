@@ -4,7 +4,10 @@ Two concrete operators cover the measurement models used here: identity
 (denoising) and circular convolution (deblurring with periodic boundaries,
 applied by real-input FFTs on the half spectrum).  Adjoints are exact up
 to floating-point rounding, not approximations.  Each operator supplies
-the closed-form NormalSolver behind the quadratic loss's prox.
+the closed-form NormalSolver behind the quadratic loss's prox.  The data
+terms A x - y and A^T (A x - y) / sigma^2 come from a half spectrum only
+when the caller passes one (the solver log passes the prox spectrum of its
+iterate); otherwise A and A^T are applied, so equal images give equal terms.
 """
 
 from __future__ import annotations
@@ -46,9 +49,6 @@ class LinearOperator:
 
     def adjoint(self, y: Image) -> Image:
         raise NotImplementedError
-
-    def __call__(self, x: Image) -> Image:
-        return self.apply(x)
 
     def normal_solver(self, y: Image, noise_variance: float) -> NormalSolver:
         """The regularized normal solve for data y (by default, none)."""
@@ -104,11 +104,11 @@ class IdentityOperator(LinearOperator):
 class _SpectralSolver(NormalSolver):
     """Pointwise division on the half spectrum H of a circulant A.
 
-    Each solve keeps the half spectrum X^ of the image it returns.  The data
-    terms at that very Image (an identity check; images are immutable), or
-    at an x passed with the X^ that `spectrum` gave for it, cost one inverse
-    transform of the stack [R^, conj(H) R^], with R^ = H X^ - Y^, and no
-    forward one; any other x falls back to applying A and A^T.
+    Each solve keeps the half spectrum X^ of the image it returns, and
+    `spectrum` hands it out for that very Image.  The data terms at an x
+    passed with its X^ cost one inverse transform of the stack
+    [R^, conj(H) R^], with R^ = H X^ - Y^, and no forward one; without an
+    X^ they apply A and A^T, whatever x was returned by.
     """
 
     def __init__(self, operator: CircularConvolution, y: Image, noise_variance: float):
@@ -131,8 +131,6 @@ class _SpectralSolver(NormalSolver):
 
     def data_terms(self, x: Image,
                    x_hat: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        if x_hat is None:
-            x_hat = self.spectrum(x)
         if x_hat is None:
             return super().data_terms(x)
         spectra = np.empty((2,) + self.h.shape, dtype=self.h.dtype)

@@ -17,11 +17,11 @@ intensity scale.  Each iterate is logged to a Trajectory whose CSV form
 is byte-stable for fixed inputs (wall-clock timing is off by default for
 that reason).  Every solver proxes through the problem's own loss,
 RedProblem.loss, and the log takes A x - y and A^T (A x - y) / sigma^2
-from its data_terms, which reuses the spectrum of the last circular prox
-output instead of applying A and A^T again.  When a CPU is spare, a logger
-that `redlab.workers` forks computes a long run's log beside the iterations,
-with the records, errors and warnings of logging inline; the run's `_Run`
-keeps the log's state in whichever process logs.
+from its data_terms, passing the spectrum that the last circular prox kept
+for its output, so A and A^T are not applied again.  When a CPU is spare,
+a logger that `redlab.workers` forks computes a long run's log beside the
+iterations, with the records, errors and warnings of logging inline; the
+run's `_Run` keeps the log's state in whichever process logs.
 """
 
 from __future__ import annotations
@@ -142,10 +142,6 @@ class Trajectory:
     def csv_text(self) -> str:
         return format_csv(self.CSV_HEADER, self.csv_rows())
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
-
 
 def _log_entry(p: RedProblem, truth: Image | None, k: int, x: Image, fx: Image,
                x_prev: Image, x_hat: np.ndarray | None,
@@ -214,11 +210,16 @@ class _Run:
         if self.logger is not None:
             self.trajectory.records += self.logger.finish(error)
 
+    def check(self, k: int, flat: np.ndarray) -> None:
+        """Raise DivergenceError when iterate k, flat, has a norm past the
+        guard or one that is not a number."""
+        norm = float(np.linalg.norm(flat))
+        if not norm <= self.guard:
+            raise DivergenceError(k, norm, self.guard)
+
     def record(self, k: int, x: Image, fx: Image) -> bool:
         """Log iterate k; returns True when the run should stop early."""
-        norm = float(np.linalg.norm(x.flat))
-        if norm > self.guard:
-            raise DivergenceError(k, norm, self.guard)
+        self.check(k, x.flat)
         elapsed = time.perf_counter() - self.start if self.cfg.record_timing else 0.0
         x_hat = self.p.loss.prox_spectrum(x)
         if self.logger is not None:
@@ -274,7 +275,9 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
     The default step sigma^2 / (1 + lambda sigma^2) normalizes the
     residual's identity-operator part.  Each step follows the residual
     g(x_k) that the log has just formed, so A and A^T are applied once per
-    iterate, plus once at x_0.
+    iterate, plus once at x_0.  The divergence guard checks each step before
+    it becomes an Image or reaches the denoiser, so a step that overflows
+    raises DivergenceError.
     """
     sigma2 = p.noise_variance
     mu = sigma2 / (1.0 + p.weight * sigma2) if cfg.sd_step is None else cfg.sd_step
@@ -284,7 +287,9 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
         g = fp_residual(p, x, fx)
         h, w = x.pixels.shape
         for k in range(1, cfg.iterations + 1):
-            x = Image.from_flat(x.flat - mu * g, h, w)
+            flat = x.flat - mu * g
+            run.check(k, flat)
+            x = Image.from_flat(flat, h, w)
             fx = p.denoiser.apply(x)
             if run.record(k, x, fx):
                 break

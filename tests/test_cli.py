@@ -504,6 +504,39 @@ class TestTrajectory:
         assert "error" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("step", ["1e307", "1e308"])
+    def test_overflowing_step_exits_three_without_outputs(self, tmp_path, capsys,
+                                                          step):
+        """The guard sees the step before it becomes an Image (1e308: the
+        step itself overflows) or reaches the denoiser (1e307: the step is
+        finite, its Haar transform overflows)."""
+        out_dir = tmp_path / "boom"
+        config = write_config(tmp_path, f"""\
+            [experiment]
+            name = trajectory
+            seed = 0
+            output = {out_dir}
+
+            [problem]
+            size = 16
+            blur = 3
+
+            [denoiser]
+            kind = tdt
+            threshold = 1
+
+            [solver]
+            method = sd
+            iterations = 5
+            sd_step = {step}
+        """)
+        assert main(["run", config]) == 3
+        err = capsys.readouterr().err
+        assert "error: iterate norm inf exceeded the divergence bound" in err
+        assert err.endswith(" at iteration 1\n")
+        assert not out_dir.exists()
+
 
 class TestDeblur:
     def test_seven_solver_logs_with_oracle_gap(self, tmp_path):

@@ -260,7 +260,7 @@ class TestGradientExpressions:
         est = numerical_jacobian(linear_den, probe_image)
         rom = grad_red_romano(linear_den, probe_image)
         true = grad_red_true(linear_den, probe_image, est)
-        lh = grad_red_lh(linear_den, probe_image, est)
+        lh = grad_red_lh(probe_image, est)
         num = numerical_gradient_rho(linear_den, probe_image)
         np.testing.assert_allclose(rom, num, atol=1e-8)
         np.testing.assert_allclose(true, num, atol=1e-8)

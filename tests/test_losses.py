@@ -12,7 +12,6 @@ from redlab import (
     LinearOperator,
     QuadraticLoss,
     ShapeError,
-    f_prox,
     make_uniform_blur,
     operator_matrix,
 )
@@ -168,8 +167,8 @@ class TestProx:
 
 
 class TestSpectrumHandOff:
-    """data_terms(x) reuses the spectrum of the last circular prox output
-    and applies A and A^T for any other image."""
+    """data_terms(x, x_hat) forms the terms from the prox spectrum x_hat that
+    the caller passes; data_terms(x) applies A and A^T, whatever returned x."""
 
     SIGMA2 = 2.0
 
@@ -191,7 +190,7 @@ class TestSpectrumHandOff:
         x_hat = (numer + 0.05 * np.fft.rfft2(v.pixels)) / (np.abs(tf) ** 2 / self.SIGMA2
                                                            + 0.05)
         r_hat = tf * x_hat - np.fft.rfft2(blur_loss.y.pixels)
-        r, g = blur_loss.data_terms(x)
+        r, g = blur_loss.data_terms(x, blur_loss.prox_spectrum(x))
         np.testing.assert_array_equal(r, np.fft.irfft2(r_hat, s=(8, 8)))
         np.testing.assert_array_equal(
             g, np.fft.irfft2(np.conj(tf) * r_hat, s=(8, 8)) / self.SIGMA2)
@@ -214,7 +213,7 @@ class TestSpectrumHandOff:
     def test_f_prox_callers_get_correct_terms(self, blur_loss, rng):
         a = operator_matrix(blur_loss.operator, (8, 8))
         for weight in (0.05, 3.0):
-            x = f_prox(blur_loss, weight, Image(rng.uniform(0.0, 255.0, size=(8, 8))))
+            x = blur_loss.prox(Image(rng.uniform(0.0, 255.0, size=(8, 8))), weight)
             r, g = blur_loss.data_terms(x)
             residual = a @ x.flat - blur_loss.y.flat
             np.testing.assert_allclose(r.reshape(-1), residual, rtol=0, atol=1e-10)

@@ -210,7 +210,7 @@ class TestSpectralSolverTables:
         r_hat = solver.h * solver._last[1] - solver.y_hat
         residual = np.fft.irfft2(r_hat, s=shape)
         gradient = np.fft.irfft2(np.conj(solver.h) * r_hat, s=shape) / loss.noise_variance
-        r, g = loss.data_terms(x)
+        r, g = loss.data_terms(x, loss.prox_spectrum(x))
         assert r.tobytes() == residual.tobytes()
         assert g.tobytes() == gradient.tobytes()
 

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -19,8 +20,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from redlab import MedianFilterDenoiser, NlmDenoiser, cli, workers
+from redlab import SOLVERS, MedianFilterDenoiser, NlmDenoiser, cli, workers
 from redlab.errors import ConfigError, DivergenceError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -460,6 +463,83 @@ def test_rounds_of_any_size_give_the_same_bytes(two_cpus, monkeypatch, tmp_path)
         monkeypatch.setattr(workers, "_ROUND", size)
         assert run_report(tmp_path, f"round{size}", text) == default
         assert (calls, rounds) == ([3, 3], sizes)
+
+
+KINDS = ["tdt", "median", "nlm", "linear", "gmm", "bernoulli"]
+# The gmm Jacobian at 8x8 is identically zero, so the report exits 2.
+GMM_EXITS_2 = """\
+[experiment]
+name = jacobian-report
+seed = 7
+patches = 2
+patch_size = 8
+denoisers = tdt, median, gmm
+"""
+# The first step overflows, so the run exits 3.
+SD_OVERFLOWS = """\
+[experiment]
+name = trajectory
+seed = 0
+[problem]
+size = 16
+blur = 3
+[denoiser]
+kind = tdt
+threshold = 1
+[solver]
+iterations = 110
+method = sd
+sd_step = 1e308
+"""
+
+
+@st.composite
+def small_configs(draw):
+    """A small report, trajectory, cost-slice or equilibrium-check config.
+    Solver runs take 100 to 120 iterations, so a spare CPU forks the log."""
+    experiment = draw(st.sampled_from(["jacobian-report", "gradient-report", "lh-report",
+                                       "trajectory", "cost-slice", "equilibrium-check"]))
+    text = f"[experiment]\nname = {experiment}\nseed = {draw(st.integers(0, 99))}\n"
+    if experiment.endswith("-report"):
+        labels = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3, unique=True))
+        return text + (f"patches = {draw(st.integers(1, 3))}\n"
+                       f"patch_size = {draw(st.sampled_from([4, 8, 16]))}\n"
+                       f"denoisers = {', '.join(labels)}\n")
+    kind = draw(st.sampled_from(KINDS))
+    text += (f"[problem]\nsize = {draw(st.sampled_from([8, 16]))}\n"
+             f"blur = {draw(st.sampled_from([1, 3]))}\n[denoiser]\nkind = {kind}\n")
+    if kind == "nlm":
+        text += "search_radius = 2\n"
+    text += f"[solver]\niterations = {draw(st.integers(100, 120))}\n"
+    if experiment != "equilibrium-check":
+        method = draw(st.sampled_from(sorted(SOLVERS)))
+        text += f"method = {method}\n"
+        if method == "sd":
+            step = draw(st.sampled_from([None, "1e5", "1e307", "1e308"]))
+            text += "" if step is None else f"sd_step = {step}\n"
+    if experiment == "cost-slice":
+        text += f"[slice]\npoints = {draw(st.integers(2, 3))}\n"
+    return text
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(GMM_EXITS_2)
+@example(SD_OVERFLOWS)
+@given(small_configs())
+def test_generated_configs_give_the_same_bytes_at_any_worker_count(text):
+    """Exit code, stdout, stderr and output bytes of one process equal those
+    of two CPUs (forked workers and logger), and for a report those of
+    one-task rounds too."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        tmp_path = Path(tmp)
+        sequential = run_report(tmp_path, "sequential", text, workers_env="1")
+        patch.delenv("REDLAB_WORKERS", raising=False)
+        patch.setattr(workers, "_usable_cpus", lambda: 2)
+        assert run_report(tmp_path, "forked", text) == sequential
+        if "-report" in text:
+            patch.setattr(workers, "_ROUND", 1)
+            assert run_report(tmp_path, "round1", text) == sequential
 
 
 def test_only_the_workers_module_forks():

@@ -5,7 +5,6 @@ import pytest
 
 from redlab import (
     ConfigError,
-    Denoiser,
     GmmMmseDenoiser,
     IdentityOperator,
     Image,
@@ -21,11 +20,6 @@ from redlab import (
     score_match_identity,
     SolverConfig,
 )
-
-
-class IdentityDenoiser(Denoiser):
-    def apply(self, x: Image) -> Image:
-        return x
 
 
 @pytest.fixture(scope="module")
@@ -138,10 +132,10 @@ class TestTweedieRegularizer:
 
 
 class TestScoreMatchIdentity:
-    def test_identity_denoiser(self, small_prior):
+    def test_identity_denoiser(self, small_prior, identity_denoiser):
         """psi = 0 for f = id, so both sides reduce to the same norm."""
         x = Image(np.array([[0.3], [-0.2]]))
-        lhs, rhs = score_match_identity(IdentityDenoiser(), small_prior, x)
+        lhs, rhs = score_match_identity(identity_denoiser, small_prior, x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_wavelet_denoiser(self):
@@ -152,9 +146,9 @@ class TestScoreMatchIdentity:
         lhs, rhs = score_match_identity(TdtDenoiser(0.1), prior, x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_dimension_mismatch(self, small_prior):
+    def test_dimension_mismatch(self, small_prior, identity_denoiser):
         with pytest.raises(ShapeError):
-            score_match_identity(IdentityDenoiser(), small_prior,
+            score_match_identity(identity_denoiser, small_prior,
                                  Image(np.zeros((3, 1))))
 
 

@@ -9,6 +9,8 @@ only meet the [0, 255] range where an operation states that precondition
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,45 +131,24 @@ def _round_half_away(a: np.ndarray) -> np.ndarray:
     return np.sign(a) * np.floor(np.abs(a) + 0.5)
 
 
-class _PgmScanner:
-    """Token scanner for PGM headers that tracks byte offsets."""
+# A token is a run of the bytes that bytes.isspace() rejects; the one comment
+# line allowed follows the magic number.
+_TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c]+")
+_COMMENT = re.compile(rb"[ \t\n\r\x0b\x0c]*#[^\n]*")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def skip_whitespace(self):
-        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1].isspace():
-            self.pos += 1
-
-    def skip_comment_line(self) -> bool:
-        """Consume one '#' comment line if present; returns True if consumed."""
-        self.skip_whitespace()
-        if self.pos < len(self.data) and self.data[self.pos] == ord("#"):
-            nl = self.data.find(b"\n", self.pos)
-            self.pos = len(self.data) if nl < 0 else nl + 1
-            return True
-        return False
-
-    def token(self, what: str) -> bytes:
-        self.skip_whitespace()
-        if self.pos >= len(self.data):
-            raise PgmParseError(f"unexpected end of data while reading {what}", self.pos)
-        start = self.pos
-        while self.pos < len(self.data) and not self.data[self.pos : self.pos + 1].isspace():
-            self.pos += 1
-        return self.data[start : self.pos]
-
-    def integer(self, what: str) -> int:
-        self.skip_whitespace()
-        start = self.pos
-        tok = self.token(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise PgmParseError(
-                f"expected integer for {what}, got {tok!r}", start
-            ) from None
+def _integer(tokens: Iterator[re.Match], what: str, end: int) -> tuple[int, re.Match]:
+    """The next token's value and match; running out of tokens is the end of
+    data at `end`."""
+    token = next(tokens, None)
+    if token is None:
+        raise PgmParseError(f"unexpected end of data while reading {what}", end)
+    try:
+        return int(token[0]), token
+    except ValueError:
+        raise PgmParseError(
+            f"expected integer for {what}, got {token[0]!r}", token.start()
+        ) from None
 
 
 def load_pgm(path: str) -> Image:
@@ -175,59 +156,61 @@ def load_pgm(path: str) -> Image:
 
     A single comment line immediately after the magic number is tolerated.
     Malformed files, samples above maxval included, raise PgmParseError
-    naming the byte offset; maxval above 255 raises UnsupportedFormatError.
+    naming a byte offset: the first byte of the offending token or P5
+    byte, or the end of the data where it runs out.  Maxval above 255
+    raises UnsupportedFormatError.  No array is allocated from the declared
+    size, so a header that declares more than the file holds fails this
+    way at any size.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    sc = _PgmScanner(data)
-    magic = sc.token("magic number")
-    if magic not in (b"P2", b"P5"):
-        raise PgmParseError(f"unsupported magic number {magic!r}", 0)
-    sc.skip_comment_line()
-    # Header errors name the first byte of the offending token.
-    sc.skip_whitespace()
-    width_at = sc.pos
-    width = sc.integer("width")
-    height = sc.integer("height")
-    sc.skip_whitespace()
-    maxval_at = sc.pos
-    maxval = sc.integer("maxval")
+    magic = _TOKEN.search(data)
+    if magic is None:
+        raise PgmParseError("unexpected end of data while reading magic number", len(data))
+    if magic[0] not in (b"P2", b"P5"):
+        raise PgmParseError(f"unsupported magic number {magic[0]!r}", 0)
+    comment = _COMMENT.match(data, magic.end())
+    tokens = _TOKEN.finditer(data, (comment or magic).end())
+    width, width_token = _integer(tokens, "width", len(data))
+    height, _ = _integer(tokens, "height", len(data))
+    maxval, maxval_token = _integer(tokens, "maxval", len(data))
     if width < 1 or height < 1:
-        raise PgmParseError(f"invalid dimensions {width}x{height}", width_at)
+        raise PgmParseError(f"invalid dimensions {width}x{height}", width_token.start())
     if maxval > 255:
         raise UnsupportedFormatError(
             f"maxval {maxval} exceeds 255; only 8-bit PGM is supported"
         )
     if maxval < 1:
-        raise PgmParseError(f"invalid maxval {maxval}", maxval_at)
+        raise PgmParseError(f"invalid maxval {maxval}", maxval_token.start())
 
     count = width * height
-    if magic == b"P5":
-        if sc.pos >= len(data) or not data[sc.pos : sc.pos + 1].isspace():
-            raise PgmParseError("expected single whitespace before raster", sc.pos)
-        sc.pos += 1
-        raster = data[sc.pos : sc.pos + count]
+    if magic[0] == b"P5":
+        pos = maxval_token.end()
+        if not data[pos : pos + 1].isspace():
+            raise PgmParseError("expected single whitespace before raster", pos)
+        pos += 1
+        raster = data[pos : pos + count]
         if len(raster) < count:
             raise PgmParseError(
                 f"raster truncated: expected {count} bytes, got {len(raster)}",
-                sc.pos + len(raster),
+                pos + len(raster),
             )
         values = np.frombuffer(raster, dtype=np.uint8, count=count).astype(np.float64)
         above = np.flatnonzero(values > maxval)
         if above.size:
             at = int(above[0])
-            raise PgmParseError(f"pixel value {values[at]:g} outside [0, {maxval}]", sc.pos + at)
+            raise PgmParseError(f"pixel value {values[at]:g} outside [0, {maxval}]", pos + at)
     else:
-        values = np.empty(count, dtype=np.float64)
-        for i in range(count):
-            sc.skip_whitespace()
-            at = sc.pos
-            v = sc.integer("pixel value")
-            if v < 0 or v > maxval:
-                raise PgmParseError(
-                    f"pixel value {v} outside [0, {maxval}]", at
-                )
-            values[i] = v
+        def samples():
+            for _ in range(count):
+                v, token = _integer(tokens, "pixel value", len(data))
+                if v < 0 or v > maxval:
+                    raise PgmParseError(
+                        f"pixel value {v} outside [0, {maxval}]", token.start()
+                    )
+                yield v
+
+        values = np.fromiter(samples(), dtype=np.float64)
     return Image.from_flat(values, height, width)
 
 

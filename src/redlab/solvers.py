@@ -212,8 +212,10 @@ class _Run:
 
     def check(self, k: int, flat: np.ndarray) -> None:
         """Raise DivergenceError when iterate k, flat, has a norm past the
-        guard or one that is not a number."""
-        norm = float(np.linalg.norm(flat))
+        guard or one that is not a number.  A norm that overflows is inf,
+        which the guard reports, so numpy's overflow warning is silenced."""
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(flat))
         if not norm <= self.guard:
             raise DivergenceError(k, norm, self.guard)
 
@@ -277,7 +279,7 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
     g(x_k) that the log has just formed, so A and A^T are applied once per
     iterate, plus once at x_0.  The divergence guard checks each step before
     it becomes an Image or reaches the denoiser, so a step that overflows
-    raises DivergenceError.
+    raises DivergenceError, without numpy's overflow warning.
     """
     sigma2 = p.noise_variance
     mu = sigma2 / (1.0 + p.weight * sigma2) if cfg.sd_step is None else cfg.sd_step
@@ -287,7 +289,8 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
         g = fp_residual(p, x, fx)
         h, w = x.pixels.shape
         for k in range(1, cfg.iterations + 1):
-            flat = x.flat - mu * g
+            with np.errstate(over="ignore"):
+                flat = x.flat - mu * g
             run.check(k, flat)
             x = Image.from_flat(flat, h, w)
             fx = p.denoiser.apply(x)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -454,6 +455,30 @@ class TestOtherReports:
         assert float(tdt[7]) >= 1e-4
 
 
+def overflowing_sd_config(out_dir, step):
+    """A 16x16 tdt trajectory whose first steepest-descent step of size
+    `step` overflows the guard's norm."""
+    return f"""\
+        [experiment]
+        name = trajectory
+        seed = 0
+        output = {out_dir}
+
+        [problem]
+        size = 16
+        blur = 3
+
+        [denoiser]
+        kind = tdt
+        threshold = 1
+
+        [solver]
+        method = sd
+        iterations = 5
+        sd_step = {step}
+    """
+
+
 class TestTrajectory:
     def test_csv_log_with_psnr(self, tmp_path):
         out_dir = tmp_path / "traj"
@@ -504,7 +529,7 @@ class TestTrajectory:
         assert "error" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("step", ["1e307", "1e308"])
     def test_overflowing_step_exits_three_without_outputs(self, tmp_path, capsys,
                                                           step):
@@ -512,29 +537,30 @@ class TestTrajectory:
         step itself overflows) or reaches the denoiser (1e307: the step is
         finite, its Haar transform overflows)."""
         out_dir = tmp_path / "boom"
-        config = write_config(tmp_path, f"""\
-            [experiment]
-            name = trajectory
-            seed = 0
-            output = {out_dir}
-
-            [problem]
-            size = 16
-            blur = 3
-
-            [denoiser]
-            kind = tdt
-            threshold = 1
-
-            [solver]
-            method = sd
-            iterations = 5
-            sd_step = {step}
-        """)
+        config = write_config(tmp_path, overflowing_sd_config(out_dir, step))
         assert main(["run", config]) == 3
         err = capsys.readouterr().err
         assert "error: iterate norm inf exceeded the divergence bound" in err
         assert err.endswith(" at iteration 1\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("step", ["1e306", "1e307", "1e308"])
+    def test_overflowing_step_prints_only_the_error_line(self, tmp_path, step):
+        """A fresh `redlab run` process: the overflow that the guard reports
+        prints no numpy warning before the error line."""
+        out_dir = tmp_path / "boom"
+        config = write_config(tmp_path, overflowing_sd_config(out_dir, step))
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        env.pop("PYTHONWARNINGS", None)
+        result = subprocess.run(
+            [sys.executable, "-m", "redlab.cli", "run", config],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 3
+        assert re.fullmatch(r"error: iterate norm inf exceeded the divergence bound "
+                            r"\S+ \(1e4 x max\(\|\|x0\|\|, \|\|y\|\|\)\) at iteration 1\n",
+                            result.stderr), result.stderr
+        assert result.stdout == ""
         assert not out_dir.exists()
 
 

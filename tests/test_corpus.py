@@ -45,6 +45,13 @@ def run_config(name: str, work: Path) -> dict:
     # A non-square 16x32 input for the configs that read `wide.pgm`.
     wide = np.add.outer(np.arange(16) * 11, np.arange(32) * 7) % 256
     save_pgm(Image(wide.astype(np.float64)), str(work / "wide.pgm"))
+    # The same pixels as P2 text, a comment line and every whitespace byte
+    # between the samples; and a 16x32 P2 file with its first 100 samples.
+    gaps = [b" ", b"\t", b"\n", b"\r\n", b"\x0b", b"\x0c", b"  "]
+    samples = [b"%d%s" % (v, gaps[i % len(gaps)]) for i, v in enumerate(wide.ravel().tolist())]
+    (work / "wide-ascii.pgm").write_bytes(
+        b"P2\n# wide.pgm as text\n32 16\n255\n" + b"".join(samples))
+    (work / "short-ascii.pgm").write_bytes(b"P2\n16 32\n255\n" + b"".join(samples[:100]))
     out_dir = work / "out"
     stdout, stderr = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"REDLAB_OUT": str(out_dir)}), \

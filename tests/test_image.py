@@ -10,6 +10,7 @@ from redlab import (
     DomainError,
     Image,
     PgmParseError,
+    RedlabError,
     ShapeError,
     UnsupportedFormatError,
     awgn,
@@ -18,6 +19,7 @@ from redlab import (
     psnr,
     save_pgm,
 )
+from redlab.cli import main
 
 
 class TestImage:
@@ -242,3 +244,187 @@ class TestPgm:
         path = tmp_path / "prop.pgm"
         save_pgm(img, str(path))
         np.testing.assert_array_equal(load_pgm(str(path)).pixels, img.pixels)
+
+
+class _PgmScanner:
+    """Token scanner for PGM headers that tracks byte offsets."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def skip_whitespace(self):
+        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1].isspace():
+            self.pos += 1
+
+    def skip_comment_line(self) -> bool:
+        """Consume one '#' comment line if present; returns True if consumed."""
+        self.skip_whitespace()
+        if self.pos < len(self.data) and self.data[self.pos] == ord("#"):
+            nl = self.data.find(b"\n", self.pos)
+            self.pos = len(self.data) if nl < 0 else nl + 1
+            return True
+        return False
+
+    def token(self, what: str) -> bytes:
+        self.skip_whitespace()
+        if self.pos >= len(self.data):
+            raise PgmParseError(f"unexpected end of data while reading {what}", self.pos)
+        start = self.pos
+        while self.pos < len(self.data) and not self.data[self.pos : self.pos + 1].isspace():
+            self.pos += 1
+        return self.data[start : self.pos]
+
+    def integer(self, what: str) -> int:
+        self.skip_whitespace()
+        start = self.pos
+        tok = self.token(what)
+        try:
+            return int(tok)
+        except ValueError:
+            raise PgmParseError(
+                f"expected integer for {what}, got {tok!r}", start
+            ) from None
+
+
+def reference_load_pgm(path: str) -> Image:
+    """The former load_pgm: a byte-at-a-time scanner, and a P2 array sized
+    from the header before any sample is read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    sc = _PgmScanner(data)
+    magic = sc.token("magic number")
+    if magic not in (b"P2", b"P5"):
+        raise PgmParseError(f"unsupported magic number {magic!r}", 0)
+    sc.skip_comment_line()
+    # Header errors name the first byte of the offending token.
+    sc.skip_whitespace()
+    width_at = sc.pos
+    width = sc.integer("width")
+    height = sc.integer("height")
+    sc.skip_whitespace()
+    maxval_at = sc.pos
+    maxval = sc.integer("maxval")
+    if width < 1 or height < 1:
+        raise PgmParseError(f"invalid dimensions {width}x{height}", width_at)
+    if maxval > 255:
+        raise UnsupportedFormatError(
+            f"maxval {maxval} exceeds 255; only 8-bit PGM is supported"
+        )
+    if maxval < 1:
+        raise PgmParseError(f"invalid maxval {maxval}", maxval_at)
+
+    count = width * height
+    if magic == b"P5":
+        if sc.pos >= len(data) or not data[sc.pos : sc.pos + 1].isspace():
+            raise PgmParseError("expected single whitespace before raster", sc.pos)
+        sc.pos += 1
+        raster = data[sc.pos : sc.pos + count]
+        if len(raster) < count:
+            raise PgmParseError(
+                f"raster truncated: expected {count} bytes, got {len(raster)}",
+                sc.pos + len(raster),
+            )
+        values = np.frombuffer(raster, dtype=np.uint8, count=count).astype(np.float64)
+        above = np.flatnonzero(values > maxval)
+        if above.size:
+            at = int(above[0])
+            raise PgmParseError(f"pixel value {values[at]:g} outside [0, {maxval}]", sc.pos + at)
+    else:
+        values = np.empty(count, dtype=np.float64)
+        for i in range(count):
+            sc.skip_whitespace()
+            at = sc.pos
+            v = sc.integer("pixel value")
+            if v < 0 or v > maxval:
+                raise PgmParseError(
+                    f"pixel value {v} outside [0, {maxval}]", at
+                )
+            values[i] = v
+    return Image.from_flat(values, height, width)
+
+
+def _outcome(load, path):
+    """The pixels a loader returns, or the class, message and offset of the
+    error it raises."""
+    try:
+        pixels = load(path).pixels
+    except RedlabError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return pixels.tobytes(), pixels.shape
+
+
+_SPACES = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+
+
+@st.composite
+def pgm_files(draw):
+    """A valid P2 or P5 file with whitespace of every kind, then up to two
+    edits that insert or delete a few bytes, and maybe a cut.  Declared
+    sizes stay below 10**8 samples, since the reference allocates its P2
+    array from them."""
+    gap = st.lists(st.sampled_from(_SPACES), min_size=1, max_size=3).map(b"".join)
+    magic = draw(st.sampled_from([b"P2", b"P5"]))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    maxval = draw(st.sampled_from([255, 100, 7, 1]))
+    comment = draw(st.sampled_from(
+        [b"", b"", b"# c\n", b"#\n", b"# c", b"# one\n# two\n"]))
+    data = (draw(st.sampled_from([b"", b" "])) + magic + draw(gap)
+            + (comment + draw(gap) if comment else b"")
+            + b"%d%s%d%s%d" % (width, draw(gap), height, draw(gap), maxval))
+    pixels = draw(st.lists(st.integers(0, maxval), min_size=width * height,
+                           max_size=width * height))
+    if magic == b"P5":
+        data += draw(st.sampled_from(_SPACES)) + bytes(pixels)
+    else:
+        data += b"".join(draw(gap) + b"%d" % v for v in pixels)
+    data += draw(st.sampled_from([b"", b"\n", b" 7", b"x"]))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        insert = draw(st.sampled_from(
+            [b"", b"\x1c", b"\x00", b"#", b"x", b"-", b"+", b"_", b".5", b"9", b"256",
+             b"\xff"] + _SPACES))
+        data = data[:at] + insert + data[at + draw(st.integers(0, 2)):]
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+class TestPgmAgainstReference:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pgm_files())
+    def test_loaders_agree_on_generated_files(self, tmp_path, data):
+        """Equal pixels, or the same error class, message and offset."""
+        path = tmp_path / "gen.pgm"
+        path.write_bytes(data)
+        assert _outcome(load_pgm, str(path)) == _outcome(reference_load_pgm, str(path))
+
+
+class TestPgmDeclaredSizes:
+    """A header may declare any size; a file that holds less exits 2 naming
+    a byte offset, however large the declared image."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P2\n1000000 1000000\n255\n1 2 3\n",
+         "unexpected end of data while reading pixel value"),
+        (b"P2\n4294967296 4294967296\n255\n1 2 3\n",
+         "unexpected end of data while reading pixel value"),
+        (b"P5\n1000000 1000000\n255\n\x01\x02\x03",
+         "raster truncated: expected 1000000000000 bytes, got 3"),
+        (b"P5\n4294967296 4294967296\n255\n\x01\x02\x03",
+         f"raster truncated: expected {2**64} bytes, got 3"),
+    ], ids=["p2-1e12", "p2-2**64", "p5-1e12", "p5-2**64"])
+    def test_header_larger_than_its_data_exits_two(self, tmp_path, capsys, data,
+                                                   message):
+        """One error line naming the end of the file, no traceback and no
+        outputs."""
+        (tmp_path / "huge.pgm").write_bytes(data)
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[experiment]\nname = trajectory\nseed = 1\n"
+                          f"output = {tmp_path / 'out'}\n"
+                          f"[problem]\nimage = huge.pgm\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {message} (byte offset {len(data)})\n")
+        assert not (tmp_path / "out").exists()

@@ -198,19 +198,21 @@ class TestSpectrumHandOff:
         np.testing.assert_allclose(r, want_r, rtol=0, atol=1e-10)
         np.testing.assert_allclose(g, want_g, rtol=0, atol=1e-10)
 
-    def test_interleaved_prox_calls_fall_back_for_older_outputs(self, blur_loss, rng):
+    def test_only_the_last_prox_output_has_a_spectrum(self, blur_loss, rng):
+        """An older prox output, and an equal image that is not the returned
+        object, have no spectrum; data_terms(x) applies A and A^T to each,
+        and to the last output too."""
         x1 = blur_loss.prox(Image(rng.uniform(0.0, 255.0, size=(8, 8))), 0.05)
         x2 = blur_loss.prox(Image(rng.uniform(0.0, 255.0, size=(8, 8))), 3.0)
-        for got, want in zip(blur_loss.data_terms(x1), self.fallback(blur_loss, x1)):
-            np.testing.assert_array_equal(got, want)
-        # An equal image that is not the returned object also falls back.
         copy = Image(x2.pixels)
-        for got, want in zip(blur_loss.data_terms(copy), self.fallback(blur_loss, copy)):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip(blur_loss.data_terms(x2), self.fallback(blur_loss, x2)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert blur_loss.prox_spectrum(x1) is None
+        assert blur_loss.prox_spectrum(copy) is None
+        assert blur_loss.prox_spectrum(x2) is not None
+        for point in (x1, copy, x2):
+            for got, want in zip(blur_loss.data_terms(point), self.fallback(blur_loss, point)):
+                np.testing.assert_array_equal(got, want)
 
-    def test_f_prox_callers_get_correct_terms(self, blur_loss, rng):
+    def test_terms_without_a_spectrum_match_the_dense_matrix(self, blur_loss, rng):
         a = operator_matrix(blur_loss.operator, (8, 8))
         for weight in (0.05, 3.0):
             x = blur_loss.prox(Image(rng.uniform(0.0, 255.0, size=(8, 8))), weight)

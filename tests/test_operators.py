@@ -123,8 +123,10 @@ class TestCircularShapes:
         rhs = a.T @ y.flat / sigma2 + weight * v.flat
         np.testing.assert_allclose(x.flat, np.linalg.solve(lhs, rhs), atol=1e-10)
         residual = a @ x.flat - y.flat
-        for point in (x, Image(x.pixels)):  # the prox spectrum, then the fallback
-            r, g = loss.data_terms(point)
+        x_hat = loss.prox_spectrum(x)
+        assert x_hat is not None
+        for spectrum in (x_hat, None):  # the spectrum formula, then A and A^T
+            r, g = loss.data_terms(x, spectrum)
             assert r.shape == g.shape == shape
             np.testing.assert_allclose(r.reshape(-1), residual, atol=1e-10)
             np.testing.assert_allclose(g.reshape(-1), a.T @ residual / sigma2,

@@ -495,23 +495,26 @@ sd_step = 1e308
 
 @st.composite
 def small_configs(draw):
-    """A small report, trajectory, cost-slice or equilibrium-check config.
-    Solver runs take 100 to 120 iterations, so a spare CPU forks the log."""
+    """A small config of any experiment.  Solver runs take 100 to 120
+    iterations, so a spare CPU forks the log."""
     experiment = draw(st.sampled_from(["jacobian-report", "gradient-report", "lh-report",
-                                       "trajectory", "cost-slice", "equilibrium-check"]))
+                                       "trajectory", "cost-slice", "equilibrium-check",
+                                       "deblur", "tweedie-check"]))
     text = f"[experiment]\nname = {experiment}\nseed = {draw(st.integers(0, 99))}\n"
+    if experiment == "tweedie-check":
+        return text + f"instances = {draw(st.integers(1, 4))}\n"
     if experiment.endswith("-report"):
         labels = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3, unique=True))
         return text + (f"patches = {draw(st.integers(1, 3))}\n"
                        f"patch_size = {draw(st.sampled_from([4, 8, 16]))}\n"
                        f"denoisers = {', '.join(labels)}\n")
-    kind = draw(st.sampled_from(KINDS))
+    kind = "linear" if experiment == "deblur" else draw(st.sampled_from(KINDS))
     text += (f"[problem]\nsize = {draw(st.sampled_from([8, 16]))}\n"
              f"blur = {draw(st.sampled_from([1, 3]))}\n[denoiser]\nkind = {kind}\n")
     if kind == "nlm":
         text += "search_radius = 2\n"
     text += f"[solver]\niterations = {draw(st.integers(100, 120))}\n"
-    if experiment != "equilibrium-check":
+    if experiment not in ("equilibrium-check", "deblur"):
         method = draw(st.sampled_from(sorted(SOLVERS)))
         text += f"method = {method}\n"
         if method == "sd":
@@ -522,15 +525,15 @@ def small_configs(draw):
     return text
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @example(GMM_EXITS_2)
 @example(SD_OVERFLOWS)
 @given(small_configs())
 def test_generated_configs_give_the_same_bytes_at_any_worker_count(text):
     """Exit code, stdout, stderr and output bytes of one process equal those
     of two CPUs (forked workers and logger), and for a report those of
-    one-task rounds too."""
+    one- and two-task rounds too."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         tmp_path = Path(tmp)
         sequential = run_report(tmp_path, "sequential", text, workers_env="1")
@@ -538,8 +541,9 @@ def test_generated_configs_give_the_same_bytes_at_any_worker_count(text):
         patch.setattr(workers, "_usable_cpus", lambda: 2)
         assert run_report(tmp_path, "forked", text) == sequential
         if "-report" in text:
-            patch.setattr(workers, "_ROUND", 1)
-            assert run_report(tmp_path, "round1", text) == sequential
+            for size in (1, 2):
+                patch.setattr(workers, "_ROUND", size)
+                assert run_report(tmp_path, f"round{size}", text) == sequential
 
 
 def test_only_the_workers_module_forks():

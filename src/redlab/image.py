@@ -139,22 +139,24 @@ _COMMENT = re.compile(rb"[ \t\n\r\x0b\x0c]*#[^\n]*")
 
 def _integer(tokens: Iterator[re.Match], what: str, end: int) -> tuple[int, re.Match]:
     """The next token's value and match; running out of tokens is the end of
-    data at `end`."""
+    data at `end`.  A PGM integer is ASCII decimal digits, so a sign or an
+    underscore, which int() would accept, makes the token no integer."""
     token = next(tokens, None)
     if token is None:
         raise PgmParseError(f"unexpected end of data while reading {what}", end)
-    try:
-        return int(token[0]), token
-    except ValueError:
-        raise PgmParseError(
-            f"expected integer for {what}, got {token[0]!r}", token.start()
-        ) from None
+    if token[0].isdigit():
+        try:
+            return int(token[0]), token
+        except ValueError:  # more digits than int() converts
+            pass
+    raise PgmParseError(f"expected integer for {what}, got {token[0]!r}", token.start())
 
 
 def load_pgm(path: str) -> Image:
     """Load a binary (P5) or ASCII (P2) PGM file with maxval <= 255.
 
     A single comment line immediately after the magic number is tolerated.
+    Every header value and P2 sample is a run of ASCII decimal digits.
     Malformed files, samples above maxval included, raise PgmParseError
     naming a byte offset: the first byte of the offending token or P5
     byte, or the end of the data where it runs out.  Maxval above 255
@@ -204,7 +206,7 @@ def load_pgm(path: str) -> Image:
         def samples():
             for _ in range(count):
                 v, token = _integer(tokens, "pixel value", len(data))
-                if v < 0 or v > maxval:
+                if v > maxval:
                     raise PgmParseError(
                         f"pixel value {v} outside [0, {maxval}]", token.start()
                     )

@@ -10,6 +10,9 @@ of `solvers._Run`, when `_spare_cpu` finds room for it in the budget.  It
 copies a slot before it frees it, so its task is a plain function of
 arrays.  Every child is started by `_fork`, runs `_work`, the one child
 loop, on 4-byte task claims from a pipe, and is collected by `_reap`.
+A child forked by the ``redlab`` command inherits the import-time heap
+that `cli._process_entry` froze, so its collections skip those objects
+and leave the pages that hold them shared with the parent.
 """
 
 from __future__ import annotations

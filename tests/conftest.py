@@ -1,6 +1,8 @@
 """Shared fixtures: small recovery problems, a two-CPU process budget,
-counted forks, and a check that no test leaves a child process behind."""
+counted forks, and checks that no test leaves a child process behind or
+freezes the collector's heap."""
 
+import gc
 import os
 
 import numpy as np
@@ -27,6 +29,19 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process behind (pid {pid or 'still running'})")
+
+
+@pytest.fixture(autouse=True)
+def heap_not_frozen():
+    """Fails a test that changes how many objects the collector holds frozen:
+    only the process entry, `cli._process_entry`, may freeze, so no
+    in-process `cli.main` call or library path freezes its caller's heap."""
+    before = gc.get_freeze_count()
+    yield
+    after = gc.get_freeze_count()
+    if after != before:
+        gc.unfreeze()  # the next test starts unfrozen
+        pytest.fail(f"the test changed the frozen object count from {before} to {after}")
 
 
 @pytest.fixture

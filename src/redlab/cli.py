@@ -29,7 +29,16 @@ before `main` runs: the collections of the run, the interpreter's final
 ones at exit and those of every forked child skip the ~22k objects that
 importing numpy and redlab leaves behind, so exit costs no walk of them
 and a child's collections leave the pages that hold them shared.
-`main` itself leaves the collector as it finds it.
+`main` itself leaves the collector as it finds it.  Once `main` has
+returned, the entry flushes stdout and stderr and ends the process with
+``os._exit``, so the interpreter does not tear down the modules of a
+process that is about to exit.
+
+A process imports only what its command runs: `redlab.solvers` is
+imported by the planners of the experiments that run a solver
+(trajectory, cost-slice, deblur, equilibrium-check), `redlab.smd` only by
+tweedie-check and `redlab.equilibrium` only by equilibrium-check, so a
+report or a `validate` of one never loads them.
 """
 
 from __future__ import annotations
@@ -44,8 +53,9 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -79,21 +89,21 @@ from .diagnostics import (
     numerical_gradient_rho,  # noqa: F401
     numerical_jacobian,  # noqa: F401
 )
-from .equilibrium import consensus_residual, denoising_equilibria, red_pg_pair
 from .errors import (
     ConfigError,
     DivergenceError,
     NonConvergenceError,
     RedlabError,
 )
-from .image import Image, awgn, extract_center_patch, load_pgm
+from .image import Image, awgn, extract_center_patch, format_csv, load_pgm
 from .losses import make_uniform_blur
 # operator_matrix is not called here; bench/traced.py wraps it on this module.
 from .operators import IdentityOperator, operator_matrix  # noqa: F401
 from .scenes import diagnostic_patches, solver_scene
-from .smd import KdePrior, TweedieRegularizer
-from .solvers import SOLVERS, SolverConfig, Trajectory, format_csv, red_pg
 from .workers import _run_tasks, _worker_limit
+
+if TYPE_CHECKING:
+    from .solvers import SolverConfig
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -218,8 +228,7 @@ class _ConfigReader:
 _DenoiserBuild = Callable[[tuple[int, int]], Denoiser]
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     """A denoiser-section key: a float, or an int >= `minimum` (odd if `odd`)."""
 
     name: str
@@ -311,8 +320,7 @@ def _input_path(config_dir: Path, section: str, key: str, name: str) -> Path:
     return path
 
 
-@dataclass(frozen=True)
-class _ProblemSpec:
+class _ProblemSpec(NamedTuple):
     size: int
     scene_index: int
     image_path: Path | None
@@ -375,6 +383,8 @@ def _build_problem(ps: _ProblemSpec, seed: int) -> tuple[RedProblem, Image]:
 
 
 def _read_method(reader: _ConfigReader) -> str:
+    from .solvers import SOLVERS
+
     method = reader.get_str("solver", "method", default="pg")
     if method not in SOLVERS:
         raise ConfigError(
@@ -386,6 +396,8 @@ def _read_method(reader: _ConfigReader) -> str:
 
 def _read_solver(reader: _ConfigReader, *, default_iterations: int,
                  method: str | None = None, default_inner: int = 1) -> SolverConfig:
+    from .solvers import SolverConfig
+
     default_l = 1.0 if method == "apg" else 1.01
     return SolverConfig(
         iterations=reader.get_int(
@@ -569,6 +581,8 @@ def _report_metrics(which: str, f: Denoiser, x: Image, estimate: JacobianEstimat
 
 
 def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
+    from .solvers import SOLVERS
+
     problem_spec = _read_problem(reader, config_dir, default_blur=1)
     method = _read_method(reader)
     cfg = _read_solver(reader, default_iterations=500, method=method)
@@ -603,6 +617,8 @@ def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
 
 
 def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
+    from .solvers import SOLVERS
+
     problem_spec = _read_problem(reader, config_dir, default_blur=1)
     method = _read_method(reader)
     cfg = _read_solver(reader, default_iterations=200, method=method)
@@ -669,6 +685,8 @@ def _deblur_oracle(problem: RedProblem) -> np.ndarray:
 
 
 def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
+    from .solvers import SOLVERS, Trajectory
+
     problem_spec = _read_problem(reader, config_dir, default_blur=9,
                                  default_kind="linear")
     if problem_spec.denoiser_kind != "linear":
@@ -731,6 +749,8 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
 
 
 def _plan_tweedie(reader: _ConfigReader, config_dir: Path, seed: int):
+    from .smd import KdePrior, TweedieRegularizer
+
     instances = reader.get_int("experiment", "instances", default=20, minimum=1)
     epsilon = reader.get_float("experiment", "epsilon", default=1e-5)
 
@@ -766,6 +786,9 @@ def _plan_tweedie(reader: _ConfigReader, config_dir: Path, seed: int):
 
 
 def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
+    from .equilibrium import consensus_residual, denoising_equilibria, red_pg_pair
+    from .solvers import red_pg
+
     denoising_variance = reader.get_float("experiment", "denoising_variance",
                                           default=100.0)
     problem_spec = _read_problem(reader, config_dir, default_blur=9)
@@ -837,8 +860,7 @@ EXPERIMENTS = {name: description for name, (description, _) in _EXPERIMENTS.item
 # Config loading and command dispatch
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     name: str
     output: str
     execute: Callable[[], Outputs]
@@ -929,9 +951,22 @@ def main(argv: list[str] | None = None) -> int:
 
 def _process_entry() -> int:
     """`main` for a process of its own: freeze what the imports left on the
-    heap, then run the command and return its exit code."""
+    heap, run the command, flush stdout and stderr and end the process with
+    the command's exit code, skipping the interpreter's teardown of modules
+    that the exiting process discards anyway.
+
+    An exception from `main` propagates, and if a flush raises the exit
+    code is returned: either way the interpreter exits as it always did,
+    flushing again and reporting what failed.
+    """
     gc.freeze()
-    return main()
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

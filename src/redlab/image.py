@@ -1,4 +1,4 @@
-"""Grayscale image container, PGM I/O, and pixel-domain utilities.
+"""Grayscale image container, PGM I/O, CSV text, and pixel-domain utilities.
 
 Images are immutable float64 grids in row-major order.  Pixel values are
 unconstrained reals; nothing in the pipeline clips implicitly, so values
@@ -8,6 +8,8 @@ only meet the [0, 255] range where an operation states that precondition
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 from collections.abc import Iterator
@@ -21,6 +23,7 @@ __all__ = [
     "Image",
     "awgn",
     "extract_center_patch",
+    "format_csv",
     "load_pgm",
     "psnr",
     "save_pgm",
@@ -232,3 +235,10 @@ def save_pgm(img: Image, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(rounded.astype(np.uint8).tobytes())
+
+
+def format_csv(header: list[str], rows: list[list[str]]) -> str:
+    """CSV text with a header row and "\\n" line endings."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()

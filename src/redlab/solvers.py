@@ -26,8 +26,6 @@ run's `_Run` keeps the log's state in whichever process logs.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import time
 from collections.abc import Callable
@@ -38,7 +36,7 @@ import numpy as np
 from .denoisers import Denoiser
 from .diagnostics import _STACK_BYTES, RedProblem, cost_red, fp_residual
 from .errors import ConfigError, DivergenceError, DomainError
-from .image import Image, psnr
+from .image import Image, format_csv, psnr
 from .workers import _spare_cpu, _Stream
 
 __all__ = [
@@ -95,13 +93,6 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
-
-
-def format_csv(header: list[str], rows: list[list[str]]) -> str:
-    """CSV text with a header row and "\\n" line endings."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)

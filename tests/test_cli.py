@@ -723,7 +723,7 @@ class TestEquilibriumCheck:
         def fail(f, y):
             raise NonConvergenceError(residual=1.0, maxiter=10)
 
-        monkeypatch.setattr("redlab.cli.denoising_equilibria", fail)
+        monkeypatch.setattr("redlab.equilibrium.denoising_equilibria", fail)
         out_dir = tmp_path / "eq"
         config = write_config(tmp_path, f"""\
             [experiment]

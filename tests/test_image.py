@@ -415,8 +415,8 @@ def pgm_files(draw):
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(data)))
         insert = draw(st.sampled_from(
-            [b"", b"\x1c", b"\x00", b"#", b"x", b"-", b"+", b"_", b".5", b"9", b"256",
-             b"\xff"] + _SPACES))
+            [b"", b"\x1c", b"\x00", b"#", b"x", b"-", b"+", b"_", b"+9", b"1_", b"-0",
+             b".5", b"9", b"256", b"\xff"] + _SPACES))
         data = data[:at] + insert + data[at + draw(st.integers(0, 2)):]
     if draw(st.booleans()):
         data = data[: draw(st.integers(0, len(data)))]

@@ -89,12 +89,7 @@ from .diagnostics import (
     numerical_gradient_rho,  # noqa: F401
     numerical_jacobian,  # noqa: F401
 )
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    NonConvergenceError,
-    RedlabError,
-)
+from .errors import ConfigError, DivergenceError, NonConvergenceError, RedlabError
 from .image import Image, awgn, extract_center_patch, format_csv, load_pgm
 from .losses import make_uniform_blur
 # operator_matrix is not called here; bench/traced.py wraps it on this module.
@@ -107,16 +102,8 @@ if TYPE_CHECKING:
 
 __all__ = ["EXPERIMENTS", "main"]
 
-_REPORT_HEADER = [
-    "image",
-    "denoiser",
-    "e_J",
-    "e_grad_romano",
-    "e_grad_lh",
-    "e_grad_true",
-    "e_LH1",
-    "e_LH2",
-]
+_REPORT_HEADER = ["image", "denoiser", "e_J", "e_grad_romano", "e_grad_lh", "e_grad_true",
+                  "e_LH1", "e_LH2"]
 _LABEL_RE = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
 
 
@@ -372,13 +359,8 @@ def _build_problem(ps: _ProblemSpec, seed: int) -> tuple[RedProblem, Image]:
     op = make_uniform_blur(ps.blur) if ps.blur > 1 else IdentityOperator()
     y = awgn(op.apply(truth), ps.noise_variance, seed=seed)
     denoiser = ps.build_denoiser(shape)
-    problem = RedProblem(
-        operator=op,
-        y=y,
-        noise_variance=ps.noise_variance,
-        weight=ps.weight,
-        denoiser=denoiser,
-    )
+    problem = RedProblem(operator=op, y=y, noise_variance=ps.noise_variance,
+                         weight=ps.weight, denoiser=denoiser)
     return problem, truth
 
 
@@ -593,24 +575,13 @@ def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
         problem, truth = _build_problem(problem_spec, seed)
         _, trajectory = SOLVERS[method](problem, cfg, truth=truth)
         last = trajectory.records[-1]
-        summary = "\n".join(
-            [
-                f"trajectory: {method} with {label}, "
-                f"{len(trajectory)} iterations (seed {seed})",
-                "",
-                _text_table(
-                    ["iterations", "psnr_db", "cost_red", "fp_residual"],
-                    [
-                        [
-                            str(last.iteration),
-                            f"{last.psnr_db:.4f}",
-                            f"{last.cost_red:.6e}",
-                            f"{last.fp_residual:.6e}",
-                        ]
-                    ],
-                ),
-            ]
-        )
+        row = [str(last.iteration), f"{last.psnr_db:.4f}", f"{last.cost_red:.6e}",
+               f"{last.fp_residual:.6e}"]
+        summary = "\n".join([
+            f"trajectory: {method} with {label}, {len(trajectory)} iterations (seed {seed})",
+            "",
+            _text_table(["iterations", "psnr_db", "cost_red", "fp_residual"], [row]),
+        ])
         return [(f"trajectory_{label}.csv", trajectory.csv_text())], summary
 
     return execute
@@ -638,16 +609,8 @@ def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
         e2 /= np.linalg.norm(e2)
         grid = np.linspace(-radius, radius, points)
         samples = cost_slice(problem, center, e1, e2, grid, grid)
-        rows = [
-            [
-                repr(s.alpha),
-                repr(s.beta),
-                repr(s.cost),
-                repr(s.grad_e1),
-                repr(s.grad_e2),
-            ]
-            for s in samples
-        ]
+        rows = [[repr(s.alpha), repr(s.beta), repr(s.cost), repr(s.grad_e1), repr(s.grad_e2)]
+                for s in samples]
         best = min(samples, key=lambda s: s.cost)
         center_cost = cost_red(problem, center)
         summary = "\n".join(
@@ -808,11 +771,7 @@ def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
 
         y2 = awgn(truth, denoising_variance, seed=seed + 1)
         x_pnp, x_red = denoising_equilibria(f, y2)
-        mirror = float(
-            np.linalg.norm(
-                (y2.flat - x_red.flat) - (x_red.flat - f.apply(x_red).flat)
-            )
-        )
+        mirror = float(np.linalg.norm((y2.flat - x_red.flat) - (x_red.flat - f.apply(x_red).flat)))
         pnp_matches = bool(np.array_equal(x_pnp.pixels, f.apply(y2).pixels))
 
         rows = [

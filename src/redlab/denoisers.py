@@ -57,10 +57,12 @@ class Denoiser:
     """
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
+        """f of each image of xs, as a (B, h, w) float64 array that the
+        kernel never writes again: `apply` wraps row 0 without a copy."""
         raise NotImplementedError
 
     def apply(self, x: Image) -> Image:
-        return Image(self._kernel(x.pixels[None])[0])
+        return Image._adopt(self._kernel(x.pixels[None])[0])
 
     def apply_stack(self, xs: np.ndarray) -> np.ndarray:
         """f on each image of a float64 (B, h, w) stack, as a (B, h, w) array."""
@@ -111,12 +113,15 @@ class _HaarPlan:
     writes `t` back into the block of `out`.  The forward passes pair the
     even and odd columns, then rows, of each level from the finest; the
     inverse passes pair the low and high halves of the rows, then columns,
-    from the coarsest, and interleave their sums and differences.
+    from the coarsest, and interleave their sums and differences.  Between
+    the two, TDT's shrinkage keeps the signs of `out` in `sign`, all of the
+    scratch buffer.
     """
 
     def __init__(self, shape: tuple[int, ...]):
         self.out = out = np.empty(shape)
         scratch = np.empty(out.size)
+        self.sign = scratch.reshape(shape)
         self.forward = []
         self.inverse = []
         # Block sizes of the forward levels, finest first.
@@ -152,8 +157,18 @@ _HAAR_PLANS: collections.OrderedDict[tuple[int, ...], _HaarPlan] = collections.O
 _HAAR_PLAN_LIMIT = 8
 
 
-def _haar(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """One Haar transform of `a` through the plan for its shape."""
+def _passes(passes: list[tuple[np.ndarray, ...]]) -> None:
+    for x, y, sums, diffs, t, block in passes:
+        np.add(x, y, out=sums)
+        np.subtract(x, y, out=diffs)
+        np.divide(t, _SQRT2, out=block)
+
+
+def _haar(a: np.ndarray, forward: bool = False, inverse: bool = False,
+          threshold: float = 0.0) -> np.ndarray:
+    """`a` through the plan for its shape: its forward passes, its inverse
+    passes, or both with soft thresholding at `threshold` in between, into
+    a fresh copy of the plan's output buffer."""
     a = np.asarray(a, dtype=np.float64)
     _check_haar_shape(a)
     plan = _HAAR_PLANS.pop(a.shape, None)
@@ -161,10 +176,12 @@ def _haar(a: np.ndarray, inverse: bool) -> np.ndarray:
         plan = _HaarPlan(a.shape)
     out = plan.out
     np.copyto(out, a)
-    for x, y, sums, diffs, t, block in plan.inverse if inverse else plan.forward:
-        np.add(x, y, out=sums)
-        np.subtract(x, y, out=diffs)
-        np.divide(t, _SQRT2, out=block)
+    if forward:
+        _passes(plan.forward)
+    if forward and inverse:
+        _soft_threshold(out, threshold, plan.sign)
+    if inverse:
+        _passes(plan.inverse)
     result = out.copy()
     _HAAR_PLANS[a.shape] = plan
     while len(_HAAR_PLANS) > _HAAR_PLAN_LIMIT:
@@ -181,35 +198,25 @@ def haar_forward(a: np.ndarray) -> np.ndarray:
     images.  Both extents must be powers of two (1 is allowed, giving a
     1-D transform along the other axis).  Coefficients are packed in the
     usual recursive quadrant layout; the transform is orthonormal, so
-    energy is preserved exactly.
-
-    Each pass is three ufunc calls: the pair sums and the pair differences
-    go into the two halves of a scratch buffer, and one division by sqrt(2)
-    writes both halves back into the block.  The buffers and the views of
-    every pass are built once per input shape (a _HaarPlan, cached for the
-    last few shapes) and replayed on later calls; the result is a fresh
-    copy of the plan's output buffer, never the buffer itself.
+    energy is preserved exactly.  It replays the forward passes of a
+    _HaarPlan cached for the shape and returns a fresh array.
     """
-    return _haar(a, inverse=False)
+    return _haar(a, forward=True)
 
 
 def haar_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of haar_forward, also over the last two axes.
-
-    Each pass interleaves the sums and differences of the two halves into
-    the scratch buffer and divides it back into the block, replaying the
-    forward levels from the coarsest.  It shares the shape's plan with
-    haar_forward and likewise returns a fresh copy.
-    """
+    """Inverse of haar_forward, also over the last two axes: the inverse
+    passes of the shape's plan, into a fresh array."""
     return _haar(c, inverse=True)
 
 
-def _soft_threshold(c: np.ndarray, tau: float) -> np.ndarray:
-    """sign(c) * max(|c| - tau, 0), with the sign array the one temporary."""
-    out = np.abs(c)
-    np.subtract(out, tau, out=out)
-    np.maximum(out, 0.0, out=out)
-    return np.multiply(np.sign(c), out, out=out)
+def _soft_threshold(c: np.ndarray, tau: float, sign: np.ndarray) -> None:
+    """c <- sign(c) * max(|c| - tau, 0) in place, sign(c) written to `sign`."""
+    np.sign(c, out=sign)
+    np.abs(c, out=c)
+    np.subtract(c, tau, out=c)
+    np.maximum(c, 0.0, out=c)
+    np.multiply(sign, c, out=c)
 
 
 class TdtDenoiser(Denoiser):
@@ -228,7 +235,7 @@ class TdtDenoiser(Denoiser):
         self.threshold = threshold
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
-        return haar_inverse(_soft_threshold(haar_forward(xs), self.threshold))
+        return _haar(xs, forward=True, inverse=True, threshold=self.threshold)
 
 
 class MedianFilterDenoiser(Denoiser):

@@ -72,8 +72,8 @@ class JacobianEstimate:
 
 
 def _check_epsilon(eps: float):
-    if eps <= 0:
-        raise ConfigError(f"step size must be > 0, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ConfigError(f"step size must be finite and > 0, got {eps}")
 
 
 # Largest perturbed stack, in bytes, that central_differences passes to fn
@@ -307,8 +307,8 @@ class RedProblem:
     def __post_init__(self):
         loss = QuadraticLoss(self.operator, self.y, self.noise_variance)
         object.__setattr__(self, "loss", loss)
-        if self.weight <= 0:
-            raise ConfigError(f"regularization weight must be > 0, got {self.weight}")
+        if not 0 < self.weight < np.inf:
+            raise ConfigError(f"regularization weight must be finite and > 0, got {self.weight}")
 
 
 def fp_residual(p: RedProblem, x: Image, fx: Image | None = None, *,

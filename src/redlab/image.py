@@ -35,22 +35,21 @@ class Image:
     """A height x width grid of float64 samples with value semantics.
 
     The wrapped array is copied on construction and marked read-only, so
-    instances can be shared freely between operations.
+    instances can be shared freely between operations.  Inside the package,
+    `_adopt` wraps a freshly computed array that its caller never writes
+    again: the same checks and read-only flag, without the copy.
     """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.pixels, dtype=np.float64)
-        if a.ndim != 2:
-            raise ShapeError(f"image requires a 2-D array, got ndim={a.ndim}")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ShapeError(f"image dimensions must be positive, got {a.shape}")
-        if not np.isfinite(a).all():
-            raise DomainError("image pixels must be finite")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "pixels", a)
+        object.__setattr__(self, "pixels", _frozen(np.array(self.pixels, np.float64, order="C")))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> Image:
+        image = object.__new__(cls)
+        object.__setattr__(image, "pixels", _frozen(np.asarray(a, np.float64)))
+        return image
 
     @property
     def height(self) -> int:
@@ -80,6 +79,18 @@ class Image:
 
     def same_shape(self, other: "Image") -> bool:
         return self.pixels.shape == other.pixels.shape
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, a 2-D array of positive extents and finite values, made read-only."""
+    if a.ndim != 2:
+        raise ShapeError(f"image requires a 2-D array, got ndim={a.ndim}")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ShapeError(f"image dimensions must be positive, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("image pixels must be finite")
+    a.flags.writeable = False
+    return a
 
 
 def psnr(x: Image, reference: Image) -> float:

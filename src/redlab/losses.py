@@ -41,8 +41,8 @@ class QuadraticLoss:
     _solver: NormalSolver = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.noise_variance <= 0:
-            raise ConfigError(f"noise variance must be > 0, got {self.noise_variance}")
+        if not 0 < self.noise_variance < np.inf:
+            raise ConfigError(f"noise variance must be finite and > 0, got {self.noise_variance}")
         solver = self.operator.normal_solver(self.y, self.noise_variance)
         object.__setattr__(self, "_solver", solver)
 
@@ -52,7 +52,8 @@ class QuadraticLoss:
 
     def prox_spectrum(self, x: Image) -> np.ndarray | None:
         """The half spectrum the last prox kept, when x is the Image it
-        returned and the operator's solve keeps one; otherwise None."""
+        returned and the operator's solve keeps one; otherwise None.  The
+        next prox on this loss overwrites it."""
         return self._solver.spectrum(x)
 
     def data_terms(self, x: Image,
@@ -71,8 +72,8 @@ class QuadraticLoss:
 
     def prox(self, v: Image, weight: float) -> Image:
         """Exact minimizer of l(x) + (weight/2) ||x - v||^2."""
-        if weight <= 0:
-            raise ConfigError(f"prox weight must be > 0, got {weight}")
+        if not 0 < weight < np.inf:
+            raise ConfigError(f"prox weight must be finite and > 0, got {weight}")
         if not v.same_shape(self.y):
             raise ShapeError(
                 f"anchor shape {v.pixels.shape} != data shape {self.y.pixels.shape}"

@@ -71,7 +71,8 @@ class NormalSolver:
         raise ConfigError(f"no prox rule for operator type {type(self.operator).__name__}")
 
     def spectrum(self, x: Image) -> np.ndarray | None:
-        """The half spectrum the last solve kept, when x is the Image it returned."""
+        """The half spectrum the last solve kept, when x is the Image it
+        returned; the next solve overwrites it."""
         return None
 
     def data_terms(self, x: Image,
@@ -83,7 +84,7 @@ class NormalSolver:
 class _IdentitySolver(NormalSolver):
     def __call__(self, v: Image, weight: float) -> Image:
         sigma2 = self.noise_variance
-        return Image((self.y.pixels / sigma2 + weight * v.pixels) / (1.0 / sigma2 + weight))
+        return Image._adopt((self.y.pixels / sigma2 + weight * v.pixels) / (1.0 / sigma2 + weight))
 
 
 class IdentityOperator(LinearOperator):
@@ -104,11 +105,14 @@ class IdentityOperator(LinearOperator):
 class _SpectralSolver(NormalSolver):
     """Pointwise division on the half spectrum H of a circulant A.
 
-    Each solve keeps the half spectrum X^ of the image it returns, and
-    `spectrum` hands it out for that very Image.  The data terms at an x
-    passed with its X^ cost one inverse transform of the stack
-    [R^, conj(H) R^], with R^ = H X^ - Y^, and no forward one; without an
-    X^ they apply A and A^T, whatever x was returned by.
+    A solve forms X^ = (rhs + w V^) / (gain + w) in a half-spectrum buffer
+    it keeps, with gain + w kept for the last weight w, and `spectrum` hands
+    X^ out for the Image it returned until the next solve.  Concurrent
+    solves would share the buffers, so a loss proxes in one thread at a
+    time.  The data terms at an x passed with its X^ cost one inverse
+    transform of the stack [R^, conj(H) R^], with R^ = H X^ - Y^, and no
+    forward one; without an X^ they apply A and A^T, whatever x was
+    returned by.
     """
 
     def __init__(self, operator: CircularConvolution, y: Image, noise_variance: float):
@@ -118,11 +122,20 @@ class _SpectralSolver(NormalSolver):
         self.y_hat = _rfft2(y.pixels)
         self.rhs = self.h_conj * self.y_hat / noise_variance
         self.gain = np.abs(self.h) ** 2 / noise_variance
+        self._rows, self._x_hat = np.empty((2,) + self.h.shape, dtype=self.h.dtype)
+        self._denominator = (0.0, self.gain)
         self._last: tuple[Image, np.ndarray] | None = None
 
     def __call__(self, v: Image, weight: float) -> Image:
-        x_hat = (self.rhs + weight * _rfft2(v.pixels)) / (self.gain + weight)
-        x = Image(_irfft2(x_hat, v.width))
+        x_hat = self._x_hat
+        np.fft.fft(np.fft.rfft(v.pixels, axis=-1, out=self._rows), axis=-2, out=x_hat)
+        x_hat *= weight
+        x_hat += self.rhs
+        if self._denominator[0] != weight:
+            self._denominator = (weight, self.gain + weight)
+        x_hat /= self._denominator[1]
+        rows = np.fft.ifft(x_hat, axis=-2, out=self._rows)
+        x = Image._adopt(np.fft.irfft(rows, n=v.width, axis=-1))
         self._last = (x, x_hat)
         return x
 

@@ -91,8 +91,8 @@ class SolverConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("beta", "step_scale", "l_initial", "l_final", "sd_step"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ class _Run:
     def _log_slot(self, k: np.int64, elapsed: np.float64, has_hat: np.bool_,
                   x: np.ndarray, fx: np.ndarray, x_hat: np.ndarray) -> TrajectoryRecord:
         """The forked logger's task: `_log` on the copies of one slot."""
-        return self._log(int(k), Image(x), Image(fx), x_hat if has_hat else None,
+        return self._log(int(k), Image._adopt(x), Image._adopt(fx), x_hat if has_hat else None,
                          float(elapsed))
 
 
@@ -278,12 +278,11 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
         x = run.x0
         fx = p.denoiser.apply(x)
         g = fp_residual(p, x, fx)
-        h, w = x.pixels.shape
         for k in range(1, cfg.iterations + 1):
             with np.errstate(over="ignore"):
                 flat = x.flat - mu * g
             run.check(k, flat)
-            x = Image.from_flat(flat, h, w)
+            x = Image._adopt(flat.reshape(x.pixels.shape))
             fx = p.denoiser.apply(x)
             if run.record(k, x, fx):
                 break
@@ -291,9 +290,12 @@ def red_sd(p: RedProblem, cfg: SolverConfig, x0: Image | None = None,
     return x, run.trajectory
 
 
-def _pg_direction(fx: Image, x: Image, l_scale: float) -> Image:
-    """v = (1/L) f(x) - ((1-L)/L) x, the proximal-gradient anchor."""
-    return Image((1.0 / l_scale) * fx.pixels - ((1.0 - l_scale) / l_scale) * x.pixels)
+def _pg_direction(fx: Image, x: Image, l_scale: float, scratch: np.ndarray) -> Image:
+    """v = (1/L) f(x) - ((1-L)/L) x, the proximal-gradient anchor, with the
+    second term formed in `scratch`, an array of x's shape."""
+    v = np.multiply(fx.pixels, 1.0 / l_scale)
+    v -= np.multiply(x.pixels, (1.0 - l_scale) / l_scale, out=scratch)
+    return Image._adopt(v)
 
 
 def _proximal_gradient(p: RedProblem, cfg: SolverConfig, x0: Image | None,
@@ -308,23 +310,24 @@ def _proximal_gradient(p: RedProblem, cfg: SolverConfig, x0: Image | None,
     """
     with _Run(p, cfg, x0, truth, observer) as run:
         x = run.x0
+        scratch = np.empty_like(x.pixels)
         l_scale = schedule(0)
-        v = _pg_direction(p.denoiser.apply(x), x, l_scale)
+        v = _pg_direction(p.denoiser.apply(x), x, l_scale, scratch)
         t_prev = 1.0
-        h, w = x.pixels.shape
         for k in range(1, cfg.iterations + 1):
             x_prev, x = x, p.loss.prox(v, p.weight * l_scale)
             l_scale = schedule(k)
             if momentum:
                 t_k = (1.0 + math.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
-                push = (t_prev - 1.0) / t_k
-                z = Image.from_flat(x.flat + push * (x.flat - x_prev.flat), h, w)
-                v = _pg_direction(p.denoiser.apply(z), z, l_scale)
+                step = np.subtract(x.pixels, x_prev.pixels)
+                step *= (t_prev - 1.0) / t_k
+                z = Image._adopt(np.add(step, x.pixels, out=step))
+                v = _pg_direction(p.denoiser.apply(z), z, l_scale, scratch)
                 fx = p.denoiser.apply(x)
                 t_prev = t_k
             else:
                 fx = p.denoiser.apply(x)
-                v = _pg_direction(fx, x, l_scale)
+                v = _pg_direction(fx, x, l_scale, scratch)
             if run.record(k, x, fx):
                 break
     return x, run.trajectory
@@ -387,13 +390,15 @@ def _admm(p: RedProblem, cfg: SolverConfig, x0: Image | None, truth: Image | Non
     with _Run(p, cfg, x0, truth, observer) as run:
         x = v = run.x0
         u = Image(np.zeros_like(x.pixels))
-        h, w = x.pixels.shape
+        pull = np.empty_like(x.pixels)
         for k in range(1, cfg.iterations + 1):
-            x = p.loss.prox(Image(v.pixels - u.pixels), beta)
-            pull = c_x * (x.flat + u.flat)
+            x = p.loss.prox(Image._adopt(v.pixels - u.pixels), beta)
+            np.multiply(np.add(x.pixels, u.pixels, out=pull), c_x, out=pull)
             for _ in range(inner):
-                v = Image.from_flat(c_f * p.denoiser.apply(v).flat + pull, h, w)
-            u = Image(u.pixels + x.pixels - v.pixels)
+                step = np.multiply(p.denoiser.apply(v).pixels, c_f)
+                v = Image._adopt(np.add(step, pull, out=step))
+            dual = np.add(u.pixels, x.pixels)
+            u = Image._adopt(np.subtract(dual, v.pixels, out=dual))
             if run.record(k, x, p.denoiser.apply(x)):
                 break
     return x, run.trajectory

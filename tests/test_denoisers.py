@@ -160,6 +160,32 @@ class TestHaarTable:
         assert a.tobytes() == kept.tobytes()
 
 
+def mismatches_in_two_threads(matches):
+    """Thread i in (0, 1) calls matches(i) 200 times, both starting together
+    with a tiny switch interval; the indices of the calls that returned False."""
+    start = threading.Barrier(2)
+    mismatches = []
+
+    def work(i):
+        start.wait()
+        for _ in range(200):
+            if not matches(i):
+                mismatches.append(i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return mismatches
+
+
 class TestHaarPlans:
     """The passes built once per shape replay bitwise, and no caller sees
     or shares a cached buffer."""
@@ -208,28 +234,10 @@ class TestHaarPlans:
     def test_two_threads_on_one_shape(self):
         images = haar_inputs((2, 16, 16))[0]
         expected = [(reference_haar_forward(x), reference_haar_inverse(x)) for x in images]
-        start = threading.Barrier(2)
-        mismatches = []
-
-        def work(i):
-            start.wait()
-            for _ in range(200):
-                if (haar_forward(images[i]).tobytes() != expected[i][0].tobytes()
-                        or haar_inverse(images[i]).tobytes() != expected[i][1].tobytes()):
-                    mismatches.append(i)
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert mismatches == []
+        assert mismatches_in_two_threads(
+            lambda i: (haar_forward(images[i]).tobytes() == expected[i][0].tobytes()
+                       and haar_inverse(images[i]).tobytes() == expected[i][1].tobytes())
+        ) == []
 
     def test_the_cache_stays_within_its_bound(self):
         limit = denoisers._HAAR_PLAN_LIMIT
@@ -239,6 +247,55 @@ class TestHaarPlans:
         assert len(denoisers._HAAR_PLANS) == limit
         # The least recently used shapes are the ones evicted.
         assert list(denoisers._HAAR_PLANS) == shapes[-limit:]
+
+
+def reference_tdt(a, tau):
+    """The former TDT kernel: haar_inverse of the soft-thresholded
+    haar_forward, each a separate call with its own arrays."""
+    c = haar_forward(a)
+    return haar_inverse(np.sign(c) * np.maximum(np.abs(c) - tau, 0.0))
+
+
+class TestTdtKernel:
+    """The kernel runs both transforms and the shrinkage in one checked-out
+    plan, bitwise the separate calls, and hands out arrays of its own."""
+
+    @pytest.mark.parametrize("tau", [0.0, 5.0, 25.0])
+    @pytest.mark.parametrize("shape", HAAR_SHAPES + [(32, 16, 16)], ids=str)
+    def test_is_bitwise_the_separate_calls(self, shape, tau):
+        """Signed zeros and values near 1e300 and 1e-300 included; at tau = 0
+        the shrinkage still turns the -0.0 coefficients of an all -0.0 image
+        into +0.0."""
+        f = TdtDenoiser(tau)
+        for a in haar_inputs(shape) + [np.full(shape, -0.0), np.zeros(shape)]:
+            expected = reference_tdt(a, tau)
+            out = f.apply(Image(a)).pixels if a.ndim == 2 else f.apply_stack(a)
+            assert out.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+
+    def test_two_threads_on_one_shape(self):
+        images = haar_inputs((2, 16, 16))[0]
+        f = TdtDenoiser(5.0)
+        expected = [reference_tdt(x, 5.0).tobytes() for x in images]
+        assert mismatches_in_two_threads(
+            lambda i: f.apply(Image(images[i])).pixels.tobytes() == expected[i]) == []
+
+
+@pytest.mark.parametrize("f", [TdtDenoiser(5.0), MedianFilterDenoiser(3),
+                               NlmDenoiser(bandwidth=40.0, search_radius=2),
+                               LinearSymmetricDenoiser.local_average((16, 8))],
+                         ids=["tdt", "median", "nlm", "linear"])
+def test_a_held_apply_result_keeps_its_bytes(f):
+    """apply wraps the kernel's output without a copy: a result the caller
+    holds is read-only and no later call on the same shape writes it."""
+    a, b = (Image(x) for x in np.random.default_rng(48).uniform(0.0, 255.0, (2, 16, 8)))
+    first = f.apply(a)
+    kept = first.pixels.tobytes()
+    f.apply(b)
+    f.apply_stack(np.stack([b.pixels, a.pixels]))
+    assert first.pixels.tobytes() == kept
+    assert f.apply(a).pixels.tobytes() == kept
+    assert not first.pixels.flags.writeable
 
 
 class TestSoftThresholdTable:
@@ -251,7 +308,8 @@ class TestSoftThresholdTable:
                             np.nextafter(tau, 0.0), -np.nextafter(tau, 0.0),
                             1e300, -1e300, 1e-300, -1e-300]]).reshape(-1, 7, 6)
         expected = np.sign(c) * np.maximum(np.abs(c) - tau, 0.0)
-        out = _soft_threshold(c, tau)
+        out = c.copy()
+        _soft_threshold(out, tau, np.empty_like(c))
         assert out.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
 

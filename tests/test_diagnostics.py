@@ -78,6 +78,16 @@ class TestNumericalJacobian:
         with pytest.raises(ConfigError):
             numerical_jacobian(linear_den, probe_image, eps=0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf], ids=str)
+    def test_non_finite_steps_are_rejected(self, linear_den, probe_image, eps):
+        """A ConfigError naming the step, not a DomainError from a non-finite
+        perturbed image."""
+        message = f"step size must be finite and > 0, got {eps}"
+        with pytest.raises(ConfigError, match=message):
+            numerical_jacobian(linear_den, probe_image, eps=eps)
+        with pytest.raises(ConfigError, match=message):
+            central_differences(lambda vs: np.sum(vs, axis=(1, 2)), probe_image.pixels, eps)
+
     def test_the_identity_fixture_probes_to_the_identity(self, identity_denoiser,
                                                          probe_image):
         """The shared fixture defines the stack kernel, so stacked probes run."""
@@ -389,6 +399,13 @@ class TestRedProblem:
         with pytest.raises(ConfigError, match="noise variance"):
             RedProblem(operator=IdentityOperator(), y=y, noise_variance=0.0,
                        weight=-1.0, denoiser=linear_den)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf], ids=str)
+    def test_non_finite_weight_is_rejected(self, linear_den, weight):
+        with pytest.raises(ConfigError,
+                           match=f"regularization weight must be finite and > 0, got {weight}"):
+            RedProblem(operator=IdentityOperator(), y=Image(np.zeros((4, 4))),
+                       noise_variance=2.0, weight=weight, denoiser=linear_den)
 
     def test_is_frozen_with_its_loss_built_once(self, linear_den):
         y = Image(np.zeros((4, 4)))

@@ -35,6 +35,27 @@ class TestImage:
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1.0
 
+    @pytest.mark.parametrize("make", [
+        lambda a: a, np.asfortranarray, lambda a: a.astype(np.int64),
+        lambda a: Image(a).pixels, lambda a: a[:, ::2]], ids=[
+        "float64", "fortran", "int64", "read-only", "strided"])
+    def test_every_input_is_copied_into_a_c_ordered_array(self, make):
+        a = make(np.arange(24.0).reshape(4, 6))
+        img = Image(a)
+        assert not np.shares_memory(img.pixels, a)
+        assert img.pixels.flags.c_contiguous and not img.pixels.flags.writeable
+        np.testing.assert_array_equal(img.pixels, a)
+
+    def test_adopt_wraps_the_array_itself_under_the_same_checks(self):
+        a = np.arange(6.0).reshape(2, 3)
+        img = Image._adopt(a)
+        assert img.pixels is a and not a.flags.writeable
+        for bad, error in [(np.zeros(5), ShapeError), (np.zeros((0, 3)), ShapeError),
+                           (np.array([[1.0, np.nan]]), DomainError),
+                           (np.array([[np.inf, 0.0]]), DomainError)]:
+            with pytest.raises(error):
+                Image._adopt(bad)
+
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeError):
             Image(np.zeros(5))

@@ -79,6 +79,12 @@ class TestQuadraticLoss:
         with pytest.raises(ConfigError):
             QuadraticLoss(operator=IdentityOperator(), y=y, noise_variance=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=str)
+    def test_non_finite_noise_variance_is_rejected(self, value):
+        message = f"noise variance must be finite and > 0, got {value}"
+        with pytest.raises(ConfigError, match=message):
+            QuadraticLoss(IdentityOperator(), Image(np.zeros((4, 4))), value)
+
 
 class TestProx:
     WEIGHT = 0.05
@@ -152,6 +158,34 @@ class TestProx:
         with pytest.raises(ConfigError):
             loss.prox(Image(np.zeros((4, 4))), 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=str)
+    def test_non_finite_weight_is_rejected(self, value):
+        """Before any pixel is computed, not as a non-finite Image later."""
+        for op in (IdentityOperator(), make_uniform_blur(3)):
+            loss = QuadraticLoss(op, Image(np.zeros((4, 4))), 2.0)
+            with pytest.raises(ConfigError,
+                               match=f"prox weight must be finite and > 0, got {value}"):
+                loss.prox(Image(np.zeros((4, 4))), value)
+
+    @pytest.mark.parametrize("blur", [1, 3], ids=["identity", "circular"])
+    def test_held_results_keep_their_bytes_whatever_the_weights(self, rng, blur):
+        """The circular prox transforms into buffers it keeps and keeps gain + w
+        for the last weight; every result equals a fresh loss's, bitwise, and a
+        result the caller holds is read-only and never written again."""
+        op = IdentityOperator() if blur == 1 else make_uniform_blur(blur)
+        y = Image(rng.uniform(0.0, 255.0, size=(8, 8)))
+        loss = QuadraticLoss(operator=op, y=y, noise_variance=2.0)
+        held = []
+        for weight in (0.05, 0.05, 3.0, 0.05, 3.0, 3.0):
+            v = Image(rng.uniform(0.0, 255.0, size=(8, 8)))
+            x = loss.prox(v, weight)
+            fresh = QuadraticLoss(operator=op, y=y, noise_variance=2.0).prox(v, weight)
+            assert x.pixels.tobytes() == fresh.pixels.tobytes()
+            assert not x.pixels.flags.writeable
+            held.append((x, x.pixels.tobytes()))
+        for x, kept in held:
+            assert x.pixels.tobytes() == kept
+
     def test_unsupported_operator_type(self):
         class OddOperator(LinearOperator):
             def apply(self, x):
@@ -211,6 +245,20 @@ class TestSpectrumHandOff:
         for point in (x1, copy, x2):
             for got, want in zip(blur_loss.data_terms(point), self.fallback(blur_loss, point)):
                 np.testing.assert_array_equal(got, want)
+
+    def test_the_spectrum_is_the_last_solve_s_until_the_next(self, blur_loss, rng):
+        """prox_spectrum hands out the solve's kept buffer for the Image that
+        solve returned; after the next prox it is None for that Image and the
+        buffer holds the new output's spectrum."""
+        seen = []
+        for weight in (0.05, 3.0, 3.0):
+            v = Image(rng.uniform(0.0, 255.0, size=(8, 8)))
+            x = blur_loss.prox(v, weight)
+            spectrum = blur_loss.prox_spectrum(x)
+            assert np.fft.irfft2(spectrum, s=(8, 8)).tobytes() == x.pixels.tobytes()
+            assert all(blur_loss.prox_spectrum(old) is None for old in seen)
+            assert blur_loss.prox_spectrum(Image(x.pixels)) is None
+            seen.append(x)
 
     def test_terms_without_a_spectrum_match_the_dense_matrix(self, blur_loss, rng):
         a = operator_matrix(blur_loss.operator, (8, 8))

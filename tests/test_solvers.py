@@ -33,6 +33,7 @@ from redlab import (
     red_sd,
     solver_scene,
 )
+from redlab.solvers import _pg_direction
 
 
 def iterates_of(solver, problem, cfg, **kwargs):
@@ -56,6 +57,13 @@ class TestSolverConfig:
             SolverConfig(inner_iterations=0)
         with pytest.raises(ConfigError):
             SolverConfig(sd_step=-0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=str)
+    @pytest.mark.parametrize("name", ["beta", "step_scale", "l_initial", "l_final",
+                                      "sd_step"])
+    def test_non_finite_values_are_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite and > 0, got {value}"):
+            SolverConfig(**{name: value})
 
     def test_registry_lists_all_seven(self):
         assert sorted(SOLVERS) == ["admm", "admm_i1", "apg", "dpg", "fp",
@@ -210,6 +218,33 @@ class TestAlgebraicIdentities:
                             SolverConfig(iterations=8))
         for a, b in zip(full, fused):
             np.testing.assert_array_equal(a, b)
+
+
+class TestAdoptedIterates:
+    """Solver steps wrap their fresh arrays in Images without a copy; no
+    later step writes an iterate, an anchor or f(x) that was handed on."""
+
+    def test_held_pg_directions_keep_their_bytes(self):
+        rng = np.random.default_rng(49)
+        scratch = np.empty((8, 8))
+        held = []
+        for l_scale in (1.0, 1.01, 0.2, 2.0):
+            x, fx = (Image(a) for a in rng.uniform(0.0, 255.0, (2, 8, 8)))
+            v = _pg_direction(fx, x, l_scale, scratch)
+            expected = (1.0 / l_scale) * fx.pixels - ((1.0 - l_scale) / l_scale) * x.pixels
+            assert v.pixels.tobytes() == expected.tobytes()
+            assert not v.pixels.flags.writeable
+            held.append((v, v.pixels.tobytes()))
+        assert all(v.pixels.tobytes() == kept for v, kept in held)
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_observed_iterates_keep_their_bytes(self, blur16_tdt_problem, name):
+        seen = []
+        cfg = SolverConfig(iterations=6, inner_iterations=2, step_scale=1.5)
+        x, _ = SOLVERS[name](blur16_tdt_problem, cfg,
+                             observer=lambda k, x: seen.append((x, x.pixels.tobytes())))
+        assert len(seen) == 6 and seen[-1][0] is x
+        assert all(x.pixels.tobytes() == kept for x, kept in seen)
 
 
 class TestDpgSchedule:

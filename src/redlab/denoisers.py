@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, _positive
 from .image import Image
 from .operators import CircularConvolution, _irfft2, _rfft2
 
@@ -72,20 +72,6 @@ class Denoiser:
         if not np.isfinite(xs).all():
             raise DomainError("image pixels must be finite")
         return self._kernel(xs)
-
-
-def _finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _positive(name: str, value: float) -> float:
-    value = _finite(name, value)
-    if value <= 0:
-        raise ConfigError(f"{name} must be > 0, got {value}")
-    return value
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -229,9 +215,9 @@ class TdtDenoiser(Denoiser):
     """
 
     def __init__(self, threshold: float):
-        threshold = _finite("threshold", threshold)
-        if threshold < 0:
-            raise ConfigError(f"threshold must be >= 0, got {threshold}")
+        threshold = float(threshold)
+        if not 0 <= threshold < math.inf:
+            raise ConfigError(f"threshold must be finite and >= 0, got {threshold}")
         self.threshold = threshold
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoisers import Denoiser
-from .errors import ConfigError, DegenerateInputError, DomainError, ShapeError
+from .errors import DegenerateInputError, DomainError, ShapeError, _positive
 from .image import Image
 from .losses import QuadraticLoss
 from .operators import LinearOperator
@@ -69,11 +69,6 @@ class JacobianEstimate:
     matrix: np.ndarray
     epsilon: float
     rho_gradient: np.ndarray | None = None
-
-
-def _check_epsilon(eps: float):
-    if not 0 < eps < np.inf:
-        raise ConfigError(f"step size must be finite and > 0, got {eps}")
 
 
 # Largest perturbed stack, in bytes, that central_differences passes to fn
@@ -131,7 +126,7 @@ def central_differences(fn: Callable[[np.ndarray], np.ndarray],
     fn gives shape (a.size,), a length-M vector fn a C-ordered
     (M, a.size) array; 2 a.size rows are evaluated in all.
     """
-    _check_epsilon(eps)
+    eps = _positive("step size", eps)
     return _assemble(np.size(a), (task() for task in _chunk_tasks(fn, a, eps)))
 
 
@@ -173,7 +168,7 @@ def numerical_jacobian(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> J
     taken from the same outputs, so `rho_gradient` is bitwise equal to
     numerical_gradient_rho(f, x, eps) for a deterministic f.
     """
-    _check_epsilon(eps)
+    eps = _positive("step size", eps)
     return _jacobian_from_chunks(x, (chunk() for chunk in _jacobian_chunks(f, x, eps)), eps)
 
 
@@ -238,7 +233,7 @@ def lh_error_1(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON,
 
     `fx` may carry a precomputed f(x).
     """
-    _check_epsilon(eps)
+    eps = _positive("step size", eps)
     scaled = f.apply(Image((1.0 + eps) * x.pixels)).flat
     if fx is None:
         fx = f.apply(x)
@@ -307,8 +302,7 @@ class RedProblem:
     def __post_init__(self):
         loss = QuadraticLoss(self.operator, self.y, self.noise_variance)
         object.__setattr__(self, "loss", loss)
-        if not 0 < self.weight < np.inf:
-            raise ConfigError(f"regularization weight must be finite and > 0, got {self.weight}")
+        _positive("regularization weight", self.weight)
 
 
 def fp_residual(p: RedProblem, x: Image, fx: Image | None = None, *,

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .denoisers import Denoiser
-from .errors import ConfigError, NonConvergenceError
+from .errors import ConfigError, NonConvergenceError, _positive
 from .image import Image
 from .losses import QuadraticLoss
 
@@ -47,11 +47,13 @@ def g_red_inverse(f: Denoiser, c: float, v: Image, tol: float = DEFAULT_TOL,
 
     Stops when ||(1 + c) x - c f(x) - v|| <= tol; raises
     NonConvergenceError with the final residual if maxiter is exhausted.
+    A c or tol that is not finite and positive, or a maxiter that is not an
+    integer >= 0, raises ConfigError before f is called.
     """
-    if c <= 0:
-        raise ConfigError(f"coupling constant must be > 0, got {c}")
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be > 0, got {tol}")
+    c = _positive("coupling constant", c)
+    tol = _positive("tolerance", tol)
+    if not isinstance(maxiter, (int, np.integer)) or maxiter < 0:
+        raise ConfigError(f"maxiter must be an integer >= 0, got {maxiter}")
     x = v
     for step in range(maxiter + 1):
         if step:

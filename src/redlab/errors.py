@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positive-parameter rule."""
+
+import math
 
 
 class RedlabError(Exception):
@@ -30,6 +32,14 @@ class DomainError(RedlabError):
 
 class ConfigError(RedlabError):
     """A parameter or configuration value is invalid."""
+
+
+def _positive(name: str, value: float) -> float:
+    """`value` as a float when it is finite and > 0; otherwise ConfigError."""
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 class PgmParseError(RedlabError):

@@ -134,8 +134,8 @@ def awgn(x: Image, variance: float, seed: int) -> Image:
     `seed`, so a given (image, variance, seed) triple always produces the
     same output.
     """
-    if variance < 0:
-        raise DomainError(f"noise variance must be >= 0, got {variance}")
+    if not 0 <= variance < math.inf:
+        raise DomainError(f"noise variance must be finite and >= 0, got {variance}")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(x.pixels.shape)
     return Image(x.pixels + math.sqrt(variance) * noise)

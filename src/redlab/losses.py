@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _positive
 from .image import Image
 from .operators import CircularConvolution, LinearOperator, NormalSolver
 
@@ -32,7 +32,10 @@ def make_uniform_blur(width: int) -> CircularConvolution:
 class QuadraticLoss:
     """Gaussian negative log-likelihood ||A x - y||^2 / (2 sigma^2).
 
-    Frozen: `_solver`, the operator's normal solver, holds terms of y.
+    Every image passed to `value`, `data_terms`, `gradient` or `prox` must
+    have the shape of y, or ShapeError names both shapes; nothing is
+    broadcast.  Frozen: `_solver`, the operator's normal solver, holds
+    terms of y.
     """
 
     operator: LinearOperator
@@ -41,12 +44,16 @@ class QuadraticLoss:
     _solver: NormalSolver = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.noise_variance < np.inf:
-            raise ConfigError(f"noise variance must be finite and > 0, got {self.noise_variance}")
+        _positive("noise variance", self.noise_variance)
         solver = self.operator.normal_solver(self.y, self.noise_variance)
         object.__setattr__(self, "_solver", solver)
 
+    def _check_shape(self, x: Image, role: str) -> None:
+        if not x.same_shape(self.y):
+            raise ShapeError(f"{role} shape {x.pixels.shape} != data shape {self.y.pixels.shape}")
+
     def value(self, x: Image) -> float:
+        self._check_shape(x, "image")
         residual = self.operator.apply(x).pixels - self.y.pixels
         return float(np.sum(residual**2)) / (2.0 * self.noise_variance)
 
@@ -64,6 +71,7 @@ class QuadraticLoss:
         `prox_spectrum` of x; without it A and A^T are applied, so the
         terms depend only on x's pixels.
         """
+        self._check_shape(x, "image")
         return self._solver.data_terms(x, x_hat)
 
     def gradient(self, x: Image) -> Image:
@@ -72,10 +80,6 @@ class QuadraticLoss:
 
     def prox(self, v: Image, weight: float) -> Image:
         """Exact minimizer of l(x) + (weight/2) ||x - v||^2."""
-        if not 0 < weight < np.inf:
-            raise ConfigError(f"prox weight must be finite and > 0, got {weight}")
-        if not v.same_shape(self.y):
-            raise ShapeError(
-                f"anchor shape {v.pixels.shape} != data shape {self.y.pixels.shape}"
-            )
+        weight = _positive("prox weight", weight)
+        self._check_shape(v, "anchor")
         return self._solver(v, weight)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoisers import Denoiser, GmmMmseDenoiser
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError, _positive
 from .image import Image
 from .losses import QuadraticLoss
 from .operators import LinearOperator
@@ -43,8 +43,7 @@ class KdePrior:
     _denoiser: GmmMmseDenoiser = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ConfigError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        _positive("bandwidth", self.bandwidth)
         denoiser = GmmMmseDenoiser(self.centers, self.bandwidth)
         object.__setattr__(self, "centers", denoiser.centers)
         object.__setattr__(self, "_denoiser", denoiser)

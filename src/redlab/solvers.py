@@ -35,7 +35,7 @@ import numpy as np
 
 from .denoisers import Denoiser
 from .diagnostics import _STACK_BYTES, RedProblem, cost_red, fp_residual
-from .errors import ConfigError, DivergenceError, DomainError
+from .errors import ConfigError, DivergenceError, DomainError, _positive
 from .image import Image, format_csv, psnr
 from .workers import _spare_cpu, _Stream
 
@@ -90,9 +90,8 @@ class SolverConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("beta", "step_scale", "l_initial", "l_final", "sd_step"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+            if getattr(self, name) is not None:
+                _positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -446,6 +445,8 @@ def nonexpansiveness_probe(f: Denoiser, trials: int, seed: int,
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not 0 <= scale < math.inf:
+        raise ConfigError(f"scale must be finite and >= 0, got {scale}")
     rng = np.random.default_rng(seed)
     h, w = shape
     chunk = max(1, _STACK_BYTES // (2 * h * w * 8))

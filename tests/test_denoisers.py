@@ -346,7 +346,7 @@ class TestTdtDenoiser:
                                       seed=1) <= 1.0 + 1e-10
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="threshold must be finite and >= 0, got -0.1"):
             TdtDenoiser(-0.1)
 
     def test_non_power_of_two_image_rejected(self):
@@ -358,7 +358,7 @@ class TestTdtDenoiser:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_threshold_rejected(self, value):
-        with pytest.raises(ConfigError, match="threshold must be finite"):
+        with pytest.raises(ConfigError, match=f"threshold must be finite and >= 0, got {value}"):
             TdtDenoiser(value)
 
 
@@ -466,14 +466,15 @@ class TestNlmDenoiser:
             NlmDenoiser(patch_radius=1, search_radius=2)
         with pytest.raises(ConfigError):
             NlmDenoiser(patch_radius=1, search_radius=2, bandwidth=0.0)
-        with pytest.raises(ConfigError, match="noise variance must be > 0"):
+        with pytest.raises(ConfigError,
+                           match="noise variance must be finite and > 0, got -1.0"):
             NlmDenoiser(patch_radius=1, search_radius=2, noise_variance=-1.0)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"noise_variance": np.nan}, "noise variance must be finite, got nan"),
-        ({"noise_variance": np.inf}, "noise variance must be finite, got inf"),
-        ({"bandwidth": np.nan}, "bandwidth must be finite, got nan"),
-        ({"bandwidth": np.inf}, "bandwidth must be finite, got inf"),
+        ({"noise_variance": np.nan}, "noise variance must be finite and > 0, got nan"),
+        ({"noise_variance": np.inf}, "noise variance must be finite and > 0, got inf"),
+        ({"bandwidth": np.nan}, "bandwidth must be finite and > 0, got nan"),
+        ({"bandwidth": np.inf}, "bandwidth must be finite and > 0, got inf"),
     ])
     def test_non_finite_parameters_rejected(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
@@ -895,6 +896,11 @@ class TestNonexpansivenessProbe:
 
     def test_identical_pairs_are_skipped(self):
         assert nonexpansiveness_probe(TdtDenoiser(25.0), 3, seed=7, scale=0.0) == 0.0
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0], ids=str)
+    def test_a_scale_that_is_not_finite_and_non_negative_is_rejected(self, scale):
+        with pytest.raises(ConfigError, match=f"scale must be finite and >= 0, got {scale}"):
+            nonexpansiveness_probe(TdtDenoiser(25.0), 3, seed=7, scale=scale)
 
     def test_non_finite_output_is_rejected(self):
         class Blowup(Denoiser):

@@ -1,6 +1,7 @@
 """Jacobian, gradient-expression, and objective probes on known maps."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -430,6 +431,15 @@ class TestRedProblem:
                        weight=0.02, denoiser=identity_denoiser)
         assert cost_red(p, x) == pytest.approx(4 * 9.0 / 4.0, rel=1e-12)
         np.testing.assert_allclose(fp_residual(p, x), np.full(4, 1.5), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 4)], ids=str)
+    def test_an_image_of_another_shape_is_rejected(self, identity_denoiser, shape):
+        p = RedProblem(operator=IdentityOperator(), y=Image(np.zeros((4, 4))),
+                       noise_variance=2.0, weight=0.02, denoiser=identity_denoiser)
+        message = re.escape(f"image shape {shape} != data shape (4, 4)")
+        for probe in (cost_red, fp_residual):
+            with pytest.raises(ShapeError, match=message):
+                probe(p, Image(np.ones(shape)))
 
     def test_precomputed_denoiser_output_is_trusted(self, linear_den):
         rng = np.random.default_rng(35)

@@ -32,6 +32,11 @@ class ExpansiveMap(Denoiser):
         return Image(3.0 * x.pixels)
 
 
+class UncalledMap(Denoiser):
+    def apply(self, x: Image) -> Image:
+        raise AssertionError("the parameters are checked before f runs")
+
+
 class TestGRedInverse:
     def test_inverts_the_forward_map_for_a_linear_denoiser(self):
         """Applying (1 + c) I - c W to the output recovers the input."""
@@ -68,6 +73,25 @@ class TestGRedInverse:
             g_red_inverse(identity_denoiser, 0.0, v)
         with pytest.raises(ConfigError):
             g_red_inverse(identity_denoiser, 1.0, v, tol=0.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"c": np.nan}, "coupling constant must be finite and > 0, got nan"),
+        ({"c": np.inf}, "coupling constant must be finite and > 0, got inf"),
+        ({"tol": np.nan}, "tolerance must be finite and > 0, got nan"),
+        ({"tol": np.inf}, "tolerance must be finite and > 0, got inf"),
+        ({"maxiter": -1}, "maxiter must be an integer >= 0, got -1"),
+        ({"maxiter": 2.5}, "maxiter must be an integer >= 0, got 2.5"),
+    ])
+    def test_bad_parameters_are_rejected_before_f_runs(self, kwargs, message):
+        args = {"c": 1.0, "tol": 1e-10, "maxiter": 10, **kwargs}
+        with pytest.raises(ConfigError, match=message):
+            g_red_inverse(UncalledMap(), v=Image(np.zeros((4, 4))), **args)
+
+    def test_zero_maxiter_evaluates_the_start_once(self, identity_denoiser):
+        v = Image(np.arange(4.0).reshape(2, 2))
+        assert g_red_inverse(identity_denoiser, 1.0, v, maxiter=0) is v
+        with pytest.raises(NonConvergenceError):
+            g_red_inverse(ExpansiveMap(), 1.0, Image(np.full((2, 2), 10.0)), maxiter=0)
 
 
 @pytest.fixture(scope="module")

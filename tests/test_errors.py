@@ -1,6 +1,10 @@
-"""Package errors survive pickling, so worker processes can send them back."""
+"""Package errors survive pickling, so worker processes can send them back,
+and one helper owns the positive-parameter rule."""
 
+import math
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +35,24 @@ def test_pickle_round_trip_keeps_type_message_and_attributes(error):
     assert str(restored) == str(error)
     assert restored.args == error.args
     assert vars(restored) == vars(error)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf], ids=str)
+def test_positive_rejects_a_value_that_is_not_finite_and_positive(value):
+    with pytest.raises(errors.ConfigError,
+                       match=re.escape(f"weight must be finite and > 0, got {value}")):
+        errors._positive("weight", value)
+
+
+def test_positive_returns_the_value_as_a_float():
+    assert type(errors._positive("weight", 2)) is float
+    assert errors._positive("weight", 2) == 2.0
+
+
+def test_only_the_errors_module_states_the_positive_parameter_rule():
+    """Every other library guard calls errors._positive, so the rule and its
+    message have one owner."""
+    package = Path(errors.__file__).parent
+    stating = [path.name for path in sorted(package.glob("*.py"))
+               if "must be finite and > 0" in path.read_text()]
+    assert stating == ["errors.py"]

@@ -143,6 +143,13 @@ class TestAwgn:
         with pytest.raises(DomainError):
             awgn(Image(np.zeros((2, 2))), -1.0, seed=0)
 
+    @pytest.mark.parametrize("variance", [np.nan, np.inf], ids=str)
+    def test_non_finite_variance_is_named(self, variance):
+        """Rejected as the variance, not as the non-finite pixels it would make."""
+        with pytest.raises(DomainError,
+                           match=f"noise variance must be finite and >= 0, got {variance}"):
+            awgn(Image(np.zeros((2, 2))), variance, seed=0)
+
 
 class TestPgm:
     def test_ascii_parse_with_comment(self, tmp_path):

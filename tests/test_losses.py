@@ -1,6 +1,7 @@
 """Quadratic fidelity: values, gradients, and exact proximal maps."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,22 @@ class TestQuadraticLoss:
         assert loss.value(x) == pytest.approx(4 * 9.0 / 4.0, rel=1e-13)
         np.testing.assert_allclose(loss.gradient(x).flat, np.full(4, 1.5),
                                    rtol=1e-13)
+
+    @pytest.mark.parametrize("blur", [1, 3], ids=["identity", "circular"])
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 4)], ids=str)
+    def test_an_image_of_another_shape_is_rejected(self, blur, shape):
+        """Each term names both shapes instead of broadcasting x against y,
+        with or without the spectrum the last prox kept."""
+        op = IdentityOperator() if blur == 1 else make_uniform_blur(blur)
+        loss = QuadraticLoss(op, Image(np.zeros((4, 4))), 2.0)
+        x_hat = loss.prox_spectrum(loss.prox(Image(np.ones((4, 4))), 0.5))
+        assert (x_hat is None) == (blur == 1)
+        x = Image(np.ones(shape))
+        message = re.escape(f"image shape {shape} != data shape (4, 4)")
+        for term in (loss.value, loss.gradient, loss.data_terms,
+                     lambda x: loss.data_terms(x, x_hat)):
+            with pytest.raises(ShapeError, match=message):
+                term(x)
 
     def test_gradient_matches_finite_differences(self, rng):
         op = make_uniform_blur(3)

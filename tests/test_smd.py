@@ -196,3 +196,7 @@ class TestKdeMapResidual:
             kde_map_residual(small_prior, IdentityOperator(),
                              Image(np.zeros((2, 1))), 0.0,
                              Image(np.zeros((2, 1))))
+        with pytest.raises(ShapeError, match=r"image shape \(1, 2\) != data shape \(2, 1\)"):
+            kde_map_residual(small_prior, IdentityOperator(),
+                             Image(np.zeros((2, 1))), 1.0,
+                             Image(np.zeros((1, 2))))

@@ -13,6 +13,12 @@ integer ``seed``; all randomness flows through it, so a fixed config
 reproduces byte-identical outputs.  Wall-clock timing is off by default
 for the same reason.
 
+An experiment's planner checks its config and returns an ``execute()``
+that computes its tables, each a label, a CSV header and rows of cells,
+and its summary's head line and body lines.  `_cmd_run` alone names,
+formats and writes the outputs: each table to ``<experiment>_<label>.csv``
+and the summary to ``<experiment>_summary.txt``.
+
 Exit codes: 0 success, 2 validation or input error (nothing is written),
 3 numerical divergence.  The ``REDLAB_OUT`` environment variable
 overrides the configured output directory.  Independent parts of an
@@ -401,10 +407,13 @@ def _read_solver(reader: _ConfigReader, *, default_iterations: int,
 # ---------------------------------------------------------------------------
 # Output helpers
 
-Outputs = tuple[list[tuple[str, str]], str]
+# A CSV table: its label, header and rows of cells.
+_Table = tuple[str, list[str], list[list[str]]]
+# What execute() returns: the tables, the summary's head line and its body lines.
+Outputs = tuple[list[_Table], str, list[str]]
 
 
-def _text_table(header: list[str], rows: list[list[str]]) -> str:
+def _text_table(header: list[str], rows: list[list[str]]) -> list[str]:
     widths = [
         max(len(header[i]), max((len(r[i]) for r in rows), default=0))
         for i in range(len(header))
@@ -412,11 +421,11 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
     lines = ["  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip()]
     for r in rows:
         lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(r))).rstrip())
-    return "\n".join(lines)
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# Experiment planners: validate eagerly, return a deferred execute()
+# Experiment planners: validate eagerly, return a deferred execute() -> Outputs
 
 
 def _plan_report(which: str) -> Callable:
@@ -478,7 +487,7 @@ def _plan_report(which: str) -> Callable:
                 (name, awgn(img, noise_variance, seed=seed + i))
                 for i, (name, img) in enumerate(clean)
             ]
-            files = []
+            tables = []
             summary_rows = []
             denoisers = [build((patch_size, patch_size)) for _, build in specs]
             metrics = _report_cells(which, denoisers, [x for _, x in points], epsilon)
@@ -495,9 +504,7 @@ def _plan_report(which: str) -> Callable:
                     rows.append(row)
                     for metric, value in values.items():
                         sums[metric] = sums.get(metric, 0.0) + value
-                files.append(
-                    (f"{which}_{label}.csv", format_csv(_REPORT_HEADER, rows))
-                )
+                tables.append((label, _REPORT_HEADER, rows))
                 for metric, total in sums.items():
                     summary_rows.append(
                         [label, metric, f"{total / len(points):.6e}"]
@@ -507,8 +514,7 @@ def _plan_report(which: str) -> Callable:
                 f"{patch_size} patches (noise variance {noise_variance}, "
                 f"seed {seed}, probe step {epsilon})"
             )
-            table = _text_table(["denoiser", "metric", "mean"], summary_rows)
-            return files, head + "\n\n" + table
+            return tables, head, _text_table(["denoiser", "metric", "mean"], summary_rows)
 
         return execute
 
@@ -563,7 +569,7 @@ def _report_metrics(which: str, f: Denoiser, x: Image, estimate: JacobianEstimat
 
 
 def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
-    from .solvers import SOLVERS
+    from .solvers import SOLVERS, Trajectory
 
     problem_spec = _read_problem(reader, config_dir, default_blur=1)
     method = _read_method(reader)
@@ -577,12 +583,9 @@ def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
         last = trajectory.records[-1]
         row = [str(last.iteration), f"{last.psnr_db:.4f}", f"{last.cost_red:.6e}",
                f"{last.fp_residual:.6e}"]
-        summary = "\n".join([
-            f"trajectory: {method} with {label}, {len(trajectory)} iterations (seed {seed})",
-            "",
-            _text_table(["iterations", "psnr_db", "cost_red", "fp_residual"], [row]),
-        ])
-        return [(f"trajectory_{label}.csv", trajectory.csv_text())], summary
+        head = f"trajectory: {method} with {label}, {len(trajectory)} iterations (seed {seed})"
+        body = _text_table(["iterations", "psnr_db", "cost_red", "fp_residual"], [row])
+        return [(label, Trajectory.CSV_HEADER, trajectory.csv_rows())], head, body
 
     return execute
 
@@ -613,18 +616,14 @@ def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
                 for s in samples]
         best = min(samples, key=lambda s: s.cost)
         center_cost = cost_red(problem, center)
-        summary = "\n".join(
-            [
-                f"cost-slice: {points}x{points} grid, radius {radius}, around a "
-                f"{method}/{label} fixed point (seed {seed})",
-                "",
-                f"cost at center: {center_cost:.6e}",
-                f"grid minimum:   {best.cost:.6e} at "
-                f"(alpha={best.alpha:g}, beta={best.beta:g})",
-            ]
-        )
+        head = (f"cost-slice: {points}x{points} grid, radius {radius}, around a "
+                f"{method}/{label} fixed point (seed {seed})")
         header = ["alpha", "beta", "cost_red", "grad_e1", "grad_e2"]
-        return [(f"cost-slice_{label}.csv", format_csv(header, rows))], summary
+        return [(label, header, rows)], head, [
+            f"cost at center: {center_cost:.6e}",
+            f"grid minimum:   {best.cost:.6e} at "
+            f"(alpha={best.alpha:g}, beta={best.beta:g})",
+        ]
 
     return execute
 
@@ -669,8 +668,8 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
 
         header = Trajectory.CSV_HEADER + ["oracle_gap"]
 
-        def run_solver(name: str, solve: Callable) -> tuple[tuple[str, str], list[str]]:
-            """One solver's CSV file and summary row."""
+        def run_solver(name: str, solve: Callable) -> tuple[_Table, list[str]]:
+            """One solver's table and summary row."""
             gaps: list[float] = []
 
             def observer(k: int, x: Image) -> None:
@@ -683,7 +682,7 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
                 for cells, gap in zip(trajectory.csv_rows(), gaps)
             ]
             last = trajectory.records[-1]
-            return (f"deblur_linear_{name}.csv", format_csv(header, rows)), [
+            return (f"linear_{name}", header, rows), [
                 name,
                 str(last.iteration),
                 f"{last.psnr_db:.4f}",
@@ -694,7 +693,7 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
         solved = list(_run_tasks([
             functools.partial(run_solver, name, solve) for name, solve in SOLVERS.items()
         ]))
-        files = [file for file, _ in solved]
+        tables = [table for table, _ in solved]
         summary_rows = [row for _, row in solved]
         head = (
             f"deblur: {shape[0]}x{shape[1]}, {problem_spec.blur}x{problem_spec.blur} "
@@ -702,11 +701,10 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
             f"seed {seed}; oracle gap is ||x_k - x*|| / ||x*|| against the direct "
             f"linear solve"
         )
-        table = _text_table(
+        return tables, head, _text_table(
             ["solver", "iterations", "psnr_db", "fp_residual", "oracle_gap"],
             summary_rows,
         )
-        return files, head + "\n\n" + table
 
     return execute
 
@@ -734,16 +732,10 @@ def _plan_tweedie(reader: _ConfigReader, config_dir: Path, seed: int):
             rel = float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric))
             worst = max(worst, rel)
             rows.append([str(index), repr(rel)])
-        summary = "\n".join(
-            [
-                f"tweedie-check: {instances} random mixture instances "
-                f"(seed {seed}, probe step {epsilon})",
-                "",
-                f"worst relative error: {worst:.6e}",
-            ]
-        )
+        head = (f"tweedie-check: {instances} random mixture instances "
+                f"(seed {seed}, probe step {epsilon})")
         header = ["instance", "relative_error"]
-        return [("tweedie-check_gmm.csv", format_csv(header, rows))], summary
+        return [("gmm", header, rows)], head, [f"worst relative error: {worst:.6e}"]
 
     return execute
 
@@ -780,17 +772,11 @@ def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
             ["denoising_mirror_gap", repr(mirror)],
             ["pnp_matches_denoiser_output", "1" if pnp_matches else "0"],
         ]
-        summary = "\n".join(
-            [
-                f"equilibrium-check: {label} fixed point after "
+        head = (f"equilibrium-check: {label} fixed point after "
                 f"{cfg.iterations} iterations (L = {l_scale}, seed {seed}), "
-                f"then pure denoising at variance {denoising_variance}",
-                "",
-                _text_table(["quantity", "value"], rows),
-            ]
-        )
-        csv_name = f"equilibrium-check_{label}.csv"
-        return [(csv_name, format_csv(["quantity", "value"], rows))], summary
+                f"then pure denoising at variance {denoising_variance}")
+        header = ["quantity", "value"]
+        return [(label, header, rows)], head, _text_table(header, rows)
 
     return execute
 
@@ -853,8 +839,11 @@ def _load_plan(config_path: str) -> _Plan:
 def _cmd_run(config_path: str) -> int:
     plan = _load_plan(config_path)
     _worker_limit()  # a bad REDLAB_WORKERS fails before any work, in every experiment
-    files, summary = plan.execute()
-    files = list(files) + [(f"{plan.name}_summary.txt", summary + "\n")]
+    tables, head, body = plan.execute()
+    summary = "\n".join([head, "", *body])
+    files = [(f"{plan.name}_{label}.csv", format_csv(header, rows))
+             for label, header, rows in tables]
+    files.append((f"{plan.name}_summary.txt", summary + "\n"))
     outdir = os.environ.get("REDLAB_OUT") or plan.output
     os.makedirs(outdir, exist_ok=True)
     for filename, text in files:

@@ -35,8 +35,8 @@ import numpy as np
 
 from .denoisers import Denoiser
 from .diagnostics import _STACK_BYTES, RedProblem, cost_red, fp_residual
-from .errors import ConfigError, DivergenceError, DomainError, _positive
-from .image import Image, format_csv, psnr
+from .errors import ConfigError, DivergenceError, DomainError, ShapeError, _positive
+from .image import Image, psnr
 from .workers import _spare_cpu, _Stream
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "TrajectoryRecord",
     "default_initialization",
     "dpg_schedule",
-    "format_csv",
     "nonexpansiveness_probe",
     "red_admm",
     "red_admm_i1",
@@ -87,9 +86,11 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("iterations", "inner_iterations"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("beta", "step_scale", "l_initial", "l_final", "sd_step"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value}")
+        for name in ("beta", "step_scale", "l_initial", "l_final", "sd_step",
+                     "stop_fp_residual"):
             if getattr(self, name) is not None:
                 _positive(name, getattr(self, name))
 
@@ -128,9 +129,6 @@ class Trajectory:
              repr(r.cost_red), repr(r.fp_residual), repr(r.update_dist), repr(r.time_s)]
             for r in self.records
         ]
-
-    def csv_text(self) -> str:
-        return format_csv(self.CSV_HEADER, self.csv_rows())
 
 
 def _log_entry(p: RedProblem, truth: Image | None, k: int, x: Image, fx: Image,
@@ -443,6 +441,8 @@ def nonexpansiveness_probe(f: Denoiser, trials: int, seed: int,
     as many pairs as fit in the probes' stack budget.  A value <= 1 + tol
     supports (never proves) that f is non-expansive on its working range.
     """
+    if len(shape) != 2 or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape):
+        raise ShapeError(f"shape must be two positive integers, got {shape}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if not 0 <= scale < math.inf:

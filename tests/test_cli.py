@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: configs, outputs, determinism, exit codes."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -508,6 +509,28 @@ class TestTrajectory:
         assert float(rows[1][1]) > 0.0  # synthetic truth enables psnr
         assert float(rows[-1][3]) < float(rows[1][3])
 
+    def test_timing_on_stamps_elapsed_seconds(self, tmp_path):
+        out_dir = tmp_path / "timed"
+        config = write_config(tmp_path, f"""\
+            [experiment]
+            name = trajectory
+            seed = 1
+            output = {out_dir}
+
+            [problem]
+            size = 16
+
+            [solver]
+            iterations = 5
+            timing = on
+        """)
+        assert main(["run", config]) == 0
+        rows = read_csv(out_dir / "trajectory_tdt.csv")
+        assert rows[0][-1] == "time_s"
+        times = [float(row[-1]) for row in rows[1:]]
+        assert len(times) == 5
+        assert 0.0 < times[0] and times == sorted(times)
+
     def test_divergent_run_exits_three_without_outputs(self, tmp_path, capsys):
         out_dir = tmp_path / "boom"
         config = write_config(tmp_path, f"""\
@@ -892,6 +915,16 @@ INVALID_CONFIGS = [
     ("method-before-size", "trajectory", "[problem]\nsize = 12\n[solver]\nmethod = foo\n",
      "[solver] method: unknown solver 'foo'; valid methods: sd, admm, admm_i1, fp, "
      "pg, dpg, apg"),
+    ("timing-not-on-off", "trajectory", "[solver]\ntiming = maybe\n",
+     "[solver] timing: expected on/off, got 'maybe'"),
+    ("empty-denoiser-list", "jacobian-report", "denoisers = ,\n",
+     "[experiment] denoisers: expected a comma-separated list"),
+    ("unused-solver-section", "tweedie-check", "[solver]\niterations = 5\n",
+     "section [solver] is not used by experiment 'tweedie-check'"),
+    ("unknown-experiment-key", "tweedie-check", "steps = 5\n",
+     "unknown key(s) in [experiment]: steps"),
+    ("patch-size-with-images", "jacobian-report", "images = small.pgm\npatch_size = 64\n",
+     "[experiment] patch_size: must be <= 32"),
 ]
 # Cases whose error needs the image itself, so `validate` accepts them.
 RUN_TIME_ERRORS = {"tdt-on-12x12-pgm"}
@@ -921,3 +954,36 @@ class TestInvalidConfigs:
         assert main(["run", config]) == 2
         assert capsys.readouterr() == ("", error)
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("text, message", [
+        ("[experiment]\nname = tweedie-check\nseed = x\n",
+         "[experiment] seed: expected an integer, got 'x'"),
+        ("[problem]\nsize = 16\n", "missing section [experiment] (required key 'name')"),
+    ], ids=["seed-not-an-integer", "no-experiment-section"])
+    def test_experiment_section_errors(self, tmp_path, capsys, text, message):
+        config = write_config(tmp_path, text)
+        before = sorted(tmp_path.rglob("*"))
+        for command in ("validate", "run"):
+            assert main([command, config]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_only_cmd_run_names_formats_and_writes_outputs():
+    """Planners return tables; `_cmd_run` alone calls format_csv and builds
+    a `.csv` or `_summary.txt` name.  Docstrings may mention the names."""
+    tree = ast.parse((REPO / "src" / "redlab" / "cli.py").read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node) is not None}
+    owners = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            func = node.func if isinstance(node, ast.Call) else None
+            calls_format = getattr(func, "id", getattr(func, "attr", None)) == "format_csv"
+            names_output = (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                            and id(node) not in docstrings
+                            and (".csv" in node.value or "_summary.txt" in node.value))
+            if calls_format or names_output:
+                owners.add(getattr(top, "name", "<module>"))
+    assert owners == {"_cmd_run"}

@@ -902,6 +902,19 @@ class TestNonexpansivenessProbe:
         with pytest.raises(ConfigError, match=f"scale must be finite and >= 0, got {scale}"):
             nonexpansiveness_probe(TdtDenoiser(25.0), 3, seed=7, scale=scale)
 
+    @pytest.mark.parametrize("shape", [(0, 4), (-4, 4), (4,), (4, 4, 4), (4, 2.5)],
+                             ids=str)
+    def test_a_shape_that_is_not_two_positive_integers_is_rejected(self, shape):
+        f = StackCounter(TdtDenoiser(25.0))
+        message = f"shape must be two positive integers, got {shape}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            nonexpansiveness_probe(f, 2, seed=7, shape=shape)
+        assert f.rows == []
+
+    def test_zero_trials_are_rejected(self):
+        with pytest.raises(ConfigError, match="^trials must be >= 1, got 0$"):
+            nonexpansiveness_probe(TdtDenoiser(25.0), 0, seed=7)
+
     def test_non_finite_output_is_rejected(self):
         class Blowup(Denoiser):
             def apply(self, x: Image) -> Image:

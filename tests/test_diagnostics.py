@@ -313,6 +313,16 @@ class TestLocalHomogeneityErrors:
     def test_linear_map_satisfies_the_jacobian_identity(self, linear_den, probe_image):
         assert lh_error_2(linear_den, probe_image) <= 1e-18
 
+    @pytest.mark.parametrize("error", [lh_error_1, lh_error_2], ids=lambda e: e.__name__)
+    def test_identically_zero_output_is_degenerate(self, error, probe_image):
+        class Zero(Denoiser):
+            def _kernel(self, xs):
+                return np.zeros_like(xs)
+
+        with pytest.raises(DegenerateInputError,
+                           match="^denoiser output is identically zero$"):
+            error(Zero(), probe_image)
+
     def test_precomputed_jacobian_matches_fresh_estimate(self, probe_image):
         f = TdtDenoiser(25.0)
         est = numerical_jacobian(f, probe_image)
@@ -362,6 +372,11 @@ class TestHessian:
         numeric = hessian_rho_red(den, x, eps=0.05)
         np.testing.assert_allclose(numeric, analytic_hessian_linear(den.matrix),
                                    atol=1e-8)
+
+    def test_analytic_form_needs_a_square_matrix(self):
+        with pytest.raises(ShapeError,
+                           match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            analytic_hessian_linear(np.ones((2, 3)))
 
     def test_gaussian_mixture_regularizer_is_nonconvex(self):
         """Between two far-apart centers the curvature is exactly diag(-3, 1):

@@ -119,6 +119,10 @@ class TestExtractCenterPatch:
         with pytest.raises(ShapeError):
             extract_center_patch(Image(np.zeros((4, 4))), 5)
 
+    def test_zero_size_is_rejected(self):
+        with pytest.raises(ShapeError, match="^patch size must be positive, got 0$"):
+            extract_center_patch(Image(np.zeros((4, 4))), 0)
+
 
 class TestAwgn:
     def test_seed_determinism(self):
@@ -201,6 +205,13 @@ class TestPgm:
         with pytest.raises(PgmParseError) as err:
             load_pgm(str(path))
         assert err.value.offset == len(header) + 2
+
+    def test_binary_file_ending_after_maxval(self, tmp_path):
+        path = tmp_path / "bare.pgm"
+        path.write_bytes(b"P5\n2 2\n255")
+        with pytest.raises(PgmParseError, match=r"^expected single whitespace before "
+                                                r"raster \(byte offset 10\)$"):
+            load_pgm(str(path))
 
     def test_ascii_sample_above_maxval(self, tmp_path):
         path = tmp_path / "over.pgm"

@@ -84,6 +84,10 @@ class TestCircularConvolution:
         with pytest.raises(ConfigError):
             CircularConvolution(np.ones((2, 3)) / 6.0)
 
+    def test_kernel_must_be_two_dimensional(self):
+        with pytest.raises(ConfigError, match="^kernel must be 2-D, got ndim=3$"):
+            CircularConvolution(np.ones((3, 3, 3)))
+
     def test_kernel_larger_than_image(self):
         op = CircularConvolution(np.ones((5, 5)) / 25.0)
         with pytest.raises(ShapeError):

@@ -107,6 +107,10 @@ class TestKdePrior:
         np.testing.assert_array_equal(score(prior, r), (mean - r) / nu)
         np.testing.assert_array_equal(TweedieRegularizer(prior).gradient(r), r - mean)
 
+    def test_score_rejects_a_vector_of_the_wrong_size(self, small_prior):
+        with pytest.raises(ShapeError, match="^vector dimension 3 != prior dimension 2$"):
+            score(small_prior, np.zeros(3))
+
 
 class TestTweedieRegularizer:
     def test_gradient_is_the_denoising_residual(self, small_prior):

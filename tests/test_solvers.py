@@ -33,6 +33,7 @@ from redlab import (
     red_sd,
     solver_scene,
 )
+from redlab.image import format_csv
 from redlab.solvers import _pg_direction
 
 
@@ -65,6 +66,22 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match=f"{name} must be finite and > 0, got {value}"):
             SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, np.nan, 0, -3, "5"], ids=repr)
+    @pytest.mark.parametrize("name", ["iterations", "inner_iterations"])
+    def test_counts_must_be_integers_of_at_least_one(self, name, value):
+        with pytest.raises(ConfigError,
+                           match=rf"^{name} must be an integer >= 1, got {value}$"):
+            SolverConfig(**{name: value})
+
+    def test_counts_accept_numpy_integers(self):
+        assert SolverConfig(iterations=np.int64(3)).iterations == 3
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, 0.0], ids=str)
+    def test_stop_fp_residual_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConfigError, match=rf"^stop_fp_residual must be finite and > 0, "
+                                              rf"got {value}$"):
+            SolverConfig(stop_fp_residual=value)
+
     def test_registry_lists_all_seven(self):
         assert sorted(SOLVERS) == ["admm", "admm_i1", "apg", "dpg", "fp",
                                    "pg", "sd"]
@@ -74,7 +91,7 @@ class TestSolverConfig:
 class TestTrajectoryCsv:
     def test_header_and_shape(self, blur16_linear_problem):
         _, traj = red_fp(blur16_linear_problem, SolverConfig(iterations=5))
-        text = traj.csv_text()
+        text = format_csv(Trajectory.CSV_HEADER, traj.csv_rows())
         lines = text.strip().split("\n")
         assert lines[0] == "iter,psnr_db,cost_red,fp_residual,update_dist,time_s"
         assert len(lines) == 6
@@ -96,7 +113,8 @@ class TestTrajectoryCsv:
     def test_write_csv_and_determinism(self, blur16_linear_problem):
         _, a = red_pg(blur16_linear_problem, SolverConfig(iterations=8))
         _, b = red_pg(blur16_linear_problem, SolverConfig(iterations=8))
-        assert a.csv_text() == b.csv_text()
+        assert (format_csv(Trajectory.CSV_HEADER, a.csv_rows())
+                == format_csv(Trajectory.CSV_HEADER, b.csv_rows()))
 
     def test_truth_enables_psnr_column(self, blur16_linear_problem):
         truth = solver_scene(size=16, index=0)

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, _positive
+from .errors import ConfigError, DomainError, ShapeError, _count, _positive, _shape
 from .image import Image
 from .operators import CircularConvolution, _irfft2, _rfft2
 
@@ -233,9 +233,9 @@ class MedianFilterDenoiser(Denoiser):
     """
 
     def __init__(self, window: int = 3):
-        if window % 2 == 0 or window < 1:
+        self.window = _count("window", window)
+        if self.window % 2 == 0:
             raise ConfigError(f"window must be odd and positive, got {window}")
-        self.window = window
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
         b, h, w = xs.shape
@@ -343,8 +343,8 @@ class NlmDenoiser(Denoiser):
 
     def __init__(self, patch_radius: int = 1, search_radius: int = 5,
                  bandwidth: float | None = None, noise_variance: float | None = None):
-        if patch_radius < 0 or search_radius < 0:
-            raise ConfigError("radii must be >= 0")
+        self.patch_radius = _count("patch radius", patch_radius, 0)
+        self.search_radius = _count("search radius", search_radius, 0)
         if noise_variance is not None:
             noise_variance = _positive("noise variance", noise_variance)
         if bandwidth is None:
@@ -352,11 +352,9 @@ class NlmDenoiser(Denoiser):
                 raise ConfigError("provide either bandwidth or noise_variance")
             # Conventional scaling: h^2 = 2 * variance * (patch pixel count).
             bandwidth = float(
-                np.sqrt(2.0 * noise_variance * (2 * patch_radius + 1) ** 2)
+                np.sqrt(2.0 * noise_variance * (2 * self.patch_radius + 1) ** 2)
             )
         self.bandwidth = _positive("bandwidth", bandwidth)
-        self.patch_radius = patch_radius
-        self.search_radius = search_radius
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
         b, h, w = xs.shape
@@ -435,7 +433,7 @@ class LinearSymmetricDenoiser(Denoiser):
         if not np.array_equal(kernel, kernel[::-1, ::-1]):
             raise ConfigError("kernel is not even-symmetric, so W is not symmetric")
         self.kernel = kernel
-        self.shape = tuple(shape)
+        self.shape = _shape(shape)
         radius = float(np.max(np.abs(self.transfer_function())))
         if radius > 1.0 + 1e-10:
             raise ConfigError(f"spectral radius {radius:.6f} exceeds 1")

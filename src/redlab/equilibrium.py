@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .denoisers import Denoiser
-from .errors import ConfigError, NonConvergenceError, _positive
+from .errors import NonConvergenceError, _count, _positive
 from .image import Image
 from .losses import QuadraticLoss
 
@@ -52,8 +52,7 @@ def g_red_inverse(f: Denoiser, c: float, v: Image, tol: float = DEFAULT_TOL,
     """
     c = _positive("coupling constant", c)
     tol = _positive("tolerance", tol)
-    if not isinstance(maxiter, (int, np.integer)) or maxiter < 0:
-        raise ConfigError(f"maxiter must be an integer >= 0, got {maxiter}")
+    maxiter = _count("maxiter", maxiter, 0)
     x = v
     for step in range(maxiter + 1):
         if step:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the positive-parameter rule."""
+"""Exception types shared across the package, and its parameter rules."""
 
 import math
+
+import numpy as np
 
 
 class RedlabError(Exception):
@@ -40,6 +42,31 @@ def _positive(name: str, value: float) -> float:
     if not 0 < value < math.inf:
         raise ConfigError(f"{name} must be finite and > 0, got {value}")
     return value
+
+
+def _count(name: str, value: int, minimum: int = 1) -> int:
+    """`value` as an int when it is an integer, not a bool, >= minimum; else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(value)
+
+
+def _extent(name: str, value: int) -> int:
+    """`value` as an int when it is an integer >= 1; else ShapeError naming the extent."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ShapeError(f"{name} must be an integer, got {value}")
+    if value < 1:
+        raise ShapeError(f"{name} must be positive, got {value}")
+    return int(value)
+
+
+def _shape(shape: tuple[int, int]) -> tuple[int, int]:
+    """`shape` as two ints when it is two extents; else ShapeError."""
+    try:
+        height, width = shape
+        return _extent("height", height), _extent("width", width)
+    except (TypeError, ValueError, ShapeError):
+        raise ShapeError(f"shape must be two positive integers, got {shape}") from None
 
 
 class PgmParseError(RedlabError):

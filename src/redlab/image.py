@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PgmParseError, ShapeError, UnsupportedFormatError
+from .errors import (DomainError, PgmParseError, ShapeError, UnsupportedFormatError,
+                     _count, _extent)
 
 __all__ = [
     "Image",
@@ -71,6 +72,7 @@ class Image:
     @classmethod
     def from_flat(cls, values: np.ndarray, height: int, width: int) -> "Image":
         values = np.asarray(values, dtype=np.float64)
+        height, width = _extent("height", height), _extent("width", width)
         if values.size != height * width:
             raise ShapeError(
                 f"cannot reshape {values.size} values to {height}x{width}"
@@ -116,8 +118,7 @@ def extract_center_patch(img: Image, size: int) -> Image:
     When the margin is odd the patch is biased toward the top-left of the
     two candidate centers (floor division).
     """
-    if size < 1:
-        raise ShapeError(f"patch size must be positive, got {size}")
+    size = _extent("patch size", size)
     if size > img.height or size > img.width:
         raise ShapeError(
             f"patch size {size} exceeds image extent {img.height}x{img.width}"
@@ -136,7 +137,7 @@ def awgn(x: Image, variance: float, seed: int) -> Image:
     """
     if not 0 <= variance < math.inf:
         raise DomainError(f"noise variance must be finite and >= 0, got {variance}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     noise = rng.standard_normal(x.pixels.shape)
     return Image(x.pixels + math.sqrt(variance) * noise)
 

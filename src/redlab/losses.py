@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, _positive
+from .errors import ConfigError, ShapeError, _count, _positive
 from .image import Image
 from .operators import CircularConvolution, LinearOperator, NormalSolver
 
@@ -22,7 +22,7 @@ __all__ = ["QuadraticLoss", "make_uniform_blur"]
 
 def make_uniform_blur(width: int) -> CircularConvolution:
     """Uniform width x width blur with periodic boundaries."""
-    if width % 2 == 0 or width < 1:
+    if _count("blur width", width) % 2 == 0:
         raise ConfigError(f"blur width must be odd and positive, got {width}")
     kernel = np.full((width, width), 1.0 / (width * width))
     return CircularConvolution(kernel)

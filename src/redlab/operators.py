@@ -169,6 +169,8 @@ class CircularConvolution(LinearOperator):
             raise ConfigError(f"kernel must be 2-D, got ndim={kernel.ndim}")
         if kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
             raise ConfigError(f"kernel extents must be odd, got {kernel.shape}")
+        if not np.isfinite(kernel).all():
+            raise ConfigError("kernel must be finite")
         self.kernel = kernel
         self._half_transfer: dict[tuple[int, int], np.ndarray] = {}
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError, _count
 from .image import Image, awgn, extract_center_patch
 
 __all__ = [
@@ -39,9 +39,8 @@ def _coords(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def synthetic_scene(index: int, size: int = 64) -> Image:
     """Integer-valued scene in [0, 255], deterministic in (index, size)."""
-    if size < 4:
-        raise ConfigError(f"scene size must be >= 4, got {size}")
-    rng = np.random.default_rng(1000 + index)
+    size = _count("scene size", size, 4)
+    rng = np.random.default_rng(1000 + _count("scene index", index, 0))
     yy, xx = _coords(size)
     img = np.zeros((size, size))
 
@@ -95,10 +94,8 @@ def rank_equalize(img: Image) -> Image:
 
 def diagnostic_patches(count: int = 12, size: int = 16) -> list[Image]:
     """Center patches of successive scenes, rank-equalized per patch."""
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
     patches = []
-    for index in range(count):
+    for index in range(_count("count", count)):
         scene = synthetic_scene(index, size=4 * size)
         patches.append(rank_equalize(extract_center_patch(scene, size)))
     return patches

@@ -35,7 +35,7 @@ import numpy as np
 
 from .denoisers import Denoiser
 from .diagnostics import _STACK_BYTES, RedProblem, cost_red, fp_residual
-from .errors import ConfigError, DivergenceError, DomainError, ShapeError, _positive
+from .errors import ConfigError, DivergenceError, DomainError, _count, _positive, _shape
 from .image import Image, psnr
 from .workers import _spare_cpu, _Stream
 
@@ -86,9 +86,9 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("iterations", "inner_iterations"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value}")
+            setattr(self, name, _count(name, getattr(self, name)))
+        if not isinstance(self.record_timing, (bool, np.bool_)):
+            raise ConfigError(f"record_timing must be a bool, got {self.record_timing!r}")
         for name in ("beta", "step_scale", "l_initial", "l_final", "sd_step",
                      "stop_fp_residual"):
             if getattr(self, name) is not None:
@@ -441,14 +441,11 @@ def nonexpansiveness_probe(f: Denoiser, trials: int, seed: int,
     as many pairs as fit in the probes' stack budget.  A value <= 1 + tol
     supports (never proves) that f is non-expansive on its working range.
     """
-    if len(shape) != 2 or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape):
-        raise ShapeError(f"shape must be two positive integers, got {shape}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    h, w = _shape(shape)
+    trials = _count("trials", trials)
     if not 0 <= scale < math.inf:
         raise ConfigError(f"scale must be finite and >= 0, got {scale}")
-    rng = np.random.default_rng(seed)
-    h, w = shape
+    rng = np.random.default_rng(_count("seed", seed, 0))
     chunk = max(1, _STACK_BYTES // (2 * h * w * 8))
     worst = 0.0
     for t0 in range(0, trials, chunk):

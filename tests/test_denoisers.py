@@ -912,7 +912,7 @@ class TestNonexpansivenessProbe:
         assert f.rows == []
 
     def test_zero_trials_are_rejected(self):
-        with pytest.raises(ConfigError, match="^trials must be >= 1, got 0$"):
+        with pytest.raises(ConfigError, match="^trials must be an integer >= 1, got 0$"):
             nonexpansiveness_probe(TdtDenoiser(25.0), 0, seed=7)
 
     def test_non_finite_output_is_rejected(self):

@@ -1,5 +1,7 @@
 """Forward operators: convolution against brute force, exact adjoints."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from redlab import (
     IdentityOperator,
     Image,
     LinearOperator,
+    LinearSymmetricDenoiser,
     QuadraticLoss,
     ShapeError,
     operator_matrix,
@@ -87,6 +90,15 @@ class TestCircularConvolution:
     def test_kernel_must_be_two_dimensional(self):
         with pytest.raises(ConfigError, match="^kernel must be 2-D, got ndim=3$"):
             CircularConvolution(np.ones((3, 3, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=str)
+    def test_kernel_must_be_finite(self, value):
+        kernel = np.full((3, 3), value)
+        for build in (CircularConvolution, lambda k: LinearSymmetricDenoiser(k, (8, 8))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match="^kernel must be finite$"):
+                    build(kernel)
 
     def test_kernel_larger_than_image(self):
         op = CircularConvolution(np.ones((5, 5)) / 25.0)

@@ -73,6 +73,14 @@ class TestSolverConfig:
                            match=rf"^{name} must be an integer >= 1, got {value}$"):
             SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", ["off", 1, None], ids=repr)
+    def test_record_timing_must_be_a_bool(self, value):
+        with pytest.raises(ConfigError, match=rf"^record_timing must be a bool, got {value!r}$"):
+            SolverConfig(record_timing=value)
+
+    def test_record_timing_accepts_a_numpy_bool(self):
+        assert SolverConfig(record_timing=np.True_).record_timing
+
     def test_counts_accept_numpy_integers(self):
         assert SolverConfig(iterations=np.int64(3)).iterations == 3
 

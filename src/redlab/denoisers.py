@@ -25,11 +25,11 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
-import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, _count, _positive, _shape
+from .errors import (ConfigError, DomainError, ShapeError, _count, _finite, _nonnegative, _odd,
+                     _positive, _shape)
 from .image import Image
 from .operators import CircularConvolution, _irfft2, _rfft2
 
@@ -69,8 +69,7 @@ class Denoiser:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 3:
             raise ShapeError(f"expected a (B, h, w) stack, got shape {xs.shape}")
-        if not np.isfinite(xs).all():
-            raise DomainError("image pixels must be finite")
+        _finite("image pixels", xs, DomainError)
         return self._kernel(xs)
 
 
@@ -215,10 +214,7 @@ class TdtDenoiser(Denoiser):
     """
 
     def __init__(self, threshold: float):
-        threshold = float(threshold)
-        if not 0 <= threshold < math.inf:
-            raise ConfigError(f"threshold must be finite and >= 0, got {threshold}")
-        self.threshold = threshold
+        self.threshold = _nonnegative("threshold", threshold)
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
         return _haar(xs, forward=True, inverse=True, threshold=self.threshold)
@@ -233,9 +229,7 @@ class MedianFilterDenoiser(Denoiser):
     """
 
     def __init__(self, window: int = 3):
-        self.window = _count("window", window)
-        if self.window % 2 == 0:
-            raise ConfigError(f"window must be odd and positive, got {window}")
+        self.window = _odd("window", window)
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
         b, h, w = xs.shape
@@ -495,8 +489,7 @@ class GmmMmseDenoiser(Denoiser):
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         if centers.shape[0] < 1:
             raise ConfigError("at least one center is required")
-        if not np.all(np.isfinite(centers)):
-            raise ConfigError("centers must be finite")
+        _finite("centers", centers, ConfigError)
         self.centers = centers
         self.noise_variance = _positive("noise variance", noise_variance)
 

@@ -218,13 +218,18 @@ def numerical_gradient_rho(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) 
     )
 
 
+def _relative_error(estimate: np.ndarray, reference: np.ndarray, name: str) -> float:
+    """||estimate - reference||^2 / ||reference||^2; DegenerateInputError if reference is 0."""
+    denom = float(reference @ reference)
+    if denom == 0.0:
+        raise DegenerateInputError(f"{name} is identically zero")
+    diff = estimate - reference
+    return float(diff @ diff) / denom
+
+
 def grad_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Relative squared error ||analytic - numeric||^2 / ||numeric||^2."""
-    denom = float(numeric @ numeric)
-    if denom == 0.0:
-        raise DegenerateInputError("numeric gradient is identically zero")
-    diff = analytic - numeric
-    return float(diff @ diff) / denom
+    return _relative_error(analytic, numeric, "numeric gradient")
 
 
 def lh_error_1(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON,
@@ -237,12 +242,7 @@ def lh_error_1(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON,
     scaled = f.apply(Image((1.0 + eps) * x.pixels)).flat
     if fx is None:
         fx = f.apply(x)
-    ref = (1.0 + eps) * fx.flat
-    denom = float(ref @ ref)
-    if denom == 0.0:
-        raise DegenerateInputError("denoiser output is identically zero")
-    diff = scaled - ref
-    return float(diff @ diff) / denom
+    return _relative_error(scaled, (1.0 + eps) * fx.flat, "denoiser output")
 
 
 def lh_error_2(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON,
@@ -257,11 +257,7 @@ def lh_error_2(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON,
         jacobian = numerical_jacobian(f, x, eps)
     if fx is None:
         fx = f.apply(x)
-    denom = float(fx.flat @ fx.flat)
-    if denom == 0.0:
-        raise DegenerateInputError("denoiser output is identically zero")
-    diff = jacobian.matrix @ x.flat - fx.flat
-    return float(diff @ diff) / denom
+    return _relative_error(jacobian.matrix @ x.flat, fx.flat, "denoiser output")
 
 
 def hessian_rho_red(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> np.ndarray:

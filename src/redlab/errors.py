@@ -44,11 +44,33 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+def _nonnegative(name: str, value: float, error: type[RedlabError] = ConfigError) -> float:
+    """`value` as a float when it is finite and >= 0; otherwise `error`."""
+    value = float(value)
+    if not 0 <= value < math.inf:
+        raise error(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
+def _finite(name: str, a: np.ndarray, error: type[RedlabError]) -> None:
+    """Raise `error` unless every value of `a` is finite."""
+    if not np.isfinite(a).all():
+        raise error(f"{name} must be finite")
+
+
 def _count(name: str, value: int, minimum: int = 1) -> int:
     """`value` as an int when it is an integer, not a bool, >= minimum; else ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)
+
+
+def _odd(name: str, value: int) -> int:
+    """`value` as an int when it is an odd integer >= 1, not a bool; else ConfigError."""
+    value = _count(name, value)
+    if value % 2 == 0:
+        raise ConfigError(f"{name} must be odd and positive, got {value}")
+    return value
 
 
 def _extent(name: str, value: int) -> int:

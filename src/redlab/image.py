@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, PgmParseError, ShapeError, UnsupportedFormatError,
-                     _count, _extent)
+                     _count, _extent, _finite, _nonnegative)
 
 __all__ = [
     "Image",
@@ -89,8 +89,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
         raise ShapeError(f"image requires a 2-D array, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"image dimensions must be positive, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise DomainError("image pixels must be finite")
+    _finite("image pixels", a, DomainError)
     a.flags.writeable = False
     return a
 
@@ -135,8 +134,7 @@ def awgn(x: Image, variance: float, seed: int) -> Image:
     `seed`, so a given (image, variance, seed) triple always produces the
     same output.
     """
-    if not 0 <= variance < math.inf:
-        raise DomainError(f"noise variance must be finite and >= 0, got {variance}")
+    variance = _nonnegative("noise variance", variance, DomainError)
     rng = np.random.default_rng(_count("seed", seed, 0))
     noise = rng.standard_normal(x.pixels.shape)
     return Image(x.pixels + math.sqrt(variance) * noise)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _finite
 from .image import Image
 
 __all__ = [
@@ -169,8 +169,7 @@ class CircularConvolution(LinearOperator):
             raise ConfigError(f"kernel must be 2-D, got ndim={kernel.ndim}")
         if kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
             raise ConfigError(f"kernel extents must be odd, got {kernel.shape}")
-        if not np.isfinite(kernel).all():
-            raise ConfigError("kernel must be finite")
+        _finite("kernel", kernel, ConfigError)
         self.kernel = kernel
         self._half_transfer: dict[tuple[int, int], np.ndarray] = {}
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, _count
+from .errors import ShapeError, _count, _extent
 from .image import Image, awgn, extract_center_patch
 
 __all__ = [
@@ -94,6 +94,7 @@ def rank_equalize(img: Image) -> Image:
 
 def diagnostic_patches(count: int = 12, size: int = 16) -> list[Image]:
     """Center patches of successive scenes, rank-equalized per patch."""
+    size = _extent("patch size", size)
     patches = []
     for index in range(_count("count", count)):
         scene = synthetic_scene(index, size=4 * size)

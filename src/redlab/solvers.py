@@ -35,7 +35,8 @@ import numpy as np
 
 from .denoisers import Denoiser
 from .diagnostics import _STACK_BYTES, RedProblem, cost_red, fp_residual
-from .errors import ConfigError, DivergenceError, DomainError, _count, _positive, _shape
+from .errors import (ConfigError, DivergenceError, DomainError, _count, _finite, _nonnegative,
+                     _positive, _shape)
 from .image import Image, psnr
 from .workers import _spare_cpu, _Stream
 
@@ -443,16 +444,14 @@ def nonexpansiveness_probe(f: Denoiser, trials: int, seed: int,
     """
     h, w = _shape(shape)
     trials = _count("trials", trials)
-    if not 0 <= scale < math.inf:
-        raise ConfigError(f"scale must be finite and >= 0, got {scale}")
+    scale = _nonnegative("scale", scale)
     rng = np.random.default_rng(_count("seed", seed, 0))
     chunk = max(1, _STACK_BYTES // (2 * h * w * 8))
     worst = 0.0
     for t0 in range(0, trials, chunk):
         pairs = rng.uniform(0.0, scale, (min(chunk, trials - t0), 2, h, w))
         outs = f.apply_stack(pairs.reshape(-1, h, w)).reshape(pairs.shape)
-        if not np.all(np.isfinite(outs)):
-            raise DomainError("denoiser output must be finite")
+        _finite("denoiser output", outs, DomainError)
         for (a, b), (fa, fb) in zip(pairs, outs):
             gap = float(np.linalg.norm(a - b))
             if gap == 0.0:

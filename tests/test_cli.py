@@ -257,6 +257,24 @@ def test_traced_run_finds_every_name_it_wraps(tmp_path):
     assert spans.stat().st_size > 0
 
 
+def test_traced_install_finds_every_name_it_wraps():
+    """bench/traced.py's `install` alone, against this source tree: a name it
+    wraps that a refactor removed fails here with the AttributeError, before
+    any run starts."""
+    script = textwrap.dedent("""\
+        import sys
+        sys.path[:0] = sys.argv[1:]
+        from spans import SpanRecorder
+        from traced import install
+        install(SpanRecorder())
+    """)
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", script, str(REPO / "src"), str(REPO / "bench")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.fixture
 def bench_modules(monkeypatch):
     """bench/run.py and bench/check.py, imported as the benchmark does."""

@@ -218,7 +218,8 @@ class _ConfigReader:
 # ---------------------------------------------------------------------------
 # Denoiser and problem construction
 
-_DenoiserBuild = Callable[[tuple[int, int]], Denoiser]
+# A kind's constructor called with the image shape; `keywords` holds its key values.
+_DenoiserBuild = functools.partial[Denoiser]
 
 
 class _Key(NamedTuple):
@@ -300,10 +301,14 @@ def _read_denoiser(reader: _ConfigReader, section: str,
     return kind, functools.partial(build, **values)
 
 
-def _check_tdt_side(kinds: list[str], side: int, key: str) -> None:
-    """The Haar transform of 'tdt' needs power-of-two image sides."""
-    if "tdt" in kinds and not _is_power_of_two(side):
+def _check_side(specs: list[tuple[str, _DenoiserBuild]], side: int, key: str) -> None:
+    """The Haar transform of 'tdt' needs power-of-two image sides, and a
+    median window must fit in the image."""
+    if "tdt" in (kind for kind, _ in specs) and not _is_power_of_two(side):
         raise ConfigError(f"{key}: 'tdt' needs a power of two")
+    for window in (build.keywords["window"] for kind, build in specs if kind == "median"):
+        if window > side:
+            raise ConfigError(f"{key}: must be >= the median window {window}, got {side}")
 
 
 def _input_path(config_dir: Path, section: str, key: str, name: str) -> Path:
@@ -323,10 +328,10 @@ class _ProblemSpec(NamedTuple):
     denoiser_kind: str
     build_denoiser: _DenoiserBuild
 
-    def check_tdt_size(self) -> None:
+    def check_size(self) -> None:
         """Planners call this after their own reads, so those errors come first."""
         if self.image_path is None:
-            _check_tdt_side([self.denoiser_kind], self.size, "[problem] size")
+            _check_side([(self.denoiser_kind, self.build_denoiser)], self.size, "[problem] size")
 
 
 def _read_problem(reader: _ConfigReader, config_dir: Path, default_blur: int,
@@ -467,8 +472,7 @@ def _plan_report(which: str) -> Callable:
                 )
             default_kind = label if label in _DENOISER_KINDS else None
             specs.append(_read_denoiser(reader, label, default_kind))
-        _check_tdt_side([kind for kind, _ in specs], patch_size,
-                        "[experiment] patch_size")
+        _check_side(specs, patch_size, "[experiment] patch_size")
 
         def execute() -> Outputs:
             if image_paths is not None:
@@ -574,7 +578,7 @@ def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
     problem_spec = _read_problem(reader, config_dir, default_blur=1)
     method = _read_method(reader)
     cfg = _read_solver(reader, default_iterations=500, method=method)
-    problem_spec.check_tdt_size()
+    problem_spec.check_size()
     label = problem_spec.denoiser_kind
 
     def execute() -> Outputs:
@@ -598,7 +602,7 @@ def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
     cfg = _read_solver(reader, default_iterations=200, method=method)
     radius = reader.get_float("slice", "radius", default=2.0)
     points = reader.get_int("slice", "points", default=21, minimum=2)
-    problem_spec.check_tdt_size()
+    problem_spec.check_size()
     label = problem_spec.denoiser_kind
 
     def execute() -> Outputs:
@@ -748,7 +752,7 @@ def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
                                           default=100.0)
     problem_spec = _read_problem(reader, config_dir, default_blur=9)
     cfg = _read_solver(reader, default_iterations=2000)
-    problem_spec.check_tdt_size()
+    problem_spec.check_size()
     label = problem_spec.denoiser_kind
 
     def execute() -> Outputs:
@@ -892,8 +896,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DivergenceError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RedlabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RedlabError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -353,7 +353,8 @@ class NlmDenoiser(Denoiser):
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
         b, h, w = xs.shape
         p = self.patch_radius
-        s = self.search_radius
+        # Offsets past the image's extent reach no pixel, so none is visited.
+        sy, sx = min(self.search_radius, h - 1), min(self.search_radius, w - 1)
         k = 2 * p + 1
         x = np.ascontiguousarray(xs.transpose(1, 2, 0))
         padded = np.pad(x, ((p, p), (p, p), (0, 0)), mode="edge")
@@ -371,16 +372,13 @@ class NlmDenoiser(Denoiser):
         # their mirror in consecutive slices of one buffer while they fit
         # in the byte budget; at most half of the other offsets keep any.
         kept: dict[tuple[int, int], np.ndarray] = {}
-        kept_buffer = np.empty(min(_MIRROR_BYTES // 8, x.size * ((2 * s + 1) ** 2 // 2)))
+        kept_buffer = np.empty(min(_MIRROR_BYTES // 8,
+                                   x.size * ((2 * sy + 1) * (2 * sx + 1) // 2)))
         used = 0
-        for dy in range(-s, s + 1):
+        for dy in range(-sy, sy + 1):
             r_lo, r_hi = max(0, -dy), min(h, h - dy)
-            if r_lo >= r_hi:
-                continue
-            for dx in range(-s, s + 1):
+            for dx in range(-sx, sx + 1):
                 c_lo, c_hi = max(0, -dx), min(w, w - dx)
-                if c_lo >= c_hi:
-                    continue
                 weight = kept.pop((dy, dx), None)
                 if weight is None:
                     # Padded pixels under the patches centred at rows

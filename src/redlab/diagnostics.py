@@ -62,7 +62,7 @@ __all__ = [
 DEFAULT_EPSILON = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobianEstimate:
     """Central-difference Jacobian at one image; grad rho_red from the same calls."""
 
@@ -281,7 +281,7 @@ def analytic_hessian_linear(w: np.ndarray) -> np.ndarray:
     return np.eye(w.shape[0]) - 0.5 * w - 0.5 * w.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RedProblem:
     """Composite recovery problem: quadratic fidelity plus lambda * rho_red.
 
@@ -293,7 +293,7 @@ class RedProblem:
     noise_variance: float
     weight: float
     denoiser: Denoiser
-    loss: QuadraticLoss = field(init=False, repr=False, compare=False)
+    loss: QuadraticLoss = field(init=False, repr=False)
 
     def __post_init__(self):
         loss = QuadraticLoss(self.operator, self.y, self.noise_variance)

@@ -31,9 +31,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Image:
-    """A height x width grid of float64 samples with value semantics.
+    """An immutable height x width grid of float64 samples.
 
     The wrapped array is copied on construction and marked read-only, so
     instances can be shared freely between operations.  Inside the package,

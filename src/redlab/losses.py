@@ -27,7 +27,7 @@ def make_uniform_blur(width: int) -> CircularConvolution:
     return CircularConvolution(kernel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticLoss:
     """Gaussian negative log-likelihood ||A x - y||^2 / (2 sigma^2).
 
@@ -40,7 +40,7 @@ class QuadraticLoss:
     operator: LinearOperator
     y: Image
     noise_variance: float
-    _solver: NormalSolver = field(init=False, repr=False, compare=False)
+    _solver: NormalSolver = field(init=False, repr=False)
 
     def __post_init__(self):
         _positive("noise variance", self.noise_variance)

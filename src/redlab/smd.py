@@ -34,13 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KdePrior:
     """Equal-weight isotropic Gaussian mixture; its matched denoiser is built once."""
 
     centers: np.ndarray
     bandwidth: float
-    _denoiser: GmmMmseDenoiser = field(init=False, repr=False, compare=False)
+    _denoiser: GmmMmseDenoiser = field(init=False, repr=False)
 
     def __post_init__(self):
         _positive("bandwidth", self.bandwidth)
@@ -89,7 +89,7 @@ def score(prior: KdePrior, r: np.ndarray) -> np.ndarray:
     return (prior.denoiser().posterior_mean(r) - r) / prior.bandwidth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TweedieRegularizer:
     """rho(r) = -nu * ln p(r) for a KDE prior: gradient r - E[x | r]."""
 

@@ -855,9 +855,15 @@ class TestOutputRouting:
         assert (tmp_path / "rel_results" / "tweedie-check_summary.txt").exists()
 
 
+class RunTime(str):
+    """An INVALID_CONFIGS message whose error needs the image itself, so
+    `validate` accepts the config and only `run` prints the message."""
+
+
 # Invalid configs: (case id, experiment, lines after the [experiment] name,
 # seed and output keys, exact stderr message).  "{dir}" is the resolved
-# config directory.  Every case exits 2 at `run` and writes nothing.
+# config directory.  Every case exits 2 at `run` and writes nothing; every
+# case but the RunTime ones exits 2 with the same message at `validate`.
 INVALID_CONFIGS = [
     ("tdt-size", "trajectory", "[problem]\nsize = 12\n",
      "[problem] size: 'tdt' needs a power of two"),
@@ -897,7 +903,7 @@ INVALID_CONFIGS = [
     ("unused-section", "tweedie-check", "[slice]\nradius = 1\n",
      "section [slice] is not used by experiment 'tweedie-check'"),
     ("tdt-on-12x12-pgm", "trajectory", "[problem]\nimage = small.pgm\n",
-     "denoiser 'tdt' needs power-of-two image sides, got (12, 12)"),
+     RunTime("denoiser 'tdt' needs power-of-two image sides, got (12, 12)")),
     ("image-with-size", "trajectory",
      "[problem]\nimage = small.pgm\nsize = 16\n[denoiser]\nkind = median\n",
      "[problem] size: not allowed with image"),
@@ -943,9 +949,16 @@ INVALID_CONFIGS = [
      "unknown key(s) in [experiment]: steps"),
     ("patch-size-with-images", "jacobian-report", "images = small.pgm\npatch_size = 64\n",
      "[experiment] patch_size: must be <= 32"),
+    ("median-window-over-size", "trajectory",
+     "[problem]\nsize = 8\n[denoiser]\nkind = median\nwindow = 9\n",
+     "[problem] size: must be >= the median window 9, got 8"),
+    ("median-window-over-patch-size", "jacobian-report",
+     "denoisers = nlm, median\npatch_size = 4\n[median]\nwindow = 5\n",
+     "[experiment] patch_size: must be >= the median window 5, got 4"),
+    ("median-window-over-12x12-pgm", "trajectory",
+     "[problem]\nimage = small.pgm\n[denoiser]\nkind = median\nwindow = 13\n",
+     RunTime("window 13 exceeds image extent 12x12")),
 ]
-# Cases whose error needs the image itself, so `validate` accepts them.
-RUN_TIME_ERRORS = {"tdt-on-12x12-pgm"}
 
 
 class TestInvalidConfigs:
@@ -963,7 +976,7 @@ class TestInvalidConfigs:
         )
         before = sorted(tmp_path.rglob("*"))
         error = "error: " + message.format(dir=tmp_path.resolve()) + "\n"
-        if case in RUN_TIME_ERRORS:
+        if isinstance(message, RunTime):
             assert main(["validate", config]) == 0
             assert capsys.readouterr() == (f"config ok: experiment '{experiment}'\n", "")
         else:
@@ -985,6 +998,33 @@ class TestInvalidConfigs:
             assert main([command, config]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(tmp_path.rglob("*")) == before
+
+
+# What numpy's MemoryError says for a [problem] size = 1000000 scene.
+NUMPY_OUT_OF_MEMORY = ("Unable to allocate 7.28 TiB for an array with shape "
+                       "(1000000, 1000000) and data type float64")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(NUMPY_OUT_OF_MEMORY), NUMPY_OUT_OF_MEMORY),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy-message", "no-message"])
+def test_a_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                    exc, message):
+    """The scene builder raises instead of allocating: on a machine that
+    overcommits memory a real allocation of this size could be granted."""
+    def out_of_memory(**kwargs):
+        raise exc
+
+    monkeypatch.setattr("redlab.cli.solver_scene", out_of_memory)
+    config = write_config(
+        tmp_path,
+        f"[experiment]\nname = trajectory\nseed = 1\noutput = {tmp_path / 'out'}\n"
+        "[problem]\nsize = 1000000\n[denoiser]\nkind = median\n",
+    )
+    assert main(["run", config]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_only_cmd_run_names_formats_and_writes_outputs():

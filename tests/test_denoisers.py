@@ -1,6 +1,7 @@
 """Denoiser behavior against independent per-pixel and transform oracles."""
 
 import re
+import signal
 import sys
 import threading
 
@@ -724,6 +725,41 @@ class TestNlmBoxSum:
             assert 61 < len(calls) < 121
         else:
             assert len(calls) == computed
+
+
+class TestNlmSearchClipping:
+    """Offsets past the image reach no pixel, so a search radius of s gives
+    the bits of min(s, h - 1) on rows and min(s, w - 1) on columns, and in
+    the time of that clipped window."""
+
+    @staticmethod
+    def apply_within(seconds, f, xs):
+        """f.apply_stack(xs), failing instead of hanging past `seconds`."""
+        def interrupt(signum, frame):
+            raise TimeoutError(f"NLM apply ran past {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            return f.apply_stack(xs)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("batch, shape", [
+        (1, (16, 16)), (1, (5, 9)), (1, (1, 7)), (1, (9, 1)), (32, (16, 16)),
+    ], ids=["16x16", "5x9", "1x7", "9x1", "stack-32"])
+    @pytest.mark.parametrize("radius", ["side-1", "side", "3side", "1e18"])
+    def test_radii_past_the_image_give_the_clipped_bits(self, batch, shape, radius):
+        side = max(shape)
+        search_radius = {"side-1": side - 1, "side": side, "3side": 3 * side,
+                         "1e18": 10**18}[radius]
+        xs = np.random.default_rng(49).uniform(0.0, 255.0, size=(batch,) + shape)
+        # The largest extent - 1 clips to h - 1 and w - 1: every offset
+        # that reaches the image, and no other.
+        clipped = NlmDenoiser(1, side - 1, noise_variance=625.0).apply_stack(xs)
+        f = NlmDenoiser(1, search_radius, noise_variance=625.0)
+        assert self.apply_within(5.0, f, xs).tobytes() == clipped.tobytes()
 
 
 # Output extents (rows, cols) of the box sum: general, one row, one

@@ -11,10 +11,17 @@ from hypothesis.extra import numpy as hnp
 
 from redlab import (
     DomainError,
+    IdentityOperator,
     Image,
+    JacobianEstimate,
+    KdePrior,
     PgmParseError,
+    QuadraticLoss,
     RedlabError,
+    RedProblem,
     ShapeError,
+    TdtDenoiser,
+    TweedieRegularizer,
     UnsupportedFormatError,
     awgn,
     extract_center_patch,
@@ -80,6 +87,30 @@ class TestImage:
     def test_shape_properties(self):
         img = Image(np.zeros((3, 5)))
         assert (img.height, img.width, img.size) == (3, 5, 15)
+
+
+# Frozen types that hold arrays: each builds two instances of equal content.
+ARRAY_HOLDERS = {
+    "Image": lambda: Image(np.zeros((4, 4))),
+    "JacobianEstimate": lambda: JacobianEstimate(np.eye(4), 1e-3, np.zeros(4)),
+    "RedProblem": lambda: RedProblem(IdentityOperator(), Image(np.zeros((4, 4))), 1.0, 0.1,
+                                     TdtDenoiser(0.1)),
+    "QuadraticLoss": lambda: QuadraticLoss(IdentityOperator(), Image(np.zeros((4, 4))), 1.0),
+    "KdePrior": lambda: KdePrior(np.zeros((3, 2)), 1.0),
+    "TweedieRegularizer": lambda: TweedieRegularizer(KdePrior(np.zeros((3, 2)), 1.0)),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_and_hash_by_identity(build):
+    """No generated __eq__ compares the arrays: equality is identity, and
+    instances hash, so they can be set members and dict keys."""
+    a, b = build(), build()
+    assert a == a
+    assert a != b
+    assert not a == b
+    assert a in {a} and b not in {a}
+    assert len({a, b}) == 2
 
 
 class TestPsnr:

@@ -241,13 +241,6 @@ class _Key(NamedTuple):
         return value
 
 
-def _build_tdt(shape: tuple[int, int], **values) -> Denoiser:
-    # Config sizes are checked at plan time; a PGM's sides are known only now.
-    if not (_is_power_of_two(shape[0]) and _is_power_of_two(shape[1])):
-        raise ConfigError(f"denoiser 'tdt' needs power-of-two image sides, got {shape}")
-    return TdtDenoiser(**values)
-
-
 def _build_gmm(shape: tuple[int, int], components: int, center_scale: float,
                center_seed: int, noise_variance: float) -> Denoiser:
     rng = np.random.default_rng(center_seed)
@@ -260,7 +253,7 @@ _NOISE_VARIANCE = _Key("noise_variance", float, 3.25**2)
 # Each kind: its keys in read order, and a constructor taking the image
 # shape and the key values by name.
 _DENOISER_KINDS: dict[str, tuple[tuple[_Key, ...], Callable[..., Denoiser]]] = {
-    "tdt": ((_Key("threshold", float, 0.001),), _build_tdt),
+    "tdt": ((_Key("threshold", float, 0.001),), lambda shape, **values: TdtDenoiser(**values)),
     "median": (
         (_Key("window", int, 3, minimum=1, odd=True),),
         lambda shape, **values: MedianFilterDenoiser(**values),
@@ -301,14 +294,17 @@ def _read_denoiser(reader: _ConfigReader, section: str,
     return kind, functools.partial(build, **values)
 
 
-def _check_side(specs: list[tuple[str, _DenoiserBuild]], side: int, key: str) -> None:
-    """The Haar transform of 'tdt' needs power-of-two image sides, and a
-    median window must fit in the image."""
-    if "tdt" in (kind for kind, _ in specs) and not _is_power_of_two(side):
+def _check_side(specs: list[tuple[str, _DenoiserBuild]], shape: tuple[int, int],
+                blur: int, key: str) -> None:
+    """The image-side rule: the Haar transform of 'tdt' needs power-of-two
+    sides, and each median window and the blur must fit in the shorter side."""
+    if "tdt" in (kind for kind, _ in specs) and not all(map(_is_power_of_two, shape)):
         raise ConfigError(f"{key}: 'tdt' needs a power of two")
-    for window in (build.keywords["window"] for kind, build in specs if kind == "median"):
-        if window > side:
-            raise ConfigError(f"{key}: must be >= the median window {window}, got {side}")
+    side = min(shape)
+    windows = [("median window", b.keywords["window"]) for kind, b in specs if kind == "median"]
+    for name, width in windows + [("blur width", blur)]:
+        if width > side:
+            raise ConfigError(f"{key}: must be >= the {name} {width}, got {side}")
 
 
 def _input_path(config_dir: Path, section: str, key: str, name: str) -> Path:
@@ -331,7 +327,8 @@ class _ProblemSpec(NamedTuple):
     def check_size(self) -> None:
         """Planners call this after their own reads, so those errors come first."""
         if self.image_path is None:
-            _check_side([(self.denoiser_kind, self.build_denoiser)], self.size, "[problem] size")
+            _check_side([(self.denoiser_kind, self.build_denoiser)], (self.size, self.size),
+                        self.blur, "[problem] size")
 
 
 def _read_problem(reader: _ConfigReader, config_dir: Path, default_blur: int,
@@ -364,6 +361,8 @@ def _read_problem(reader: _ConfigReader, config_dir: Path, default_blur: int,
 def _build_problem(ps: _ProblemSpec, seed: int) -> tuple[RedProblem, Image]:
     if ps.image_path is not None:
         truth = load_pgm(str(ps.image_path))
+        _check_side([(ps.denoiser_kind, ps.build_denoiser)], truth.pixels.shape, ps.blur,
+                    f"[problem] image {truth.pixels.shape}")
     else:
         truth = solver_scene(size=ps.size, index=ps.scene_index)
     shape = truth.pixels.shape
@@ -472,7 +471,7 @@ def _plan_report(which: str) -> Callable:
                 )
             default_kind = label if label in _DENOISER_KINDS else None
             specs.append(_read_denoiser(reader, label, default_kind))
-        _check_side(specs, patch_size, "[experiment] patch_size")
+        _check_side(specs, (patch_size, patch_size), 1, "[experiment] patch_size")
 
         def execute() -> Outputs:
             if image_paths is not None:
@@ -662,6 +661,7 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
         )
     base = _read_solver(reader, default_iterations=500, default_inner=20)
     l_apg = reader.get_float("solver", "l_apg", default=1.0)
+    problem_spec.check_size()
 
     def execute() -> Outputs:
         problem, truth = _build_problem(problem_spec, seed)
@@ -835,6 +835,8 @@ def _load_plan(config_path: str) -> _Plan:
         )
     seed = reader.get_int("experiment", "seed", required=True, minimum=0)
     output = reader.get_str("experiment", "output", default=".")
+    if not output:
+        raise ConfigError("[experiment] output: must name a directory")
     execute = _EXPERIMENTS[name][1](reader, path.parent, seed)
     reader.finish(name)
     return _Plan(name=name, output=output, execute=execute)

@@ -82,26 +82,26 @@ def pnp_pair(loss: QuadraticLoss, f: Denoiser, beta: float) -> EquilibriumPair:
     )
 
 
+def _red_pair(loss: QuadraticLoss, f: Denoiser, prox_weight: float, c: float,
+              tol: float, maxiter: int, **params: float) -> EquilibriumPair:
+    return EquilibriumPair(
+        F=lambda v: loss.prox(v, prox_weight),
+        G=lambda v: g_red_inverse(f, c, v, tol, maxiter),
+        params={**params, "c": c},
+    )
+
+
 def red_admm_pair(loss: QuadraticLoss, f: Denoiser, weight: float, beta: float,
                   tol: float = DEFAULT_TOL, maxiter: int = DEFAULT_MAXITER) -> EquilibriumPair:
     """Splitting-solver pair: prox at beta against the c = lambda/beta inverse."""
-    c = weight / beta
-    return EquilibriumPair(
-        F=lambda v: loss.prox(v, beta),
-        G=lambda v: g_red_inverse(f, c, v, tol, maxiter),
-        params={"weight": weight, "beta": beta, "c": c},
-    )
+    return _red_pair(loss, f, beta, weight / beta, tol, maxiter, weight=weight, beta=beta)
 
 
 def red_pg_pair(loss: QuadraticLoss, f: Denoiser, weight: float, l_scale: float,
                 tol: float = DEFAULT_TOL, maxiter: int = DEFAULT_MAXITER) -> EquilibriumPair:
     """Proximal-gradient pair: prox at lambda L against the c = 1/L inverse."""
-    c = 1.0 / l_scale
-    return EquilibriumPair(
-        F=lambda v: loss.prox(v, weight * l_scale),
-        G=lambda v: g_red_inverse(f, c, v, tol, maxiter),
-        params={"weight": weight, "l_scale": l_scale, "c": c},
-    )
+    return _red_pair(loss, f, weight * l_scale, 1.0 / l_scale, tol, maxiter,
+                     weight=weight, l_scale=l_scale)
 
 
 def consensus_residual(pair: EquilibriumPair, x: Image, u: Image) -> tuple[float, float]:

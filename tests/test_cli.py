@@ -903,7 +903,7 @@ INVALID_CONFIGS = [
     ("unused-section", "tweedie-check", "[slice]\nradius = 1\n",
      "section [slice] is not used by experiment 'tweedie-check'"),
     ("tdt-on-12x12-pgm", "trajectory", "[problem]\nimage = small.pgm\n",
-     RunTime("denoiser 'tdt' needs power-of-two image sides, got (12, 12)")),
+     RunTime("[problem] image (12, 12): 'tdt' needs a power of two")),
     ("image-with-size", "trajectory",
      "[problem]\nimage = small.pgm\nsize = 16\n[denoiser]\nkind = median\n",
      "[problem] size: not allowed with image"),
@@ -957,7 +957,21 @@ INVALID_CONFIGS = [
      "[experiment] patch_size: must be >= the median window 5, got 4"),
     ("median-window-over-12x12-pgm", "trajectory",
      "[problem]\nimage = small.pgm\n[denoiser]\nkind = median\nwindow = 13\n",
-     RunTime("window 13 exceeds image extent 12x12")),
+     RunTime("[problem] image (12, 12): must be >= the median window 13, got 12")),
+    ("blur-over-12x12-pgm", "trajectory",
+     "[problem]\nimage = small.pgm\nblur = 13\n[denoiser]\nkind = median\n",
+     RunTime("[problem] image (12, 12): must be >= the blur width 13, got 12")),
+    # The blur must fit the configured side, so `validate` catches it too.
+    ("blur-over-size", "trajectory", "[problem]\nsize = 4\nblur = 9\n",
+     "[problem] size: must be >= the blur width 9, got 4"),
+    ("blur-over-size-cost-slice", "cost-slice", "[problem]\nsize = 4\nblur = 5\n",
+     "[problem] size: must be >= the blur width 5, got 4"),
+    ("default-blur-over-size", "equilibrium-check", "[problem]\nsize = 8\n",
+     "[problem] size: must be >= the blur width 9, got 8"),
+    ("blur-over-size-deblur", "deblur", "[problem]\nsize = 4\nblur = 5\n",
+     "[problem] size: must be >= the blur width 5, got 4"),
+    ("l-apg-before-size", "deblur", "[problem]\nsize = 4\nblur = 5\n[solver]\nl_apg = -1\n",
+     "[solver] l_apg: must be > 0, got -1.0"),
 ]
 
 
@@ -998,6 +1012,45 @@ class TestInvalidConfigs:
             assert main([command, config]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("denoiser, blur, message", [
+    ("tdt", 1, None),
+    ("median\nwindow = 17", 1, "must be >= the median window 17, got 16"),
+    ("median", 17, "must be >= the blur width 17, got 16"),
+], ids=["tdt", "median-window", "blur"])
+def test_a_non_square_image_fits_by_its_shorter_side(tmp_path, capsys, denoiser, blur,
+                                                     message):
+    save_pgm(Image(np.full((16, 32), 100.0)), str(tmp_path / "wide.pgm"))
+    config = write_config(
+        tmp_path,
+        f"[experiment]\nname = trajectory\nseed = 1\noutput = {tmp_path / 'out'}\n"
+        f"[problem]\nimage = wide.pgm\nblur = {blur}\n[denoiser]\nkind = {denoiser}\n"
+        "[solver]\niterations = 2\n",
+    )
+    if message is None:
+        assert main(["run", config]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "out" / "trajectory_tdt.csv").exists()
+    else:
+        assert main(["run", config]) == 2
+        assert capsys.readouterr() == ("", f"error: [problem] image (16, 32): {message}\n")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("env_out", [None, "env_out"])
+def test_an_empty_output_is_rejected_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     env_out):
+    """Also when REDLAB_OUT would override it."""
+    if env_out is not None:
+        monkeypatch.setenv("REDLAB_OUT", str(tmp_path / env_out))
+    config = write_config(tmp_path, "[experiment]\nname = tweedie-check\nseed = 1\n"
+                                    "output =\n")
+    before = sorted(tmp_path.rglob("*"))
+    for command in ("validate", "run"):
+        assert main([command, config]) == 2
+        assert capsys.readouterr() == ("", "error: [experiment] output: must name a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # What numpy's MemoryError says for a [problem] size = 1000000 scene.

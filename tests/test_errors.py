@@ -210,6 +210,9 @@ RULE_OWNERS = [
      lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
      and ast.unparse(node.left) == ast.unparse(node.right),
      {"diagnostics._relative_error", "solvers._log_entry"}),
+    # The Haar transform's power-of-two sides: the library's guard and the CLI's side rule.
+    ("_is_power_of_two", lambda node: isinstance(node, ast.Name) and node.id == "_is_power_of_two",
+     {"denoisers._check_haar_shape", "cli._check_side"}),
 ]
 
 

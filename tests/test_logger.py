@@ -21,6 +21,7 @@ from redlab import (
     awgn,
     cli,
     make_uniform_blur,
+    save_pgm,
     solver_scene,
     solvers,
     workers,
@@ -193,6 +194,29 @@ def test_short_runs_log_inline(two_cpus, fork_calls, monkeypatch, tmp_path):
     iterations = solvers._FORK_ITERATIONS - 1
     assert cli.main(["run", write_trajectory(tmp_path, iterations=iterations)]) == 0
     assert fork_calls == []
+
+
+def test_a_pgm_that_fails_the_side_rule_forks_no_logger(two_cpus, fork_calls, monkeypatch,
+                                                        tmp_path):
+    """The side rule runs on the loaded image before the solver starts."""
+    save_pgm(Image(np.full((12, 12), 100.0)), str(tmp_path / "small.pgm"))
+    config = tmp_path / "pgm.ini"
+    config.write_text(textwrap.dedent("""\
+        [experiment]
+        name = trajectory
+        seed = 1
+
+        [problem]
+        image = small.pgm
+
+        [denoiser]
+        kind = median
+        window = 13
+    """))
+    monkeypatch.setenv("REDLAB_OUT", str(tmp_path / "out"))
+    assert cli.main(["run", str(config)]) == 2
+    assert fork_calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_deblur_workers_fork_no_logger(short_runs_fork, fork_calls, monkeypatch,

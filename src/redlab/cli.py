@@ -223,7 +223,7 @@ _DenoiserBuild = functools.partial[Denoiser]
 
 
 class _Key(NamedTuple):
-    """A denoiser-section key: a float, or an int >= `minimum` (odd if `odd`)."""
+    """A config key: a float, or an int >= `minimum` (odd if `odd`)."""
 
     name: str
     type: type
@@ -386,26 +386,33 @@ def _read_method(reader: _ConfigReader) -> str:
     return method
 
 
-def _read_solver(reader: _ConfigReader, *, default_iterations: int,
-                 method: str | None = None, default_inner: int = 1) -> SolverConfig:
+# Each method-specific [solver] key in read order, the SolverConfig field it sets
+# and the methods that read it; `_read_solver` gives only the defaults that differ.
+_METHOD_KEYS: tuple[tuple[_Key, str, frozenset[str]], ...] = (
+    (_Key("beta", float, None), "beta", frozenset({"admm", "admm_i1"})),
+    (_Key("l", float, None), "step_scale", frozenset({"pg", "apg"})),
+    (_Key("l_initial", float, None), "l_initial", frozenset({"dpg"})),
+    (_Key("l_final", float, None), "l_final", frozenset({"dpg"})),
+    (_Key("inner_iterations", int, None, minimum=1), "inner_iterations", frozenset({"admm"})),
+    (_Key("sd_step", float, None), "sd_step", frozenset({"sd"})),
+)
+
+
+def _read_solver(reader: _ConfigReader, methods: set[str], *, default_iterations: int,
+                 logged: bool, default_inner: int = 1) -> SolverConfig:
+    """The [solver] keys that `methods` read, and `timing` if the run writes its log."""
     from .solvers import SolverConfig
 
-    default_l = 1.0 if method == "apg" else 1.01
-    return SolverConfig(
-        iterations=reader.get_int(
-            "solver", "iterations", default=default_iterations, minimum=1
-        ),
-        beta=reader.get_float("solver", "beta", default=0.001),
-        step_scale=reader.get_float("solver", "l", default=default_l),
-        l_initial=reader.get_float("solver", "l_initial", default=0.2),
-        l_final=reader.get_float("solver", "l_final", default=2.0),
-        inner_iterations=reader.get_int(
-            "solver", "inner_iterations", default=default_inner, minimum=1
-        ),
-        sd_step=reader.get_float("solver", "sd_step"),
-        stop_fp_residual=reader.get_float("solver", "stop_fp_residual"),
-        record_timing=reader.get_bool("solver", "timing", default=False),
-    )
+    defaults = {"l": 1.0 if methods == {"apg"} else 1.01, "inner_iterations": default_inner}
+    values = {"iterations": reader.get_int("solver", "iterations",
+                                           default=default_iterations, minimum=1)}
+    for key, field, readers in _METHOD_KEYS:
+        if methods & readers:
+            values[field] = key._replace(default=defaults.get(key.name)).read(reader, "solver")
+    values["stop_fp_residual"] = reader.get_float("solver", "stop_fp_residual")
+    if logged:
+        values["record_timing"] = reader.get_bool("solver", "timing")
+    return SolverConfig(**{name: v for name, v in values.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +482,14 @@ def _plan_report(which: str) -> Callable:
 
         def execute() -> Outputs:
             if image_paths is not None:
-                clean = [
-                    (path.stem, extract_center_patch(load_pgm(str(path)), patch_size))
-                    for path in image_paths
-                ]
+                clean = []
+                for path in image_paths:
+                    image = load_pgm(str(path))
+                    side = min(image.pixels.shape)
+                    if side < patch_size:
+                        raise ConfigError(f"[experiment] images {path} {image.pixels.shape}: "
+                                          f"must be >= the patch_size {patch_size}, got {side}")
+                    clean.append((path.stem, extract_center_patch(image, patch_size)))
             else:
                 clean = [
                     (f"patch{i:02d}", img)
@@ -576,7 +587,7 @@ def _plan_trajectory(reader: _ConfigReader, config_dir: Path, seed: int):
 
     problem_spec = _read_problem(reader, config_dir, default_blur=1)
     method = _read_method(reader)
-    cfg = _read_solver(reader, default_iterations=500, method=method)
+    cfg = _read_solver(reader, {method}, default_iterations=500, logged=True)
     problem_spec.check_size()
     label = problem_spec.denoiser_kind
 
@@ -598,7 +609,7 @@ def _plan_cost_slice(reader: _ConfigReader, config_dir: Path, seed: int):
 
     problem_spec = _read_problem(reader, config_dir, default_blur=1)
     method = _read_method(reader)
-    cfg = _read_solver(reader, default_iterations=200, method=method)
+    cfg = _read_solver(reader, {method}, default_iterations=200, logged=False)
     radius = reader.get_float("slice", "radius", default=2.0)
     points = reader.get_int("slice", "points", default=21, minimum=2)
     problem_spec.check_size()
@@ -659,7 +670,8 @@ def _plan_deblur(reader: _ConfigReader, config_dir: Path, seed: int):
             "deblur computes an exact oracle gap and therefore requires the "
             "linear denoiser; use the trajectory experiment for other kinds"
         )
-    base = _read_solver(reader, default_iterations=500, default_inner=20)
+    base = _read_solver(reader, set(SOLVERS), default_iterations=500, logged=True,
+                        default_inner=20)
     l_apg = reader.get_float("solver", "l_apg", default=1.0)
     problem_spec.check_size()
 
@@ -751,14 +763,14 @@ def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
     denoising_variance = reader.get_float("experiment", "denoising_variance",
                                           default=100.0)
     problem_spec = _read_problem(reader, config_dir, default_blur=9)
-    cfg = _read_solver(reader, default_iterations=2000)
+    cfg = _read_solver(reader, {"pg"}, default_iterations=2000, logged=False)
     problem_spec.check_size()
     label = problem_spec.denoiser_kind
 
     def execute() -> Outputs:
         problem, truth = _build_problem(problem_spec, seed)
         l_scale = cfg.step_scale
-        x_hat, _ = red_pg(problem, cfg)
+        x_hat, trajectory = red_pg(problem, cfg)
         f = problem.denoiser
         fx_hat = f.apply(x_hat)
         u_hat = Image((fx_hat.pixels - x_hat.pixels) / l_scale)
@@ -777,7 +789,7 @@ def _plan_equilibrium(reader: _ConfigReader, config_dir: Path, seed: int):
             ["pnp_matches_denoiser_output", "1" if pnp_matches else "0"],
         ]
         head = (f"equilibrium-check: {label} fixed point after "
-                f"{cfg.iterations} iterations (L = {l_scale}, seed {seed}), "
+                f"{len(trajectory)} iterations (L = {l_scale}, seed {seed}), "
                 f"then pure denoising at variance {denoising_variance}")
         header = ["quantity", "value"]
         return [(label, header, rows)], head, _text_table(header, rows)
@@ -821,7 +833,10 @@ def _load_plan(config_path: str) -> _Plan:
         raise ConfigError(f"config file not found: {config_path}")
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {config_path}: not UTF-8 (byte offset {exc.start})") from None
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
     if parser.defaults():

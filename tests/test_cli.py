@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -29,7 +30,8 @@ from redlab import (
     solver_scene,
     synthetic_scene,
 )
-from redlab.cli import _DENOISER_KINDS, _deblur_oracle, main
+from redlab.cli import _DENOISER_KINDS, _METHOD_KEYS, _deblur_oracle, main
+from redlab.solvers import SOLVERS
 
 REPO = Path(__file__).resolve().parents[1]
 # SHA-256 of every output file of the benchmark configs at the reference
@@ -181,8 +183,8 @@ def readme_config_block():
     return re.search(r"```ini\n(.*?)```", text, re.S).group(1)
 
 
-def readme_denoiser_keys():
-    """{key: (value, comment above it)} for the README's [denoiser] section;
+def readme_keys(wanted):
+    """{key: (value, comment above it)} for the README's `wanted` section;
     a key may itself be commented out."""
     keys, section, note = {}, None, ""
     for line in readme_config_block().splitlines():
@@ -190,7 +192,7 @@ def readme_denoiser_keys():
         key = re.fullmatch(r"(?:# )?(\w+) = (.*)", line)
         if header:
             section = header.group(1)
-        elif key and section == "denoiser":
+        elif key and section == wanted:
             keys[key.group(1)] = (key.group(2), note)
         elif line.startswith("#"):
             note = line
@@ -204,7 +206,7 @@ class TestReadmeConfig:
         assert capsys.readouterr() == ("config ok: experiment 'trajectory'\n", "")
 
     def test_denoiser_keys_match_the_kinds_table(self):
-        documented = readme_denoiser_keys()
+        documented = readme_keys("denoiser")
         kind_line = documented.pop("kind")[1]
         assert kind_line == "# " + " | ".join(_DENOISER_KINDS)
         declared = {key.name: key for keys, _ in _DENOISER_KINDS.values()
@@ -219,8 +221,21 @@ class TestReadmeConfig:
                 defaults += 1
         assert defaults == 8
 
+    def test_solver_notes_name_the_method_keys_and_their_methods(self):
+        """A [solver] note that opens with method names lists exactly the
+        methods of that key's `_METHOD_KEYS` row, and only those keys have one."""
+        documented = readme_keys("solver")
+        named = {}
+        for name, (_, note) in documented.items():
+            methods = re.match(r"# (\w+(?:, \w+)*): ", note)
+            if methods and set(methods.group(1).split(", ")) <= set(SOLVERS):
+                named[name] = methods.group(1).split(", ")
+        assert named == {key.name: [m for m in SOLVERS if m in methods]
+                         for key, _, methods in _METHOD_KEYS}
+        assert "read only by trajectory and deblur" in documented["timing"][1]
+
     def test_each_kind_accepts_its_documented_values(self, tmp_path, capsys):
-        documented = readme_denoiser_keys()
+        documented = readme_keys("denoiser")
         for kind, (keys, _) in _DENOISER_KINDS.items():
             lines = "".join(f"{key.name} = {documented[key.name][0]}\n" for key in keys)
             config = write_config(
@@ -758,6 +773,32 @@ class TestEquilibriumCheck:
         assert float(values["consensus_residual_g"]) <= 1e-8
         assert float(values["denoising_mirror_gap"]) <= 1e-8
 
+    def test_the_summary_names_the_iterations_run(self, tmp_path, capsys):
+        """red_pg stops early on the residual bound; the head line counts the
+        iterations it ran, not the cap."""
+        out_dir = tmp_path / "eq"
+        config = write_config(tmp_path, f"""\
+            [experiment]
+            name = equilibrium-check
+            seed = 1
+            output = {out_dir}
+
+            [problem]
+            size = 16
+            blur = 3
+
+            [denoiser]
+            kind = linear
+
+            [solver]
+            iterations = 300
+            stop_fp_residual = 1e-3
+        """)
+        assert main(["run", config]) == 0
+        capsys.readouterr()
+        head = (out_dir / "equilibrium-check_summary.txt").read_text().splitlines()[0]
+        assert head.startswith("equilibrium-check: linear fixed point after 2 iterations (")
+
     def test_non_convergence_exits_three_without_outputs(self, tmp_path, capsys,
                                                           monkeypatch):
         """A seed-0 16x16 median run converges, so the failure is injected."""
@@ -853,6 +894,79 @@ class TestOutputRouting:
         """)
         assert main(["run", config]) == 0
         assert (tmp_path / "rel_results" / "tweedie-check_summary.txt").exists()
+
+
+# Every [solver] key that some run reads, with a second value; the
+# residual bound 1e30 is reached at the first iterate, so it stops each run
+# there.  `method` gets a second method.
+SOLVER_KEYS = {"method": None, "iterations": "4", "beta": "0.05", "l": "1.5",
+               "l_initial": "0.5", "l_final": "3.0", "inner_iterations": "3",
+               "sd_step": "0.3", "stop_fp_residual": "1e30", "timing": "on",
+               "l_apg": "1.5"}
+# The 16 (experiment, method) runs, with the sections before [solver].
+SMALL_PROBLEM = "[problem]\nsize = 8\nblur = 3\n"
+SOLVER_RUNS = ([("trajectory", method, SMALL_PROBLEM) for method in SOLVERS]
+               + [("cost-slice", method, SMALL_PROBLEM + "[slice]\npoints = 2\n")
+                  for method in SOLVERS]
+               + [("equilibrium-check", None, SMALL_PROBLEM), ("deblur", None, SMALL_PROBLEM)])
+
+
+def solver_config(tmp_path, experiment, body, solver):
+    lines = "".join(f"{key} = {value}\n" for key, value in solver.items())
+    return write_config(tmp_path, f"[experiment]\nname = {experiment}\nseed = 1\n"
+                                  f"output = {tmp_path / 'out'}\n{body}[solver]\n{lines}")
+
+
+def accepted_solver_keys(tmp_path, capsys, experiment, method, body):
+    """The run's base [solver] lines, `iterations` (and `method`), and
+    {key: [solver] lines} for each key of SOLVER_KEYS that `validate`
+    accepts when set next to them."""
+    base = {"iterations": "3"} if method is None else {"method": method, "iterations": "3"}
+    accepted = {}
+    for key, value in SOLVER_KEYS.items():
+        if key == "method":
+            value = "pg" if method == "fp" else "fp"
+        solver = {**base, key: value}
+        if main(["validate", solver_config(tmp_path, experiment, body, solver)]) == 0:
+            accepted[key] = solver
+    capsys.readouterr()
+    return base, accepted
+
+
+class TestSolverKeys:
+    """A run accepts exactly the [solver] keys that change what it writes."""
+
+    @pytest.mark.parametrize("experiment, method, body", SOLVER_RUNS,
+                             ids=[f"{e}-{m}" if m else e for e, m, _ in SOLVER_RUNS])
+    def test_each_accepted_key_changes_the_outputs_and_the_rest_exit_2(
+            self, tmp_path, capsys, monkeypatch, experiment, method, body):
+        monkeypatch.setenv("REDLAB_WORKERS", "1")
+        base, accepted = accepted_solver_keys(tmp_path, capsys, experiment, method, body)
+
+        def outputs(solver):
+            assert main(["run", solver_config(tmp_path, experiment, body, solver)]) == 0
+            written = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+            shutil.rmtree(tmp_path / "out")
+            capsys.readouterr()
+            return written
+
+        reference = outputs(base)
+        for key, solver in accepted.items():
+            assert outputs(solver) != reference, key
+        for key in SOLVER_KEYS.keys() - accepted.keys():
+            config = solver_config(tmp_path, experiment, body, {**base, key: SOLVER_KEYS[key]})
+            for command in ("validate", "run"):
+                assert main([command, config]) == 2
+                assert capsys.readouterr() == ("", f"error: unknown key(s) in [solver]: {key}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_sixteen_runs_accept_78_solver_keys(self, tmp_path, capsys):
+        counts = {}
+        for experiment, method, body in SOLVER_RUNS:
+            _, accepted = accepted_solver_keys(tmp_path, capsys, experiment, method, body)
+            counts[experiment] = counts.get(experiment, 0) + len(accepted)
+        assert counts == {"trajectory": 36, "cost-slice": 29, "equilibrium-check": 3,
+                          "deblur": 10}
 
 
 class RunTime(str):
@@ -961,6 +1075,9 @@ INVALID_CONFIGS = [
     ("blur-over-12x12-pgm", "trajectory",
      "[problem]\nimage = small.pgm\nblur = 13\n[denoiser]\nkind = median\n",
      RunTime("[problem] image (12, 12): must be >= the blur width 13, got 12")),
+    ("report-image-under-patch-size", "jacobian-report", "images = small.pgm\n",
+     RunTime("[experiment] images {dir}/small.pgm (12, 12): must be >= the patch_size 16, "
+             "got 12")),
     # The blur must fit the configured side, so `validate` catches it too.
     ("blur-over-size", "trajectory", "[problem]\nsize = 4\nblur = 9\n",
      "[problem] size: must be >= the blur width 9, got 4"),
@@ -1036,6 +1153,18 @@ def test_a_non_square_image_fits_by_its_shorter_side(tmp_path, capsys, denoiser,
         assert main(["run", config]) == 2
         assert capsys.readouterr() == ("", f"error: [problem] image (16, 32): {message}\n")
         assert not (tmp_path / "out").exists()
+
+
+def test_a_config_that_is_not_utf8_exits_2_naming_the_byte(tmp_path, capsys):
+    config = tmp_path / "latin1.ini"
+    config.write_bytes(b"[experiment]\n# caf\xe9\nname = tweedie-check\nseed = 1\n"
+                       + f"output = {tmp_path / 'out'}\n".encode())
+    before = sorted(tmp_path.rglob("*"))
+    for command in ("validate", "run"):
+        assert main([command, str(config)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: config file {config}: not UTF-8 (byte offset 18)\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("env_out", [None, "env_out"])

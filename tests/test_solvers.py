@@ -1,5 +1,7 @@
 """Solver family: algebraic identities, convergence, and trajectory logs."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from redlab import (
     red_sd,
     solver_scene,
 )
+from redlab.cli import _METHOD_KEYS
 from redlab.image import format_csv
 from redlab.solvers import _pg_direction
 
@@ -530,6 +533,35 @@ class TestPresets:
             solve(p, SolverConfig(iterations=3, inner_iterations=2))
         assert built == [p.loss]
         assert used and all(loss is p.loss for loss in used)
+
+
+# A second value of each SolverConfig field that only some methods read;
+# every method reads the other three.
+SECOND_VALUES = {"beta": 0.05, "step_scale": 1.5, "l_initial": 0.5, "l_final": 3.0,
+                 "inner_iterations": 3, "sd_step": 0.3}
+READ_BY_ALL = {"iterations", "stop_fp_residual", "record_timing"}
+
+
+def test_every_solver_config_field_has_a_second_value():
+    assert set(SECOND_VALUES) | READ_BY_ALL == {f.name for f in fields(SolverConfig)}
+    assert {field for _, field, _ in _METHOD_KEYS} == set(SECOND_VALUES)
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_a_method_reads_exactly_the_fields_of_its_method_key_rows(blur16_tdt_problem,
+                                                                   method):
+    """cli._METHOD_KEYS lists the methods that read each field: changing a
+    field of the method's rows changes its run, and changing any other field
+    leaves the run bitwise as it was."""
+    def run(**field):
+        x, trajectory = SOLVERS[method](blur16_tdt_problem,
+                                        SolverConfig(iterations=4, **field))
+        return x.pixels.tobytes(), trajectory.csv_rows()
+
+    reads = {field for _, field, methods in _METHOD_KEYS if method in methods}
+    base = run()
+    for field, value in SECOND_VALUES.items():
+        assert (run(**{field: value}) != base) == (field in reads), field
 
 
 class TestDivergenceGuard:

@@ -53,7 +53,6 @@ import argparse
 import configparser
 import functools
 import gc
-import itertools
 import math
 import os
 import re
@@ -73,14 +72,14 @@ from .denoisers import (
     MedianFilterDenoiser,
     NlmDenoiser,
     TdtDenoiser,
+    _BINOMIAL,
     _is_power_of_two,
 )
 from .diagnostics import (
     DEFAULT_EPSILON,
     JacobianEstimate,
     RedProblem,
-    _jacobian_chunks,
-    _jacobian_from_chunks,
+    _jacobian_estimates,
     central_differences,
     cost_red,
     cost_slice,
@@ -130,6 +129,9 @@ class _ConfigReader:
             self._seen_sections.add(name)
             return True
         return False
+
+    def has_key(self, section: str, key: str) -> bool:
+        return key in self._sections.get(section, {})
 
     def _raw(self, section: str, key: str, required: bool) -> str | None:
         data = self._sections.get(section)
@@ -258,7 +260,7 @@ _DENOISER_KINDS: dict[str, tuple[tuple[_Key, ...], Callable[..., Denoiser]]] = {
         (_Key("window", int, 3, minimum=1, odd=True),),
         lambda shape, **values: MedianFilterDenoiser(**values),
     ),
-    # NlmDenoiser prefers the bandwidth over the noise variance when set.
+    # NlmDenoiser derives a bandwidth from the noise variance only when none is set.
     "nlm": (
         (_Key("patch_radius", int, 1), _Key("search_radius", int, 5),
          _NOISE_VARIANCE, _Key("bandwidth", float, None)),
@@ -291,17 +293,21 @@ def _read_denoiser(reader: _ConfigReader, section: str,
         )
     keys, build = _DENOISER_KINDS[kind]
     values = {key.name: key.read(reader, section) for key in keys}
+    if values.get("bandwidth") is not None and reader.has_key(section, "noise_variance"):
+        raise ConfigError(f"[{section}] noise_variance: not allowed with bandwidth")
     return kind, functools.partial(build, **values)
 
 
 def _check_side(specs: list[tuple[str, _DenoiserBuild]], shape: tuple[int, int],
                 blur: int, key: str) -> None:
     """The image-side rule: the Haar transform of 'tdt' needs power-of-two
-    sides, and each median window and the blur must fit in the shorter side."""
+    sides, and each median window, the 'linear' kernel and the blur must fit
+    in the shorter side."""
     if "tdt" in (kind for kind, _ in specs) and not all(map(_is_power_of_two, shape)):
         raise ConfigError(f"{key}: 'tdt' needs a power of two")
     side = min(shape)
     windows = [("median window", b.keywords["window"]) for kind, b in specs if kind == "median"]
+    windows += [("linear kernel", len(_BINOMIAL)) for kind, _ in specs if kind == "linear"]
     for name, width in windows + [("blur width", blur)]:
         if width > side:
             raise ConfigError(f"{key}: must be >= the {name} {width}, got {side}")
@@ -540,24 +546,22 @@ def _report_cells(which: str, denoisers: list[Denoiser], images: list[Image],
     """`_report_metrics` of each (denoiser, image) cell, by their indices.
 
     Cells run in this order: image 0 under every denoiser, then the other
-    images denoiser by denoiser.  The probe chunks of the image-0 cells are
-    one `_run_tasks` call and those of the rest a second; its rounds bound
-    the chunk results held at once.  The earliest failure in cell order is
-    raised and the second call never starts, so a denoiser whose metrics
-    raise (say, an identically zero Jacobian) fails before any second image
-    runs.  For each cell in turn, this process draws its chunks, assembles
-    its estimate from them as numerical_jacobian does, freeing each chunk
-    once copied, and computes its metrics, so results, warnings and the
-    error raised are those of computing the cells one after another.
+    images denoiser by denoiser.  Each group's estimates come from one
+    `_jacobian_estimates` draw whose probe chunks are one `_run_tasks`
+    call; its rounds bound the chunk results held at once.  The earliest
+    failure in cell order is raised and the second call never starts, so a
+    denoiser whose metrics raise (say, an identically zero Jacobian) fails
+    before any second image runs.  This process computes each cell's
+    metrics as its estimate is drawn, before the next cell's chunks, so
+    results, warnings and the error raised are those of computing the
+    cells one after another.
     """
     ds = range(len(denoisers))
     metrics: dict[tuple[int, int], dict] = {}
     for group in ([(d, 0) for d in ds], [(d, i) for d in ds for i in range(1, len(images))]):
-        chunks = [_jacobian_chunks(denoisers[d], images[i], epsilon) for d, i in group]
-        diffs = _run_tasks([task for tasks in chunks for task in tasks])
-        for (d, i), tasks in zip(group, chunks):
-            f, x = denoisers[d], images[i]
-            estimate = _jacobian_from_chunks(x, itertools.islice(diffs, len(tasks)), epsilon)
+        cells = [(denoisers[d], images[i]) for d, i in group]
+        estimates = _jacobian_estimates(cells, epsilon, _run_tasks)
+        for (d, i), (f, x), estimate in zip(group, cells, estimates):
             metrics[d, i] = _report_metrics(which, f, x, estimate, epsilon)
     return metrics
 
@@ -854,12 +858,12 @@ def _load_plan(config_path: str) -> _Plan:
         raise ConfigError("[experiment] output: must name a directory")
     execute = _EXPERIMENTS[name][1](reader, path.parent, seed)
     reader.finish(name)
+    _worker_limit()  # a bad REDLAB_WORKERS fails before any work, at validate as at run
     return _Plan(name=name, output=output, execute=execute)
 
 
 def _cmd_run(config_path: str) -> int:
     plan = _load_plan(config_path)
-    _worker_limit()  # a bad REDLAB_WORKERS fails before any work, in every experiment
     tables, head, body = plan.execute()
     summary = "\n".join([head, "", *body])
     files = [(f"{plan.name}_{label}.csv", format_csv(header, rows))

@@ -405,6 +405,10 @@ class NlmDenoiser(Denoiser):
         return np.ascontiguousarray((numer / denom).transpose(2, 0, 1))
 
 
+# The taps of local_average's kernel along each axis.
+_BINOMIAL = (1.0, 2.0, 1.0)
+
+
 class LinearSymmetricDenoiser(Denoiser):
     """Periodic convolution W with an even kernel and spectral radius <= 1.
 
@@ -438,7 +442,7 @@ class LinearSymmetricDenoiser(Denoiser):
         matrix is symmetric with eigenvalues
         ((1+cos w1)/2)((1+cos w2)/2) in [0, 1].
         """
-        return cls(np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0, shape)
+        return cls(np.outer(_BINOMIAL, _BINOMIAL) / 16.0, shape)
 
     def transfer_function(self) -> np.ndarray:
         """Eigenvalues of W: the kernel's DFT on the image grid."""

@@ -14,25 +14,26 @@ Three candidate gradient expressions for rho are provided:
   valid whenever f is differentiable at x.
 
 The error metrics quantify how far a given denoiser is from satisfying
-each expression.  All probes share the chunks of one perturbation loop,
-`central_differences`, which evaluates the perturbed images in chunks,
-each chunk as one stack through Denoiser.apply_stack; numerical_jacobian
-takes J and grad rho from the same 2 N denoised images, one task per
-chunk that a caller may also run apart (the CLI reports do, in parallel),
-and the Hessian differences grad rho once more.  The cost and residual take their data
-terms from the problem's own QuadraticLoss.
+each expression.  This module alone chunks, runs and assembles the probes'
+stacks through Denoiser.apply_stack, each at most _STACK_BYTES: the chunks
+of `central_differences`, the Jacobians and grad rho of _jacobian_estimates
+(2 N denoised images each; numerical_jacobian is its one-image case, and the
+CLI reports run its chunks in parallel), and nonexpansiveness_probe's random
+pairs.  The cost and residual take their data terms from the problem's own
+QuadraticLoss.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .denoisers import Denoiser
-from .errors import DegenerateInputError, DomainError, ShapeError, _positive
+from .errors import (DegenerateInputError, DomainError, ShapeError, _count, _finite,
+                     _nonnegative, _positive, _shape)
 from .image import Image
 from .losses import QuadraticLoss
 from .operators import LinearOperator
@@ -54,6 +55,7 @@ __all__ = [
     "js_error",
     "lh_error_1",
     "lh_error_2",
+    "nonexpansiveness_probe",
     "numerical_gradient_rho",
     "numerical_jacobian",
     "rho_red",
@@ -71,8 +73,8 @@ class JacobianEstimate:
     rho_gradient: np.ndarray | None = None
 
 
-# Largest perturbed stack, in bytes, that central_differences passes to fn
-# in one call (at least one column's pair of rows): 16 columns at 16x16.
+# Largest stack, in bytes, that a probe passes to fn in one call (at least
+# one column's pair of rows or one random pair): 16 columns at 16x16.
 _STACK_BYTES = 64 * 1024
 
 
@@ -143,21 +145,21 @@ def _jacobian_rows(f: Denoiser, stack: np.ndarray) -> np.ndarray:
     return np.column_stack([fxs.reshape(len(stack), -1), _rho_rows(stack, fxs)])
 
 
-def _jacobian_chunks(f: Denoiser, x: Image, eps: float) -> list[Callable[[], np.ndarray]]:
-    """numerical_jacobian(f, x, eps) as the chunk tasks of its central
-    differences; _jacobian_from_chunks joins their results."""
-    return _chunk_tasks(functools.partial(_jacobian_rows, f), x.pixels, eps)
+def _jacobian_estimates(cells: list[tuple[Denoiser, Image]], eps: float,
+                        run=lambda tasks: (t() for t in tasks)) -> Iterator[JacobianEstimate]:
+    """numerical_jacobian(f, x, eps) of each (f, x) cell, in order.
 
-
-def _jacobian_from_chunks(x: Image, diffs: Iterable[np.ndarray],
-                          eps: float) -> JacobianEstimate:
-    """The estimate from the results of _jacobian_chunks(f, x, eps), in order.
-
-    One (N + 1, N) buffer: J is its C-contiguous top N rows, grad rho the
-    last.
+    One `run` call draws the chunk tasks of all the cells' central
+    differences in order (by default in this process; the CLI reports pass
+    workers._run_tasks).  Each chunk is copied into its cell's (N + 1, N)
+    buffer as it is drawn: J is its C-contiguous top N rows, grad rho the last.
     """
-    out = _assemble(x.size, diffs)
-    return JacobianEstimate(out[:-1], eps, rho_gradient=out[-1])
+    eps = _positive("step size", eps)
+    tasks = [_chunk_tasks(functools.partial(_jacobian_rows, f), x.pixels, eps) for f, x in cells]
+    diffs = run([task for chunks in tasks for task in chunks])
+    for (_, x), chunks in zip(cells, tasks):
+        out = _assemble(x.size, (next(diffs) for _ in chunks))
+        yield JacobianEstimate(out[:-1], eps, rho_gradient=out[-1])
 
 
 def numerical_jacobian(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> JacobianEstimate:
@@ -168,8 +170,7 @@ def numerical_jacobian(f: Denoiser, x: Image, eps: float = DEFAULT_EPSILON) -> J
     taken from the same outputs, so `rho_gradient` is bitwise equal to
     numerical_gradient_rho(f, x, eps) for a deterministic f.
     """
-    eps = _positive("step size", eps)
-    return _jacobian_from_chunks(x, (chunk() for chunk in _jacobian_chunks(f, x, eps)), eps)
+    return next(_jacobian_estimates([(f, x)], eps))
 
 
 def js_error(estimate: JacobianEstimate) -> float:
@@ -279,6 +280,34 @@ def analytic_hessian_linear(w: np.ndarray) -> np.ndarray:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {w.shape}")
     return np.eye(w.shape[0]) - 0.5 * w - 0.5 * w.T
+
+
+def nonexpansiveness_probe(f: Denoiser, trials: int, seed: int,
+                           shape: tuple[int, int] = (16, 16),
+                           scale: float = 255.0) -> float:
+    """Largest observed ||f(a) - f(b)|| / ||a - b|| over random pairs.
+
+    Pairs are drawn uniformly from [0, scale]^N with numpy's PCG64
+    generator, a before b, and denoised through f.apply_stack in chunks of
+    as many pairs as fit in _STACK_BYTES.  A value <= 1 + tol
+    supports (never proves) that f is non-expansive on its working range.
+    """
+    h, w = _shape(shape)
+    trials = _count("trials", trials)
+    scale = _nonnegative("scale", scale)
+    rng = np.random.default_rng(_count("seed", seed, 0))
+    chunk = max(1, _STACK_BYTES // (2 * h * w * 8))
+    worst = 0.0
+    for t0 in range(0, trials, chunk):
+        pairs = rng.uniform(0.0, scale, (min(chunk, trials - t0), 2, h, w))
+        outs = f.apply_stack(pairs.reshape(-1, h, w)).reshape(pairs.shape)
+        _finite("denoiser output", outs, DomainError)
+        for (a, b), (fa, fb) in zip(pairs, outs):
+            gap = float(np.linalg.norm(a - b))
+            if gap == 0.0:
+                continue
+            worst = max(worst, float(np.linalg.norm(fa - fb)) / gap)
+    return worst
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,10 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoisers import Denoiser
-from .diagnostics import _STACK_BYTES, RedProblem, cost_red, fp_residual
-from .errors import (ConfigError, DivergenceError, DomainError, _count, _finite, _nonnegative,
-                     _positive, _shape)
+from .diagnostics import RedProblem, cost_red, fp_residual
+from .errors import ConfigError, DivergenceError, _count, _positive
 from .image import Image, psnr
 from .workers import _spare_cpu, _Stream
 
@@ -47,7 +45,6 @@ __all__ = [
     "TrajectoryRecord",
     "default_initialization",
     "dpg_schedule",
-    "nonexpansiveness_probe",
     "red_admm",
     "red_admm_i1",
     "red_apg",
@@ -430,31 +427,3 @@ SOLVERS = {
     "dpg": red_dpg,
     "apg": red_apg,
 }
-
-
-def nonexpansiveness_probe(f: Denoiser, trials: int, seed: int,
-                           shape: tuple[int, int] = (16, 16),
-                           scale: float = 255.0) -> float:
-    """Largest observed ||f(a) - f(b)|| / ||a - b|| over random pairs.
-
-    Pairs are drawn uniformly from [0, scale]^N with numpy's PCG64
-    generator, a before b, and denoised through f.apply_stack in chunks of
-    as many pairs as fit in the probes' stack budget.  A value <= 1 + tol
-    supports (never proves) that f is non-expansive on its working range.
-    """
-    h, w = _shape(shape)
-    trials = _count("trials", trials)
-    scale = _nonnegative("scale", scale)
-    rng = np.random.default_rng(_count("seed", seed, 0))
-    chunk = max(1, _STACK_BYTES // (2 * h * w * 8))
-    worst = 0.0
-    for t0 in range(0, trials, chunk):
-        pairs = rng.uniform(0.0, scale, (min(chunk, trials - t0), 2, h, w))
-        outs = f.apply_stack(pairs.reshape(-1, h, w)).reshape(pairs.shape)
-        _finite("denoiser output", outs, DomainError)
-        for (a, b), (fa, fb) in zip(pairs, outs):
-            gap = float(np.linalg.norm(a - b))
-            if gap == 0.0:
-                continue
-            worst = max(worst, float(np.linalg.norm(fa - fb)) / gap)
-    return worst

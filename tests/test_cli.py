@@ -235,15 +235,21 @@ class TestReadmeConfig:
         assert "read only by trajectory and deblur" in documented["timing"][1]
 
     def test_each_kind_accepts_its_documented_values(self, tmp_path, capsys):
+        """Every key of a kind at once, but nlm's bandwidth and noise_variance,
+        which exclude each other, one at a time."""
         documented = readme_keys("denoiser")
         for kind, (keys, _) in _DENOISER_KINDS.items():
-            lines = "".join(f"{key.name} = {documented[key.name][0]}\n" for key in keys)
-            config = write_config(
-                tmp_path,
-                f"[experiment]\nname = trajectory\nseed = 1\n"
-                f"[denoiser]\nkind = {kind}\n{lines}",
-            )
-            assert main(["validate", config]) == 0, kind
+            names = [key.name for key in keys]
+            dropped = ["bandwidth", "noise_variance"] if "bandwidth" in names else [None]
+            for drop in dropped:
+                lines = "".join(f"{name} = {documented[name][0]}\n"
+                                for name in names if name != drop)
+                config = write_config(
+                    tmp_path,
+                    f"[experiment]\nname = trajectory\nseed = 1\n"
+                    f"[denoiser]\nkind = {kind}\n{lines}",
+                )
+                assert main(["validate", config]) == 0, (kind, drop)
         assert capsys.readouterr().err == ""
 
 
@@ -1033,6 +1039,10 @@ INVALID_CONFIGS = [
     ("nlm-nan-bandwidth", "lh-report",
      "denoisers = nlm\n[nlm]\nkind = nlm\nbandwidth = nan\n",
      "[nlm] bandwidth: must be finite, got nan"),
+    # The bandwidth replaces the one derived from the noise variance.
+    ("nlm-variance-with-bandwidth", "jacobian-report",
+     "patches = 1\ndenoisers = nlm\n[nlm]\nkind = nlm\nbandwidth = 75\nnoise_variance = 625\n",
+     "[nlm] noise_variance: not allowed with bandwidth"),
     ("tdt-nan-threshold", "jacobian-report",
      "denoisers = tdt\n[tdt]\nkind = tdt\nthreshold = nan\n",
      "[tdt] threshold: must be finite, got nan"),
@@ -1075,6 +1085,9 @@ INVALID_CONFIGS = [
     ("blur-over-12x12-pgm", "trajectory",
      "[problem]\nimage = small.pgm\nblur = 13\n[denoiser]\nkind = median\n",
      RunTime("[problem] image (12, 12): must be >= the blur width 13, got 12")),
+    ("linear-kernel-over-2x2-pgm", "trajectory",
+     "[problem]\nimage = tiny.pgm\nblur = 1\n[denoiser]\nkind = linear\n",
+     RunTime("[problem] image (2, 2): must be >= the linear kernel 3, got 2")),
     ("report-image-under-patch-size", "jacobian-report", "images = small.pgm\n",
      RunTime("[experiment] images {dir}/small.pgm (12, 12): must be >= the patch_size 16, "
              "got 12")),
@@ -1100,6 +1113,7 @@ class TestInvalidConfigs:
     def test_exit_code_message_and_no_outputs(self, tmp_path, capsys, case,
                                               experiment, body, message):
         save_pgm(Image(np.full((12, 12), 100.0)), str(tmp_path / "small.pgm"))
+        (tmp_path / "tiny.pgm").write_text("P2\n2 2\n255\n1 2\n3 4\n")
         config = write_config(
             tmp_path,
             f"[experiment]\nname = {experiment}\nseed = 1\n"

@@ -15,14 +15,14 @@ from redlab import errors
 from redlab.denoisers import (Denoiser, GmmMmseDenoiser, LinearSymmetricDenoiser,
                               MedianFilterDenoiser, NlmDenoiser, TdtDenoiser)
 from redlab.diagnostics import (grad_error, grad_red_romano, lh_error_1, lh_error_2,
-                                numerical_jacobian)
+                                nonexpansiveness_probe, numerical_jacobian)
 from redlab.equilibrium import g_red_inverse
 from redlab.errors import RedlabError
 from redlab.image import Image, awgn, extract_center_patch
 from redlab.losses import make_uniform_blur
 from redlab.operators import CircularConvolution
 from redlab.scenes import diagnostic_patches, evaluation_points, synthetic_scene
-from redlab.solvers import SolverConfig, nonexpansiveness_probe
+from redlab.solvers import SolverConfig
 
 INSTANCES = [
     errors.RedlabError("base"),
@@ -188,6 +188,14 @@ def _owners(matches) -> set[str]:
     return owners
 
 
+def _names(node) -> set[str]:
+    """The name that a Name, an attribute or an imported alias node refers to."""
+    for kind, field in ((ast.Name, "id"), (ast.Attribute, "attr"), (ast.alias, "name")):
+        if isinstance(node, kind):
+            return {getattr(node, field)}
+    return set()
+
+
 def _states(words: str):
     return lambda node: (isinstance(node, ast.Constant) and isinstance(node.value, str)
                          and words in node.value)
@@ -213,6 +221,11 @@ RULE_OWNERS = [
     # The Haar transform's power-of-two sides: the library's guard and the CLI's side rule.
     ("_is_power_of_two", lambda node: isinstance(node, ast.Name) and node.id == "_is_power_of_two",
      {"denoisers._check_haar_shape", "cli._check_side"}),
+    # The probes' stacks: their budget, their chunks and the assembly of
+    # the chunks' results, named (or imported) only where diagnostics uses them.
+    ("the probe stacks", lambda node: _names(node) & {"_STACK_BYTES", "_chunk_tasks", "_assemble"},
+     {"diagnostics.<module>", "diagnostics._chunk_tasks", "diagnostics.central_differences",
+      "diagnostics._jacobian_estimates", "diagnostics.nonexpansiveness_probe"}),
 ]
 
 

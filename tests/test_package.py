@@ -25,8 +25,8 @@ EXPORTS = {
         "JacobianEstimate", "RedProblem", "SliceSample", "analytic_hessian_linear",
         "central_differences", "cost_red", "cost_slice", "fp_residual", "grad_error",
         "grad_red_lh", "grad_red_romano", "grad_red_true", "hessian_rho_red", "js_error",
-        "lh_error_1", "lh_error_2", "numerical_gradient_rho", "numerical_jacobian",
-        "rho_red",
+        "lh_error_1", "lh_error_2", "nonexpansiveness_probe", "numerical_gradient_rho",
+        "numerical_jacobian", "rho_red",
     ],
     "equilibrium": [
         "EquilibriumPair", "consensus_residual", "denoising_equilibria", "g_red_inverse",
@@ -51,8 +51,8 @@ EXPORTS = {
             "score_match_identity"],
     "solvers": [
         "SOLVERS", "SolverConfig", "Trajectory", "TrajectoryRecord",
-        "default_initialization", "dpg_schedule", "nonexpansiveness_probe", "red_admm",
-        "red_admm_i1", "red_apg", "red_dpg", "red_fp", "red_pg", "red_sd",
+        "default_initialization", "dpg_schedule", "red_admm", "red_admm_i1", "red_apg",
+        "red_dpg", "red_fp", "red_pg", "red_sd",
     ],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]

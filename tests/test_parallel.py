@@ -23,7 +23,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redlab import SOLVERS, MedianFilterDenoiser, NlmDenoiser, cli, workers
+from redlab import (SOLVERS, Image, MedianFilterDenoiser, NlmDenoiser, TdtDenoiser, cli,
+                    diagnostics, workers)
 from redlab.errors import ConfigError, DivergenceError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -276,6 +277,23 @@ def test_bad_worker_counts_exit_2_naming_the_variable(tmp_path, monkeypatch, cap
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_both_commands_reject_a_bad_worker_count_after_the_config(tmp_path, monkeypatch,
+                                                                  capsys, command):
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\nname = tweedie-check\nseed = 1\n"
+                      f"output = {tmp_path / 'out'}\n")
+    monkeypatch.setenv("REDLAB_WORKERS", "0")
+    assert cli.main([command, str(config)]) == 2
+    assert capsys.readouterr() == ("", "error: REDLAB_WORKERS: expected an integer >= 1, "
+                                       "got '0'\n")
+    # A config error still comes first.
+    config.write_text(config.read_text() + "steps = 5\n")
+    assert cli.main([command, str(config)]) == 2
+    assert capsys.readouterr() == ("", "error: unknown key(s) in [experiment]: steps\n")
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("limit, cpus, tasks, forks", [
     ("1000", 2, 2, 1),
     ("1000", 1000, 2, 1),
@@ -351,6 +369,27 @@ def test_both_processes_evaluate_one_cells_probe_chunks(two_cpus, monkeypatch,
     assert str(os.getpid()) in {pid for pid, _ in chunks}
     assert forked[0] == 0
     assert forked == run_report(tmp_path, "sequential", PROBES, workers_env="1")
+
+
+def test_estimates_drawn_through_workers_are_bitwise_numerical_jacobian(two_cpus,
+                                                                         monkeypatch):
+    """Three 16x8 cells of four probe chunks each, in rounds of five tasks,
+    so rounds straddle cells: J and grad rho of each cell are bitwise those
+    of numerical_jacobian in this process."""
+    monkeypatch.setattr(workers, "_ROUND", 5)
+    rng = np.random.default_rng(4)
+    cells = [(f, Image(rng.uniform(0.0, 255.0, (16, 8))))
+             for f in (TdtDenoiser(25.0), MedianFilterDenoiser(3),
+                       NlmDenoiser(search_radius=2, bandwidth=30.0))]
+    eps = 0.5
+    assert [len(diagnostics._chunk_tasks(None, x.pixels, eps)) for _, x in cells] == [4] * 3
+    estimates = list(diagnostics._jacobian_estimates(cells, eps, workers._run_tasks))
+    assert len(estimates) == len(cells)
+    for (f, x), estimate in zip(cells, estimates):
+        reference = diagnostics.numerical_jacobian(f, x, eps)
+        assert estimate.epsilon == reference.epsilon == eps
+        assert estimate.matrix.tobytes() == reference.matrix.tobytes()
+        assert estimate.rho_gradient.tobytes() == reference.rho_gradient.tobytes()
 
 
 @pytest.mark.parametrize("count", ["1", "2"])
